@@ -24,7 +24,6 @@ from .besov import (
 )
 from .fractional import (
     DerivativeConstants,
-    FractionalOrder,
     TruncationWarning,
     bessel_derivative,
     bessel_derivative_integral,
@@ -34,7 +33,6 @@ from .fractional import (
     c_beta_k,
     derivative_constants,
     forward_difference,
-    fractional_order,
     riesz_derivative,
     riesz_derivative_integral,
     riesz_potential,
@@ -55,9 +53,9 @@ from .hermite import (
     MultiIndex,
     QuadratureExactnessWarning,
     SpectralMultiplier,
+    basis_matrix,
     chaos_project,
     default_grid,
-    expansion_eval,
     gauss_hermite_grid,
     hermite_eval,
     hermite_values_1d,

@@ -28,8 +28,8 @@ from .hermite import (
     GaussHermiteGrid,
     HermiteExpansion,
     _abs_moment_exact_1d,
+    basis_matrix,
     default_grid,
-    hermite_values_1d,
     lp_norm,
 )
 from .timequad import TimeQuadrature, log_time_rule
@@ -138,12 +138,7 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts, grid: GaussHermiteGrid
             out[j] = _abs_moment_exact_1d(g, p_int) ** (1.0 / p_int)
         return out
     g = grid if grid is not None else default_grid(f, p)
-    tables = [hermite_values_1d(g.nodes[:, i], f.degree) for i in range(f.dimension)]
-    phi = np.ones((g.nodes.shape[0], len(items)))
-    for col, (nu, _) in enumerate(items):
-        for i, ni in enumerate(nu):
-            phi[:, col] *= tables[i][:, ni]
-    vals = phi @ coef_t  # (nodes, T)
+    vals = basis_matrix([nu for nu, _ in items], g.nodes) @ coef_t  # (nodes, T)
     return (g.weights @ np.abs(vals) ** p) ** (1.0 / p)
 
 
@@ -169,6 +164,19 @@ def besov_seminorm(
 DEFAULT_SUP_GRID = np.exp(np.linspace(math.log(1e-6), math.log(50.0), 200))
 
 
+def _grid_sup(supremand, ts) -> float:
+    """Max of a vectorized supremand over the grid ts, polished locally.
+
+    The coarse argmax is refined on 19 log-spaced points between its two grid
+    neighbours; the larger of the two maxima is returned.
+    """
+    vals = supremand(ts)
+    i = int(np.argmax(vals))
+    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
+    local = np.exp(np.linspace(math.log(lo), math.log(hi), 19))
+    return float(max(vals.max(), supremand(local).max()))
+
+
 def ak_constant(
     f: HermiteExpansion,
     alpha: float,
@@ -179,24 +187,16 @@ def ak_constant(
 ) -> float:
     """Smallest A with ||u^(k)(., t)||_p <= A t^(alpha-k): sup of t^(k-alpha) ||u^(k)||_p.
 
-    Taken over a 200-point log grid (or the nodes of tq), then re-polished on
-    a 3x denser local grid around the coarse argmax.  For expansions the
-    supremand is smooth and decays at both ends, so the grid sup is reliable.
+    Taken over a 200-point log grid (or the nodes of tq), then polished
+    around the coarse argmax (_grid_sup).  For expansions the supremand is
+    smooth and decays at both ends, so the grid sup is reliable.
     """
     if k <= alpha:
         raise ValueError("need k > alpha")
     if not f.coeffs or f.degree == 0:
         return 0.0
     ts = tq.nodes_weights()[0] if tq is not None else DEFAULT_SUP_GRID
-
-    def supremand(t):
-        return t ** (k - alpha) * norm_curve(f, k, p, t, grid)
-
-    vals = supremand(ts)
-    i = int(np.argmax(vals))
-    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
-    local = np.exp(np.linspace(math.log(lo), math.log(hi), 6 * 3 + 1))
-    return float(max(vals.max(), supremand(local).max()))
+    return _grid_sup(lambda t: t ** (k - alpha) * norm_curve(f, k, p, t, grid), ts)
 
 
 def besov_norm(
@@ -235,11 +235,7 @@ def lip_alpha_norm(f: HermiteExpansion, alpha: float, box_half_width: float = 6.
     items = sorted(f.coeffs.items())
     if not items or f.degree == 0:
         return sup_part, 0.0, sup_part
-    tables = [hermite_values_1d(pts[:, i], f.degree) for i in range(f.dimension)]
-    phi = np.ones((pts.shape[0], len(items)))
-    for col, (nu, _) in enumerate(items):
-        for i, ni in enumerate(nu):
-            phi[:, col] *= tables[i][:, ni]
+    phi = basis_matrix([nu for nu, _ in items], pts)
     orders = np.array([nu.order for nu, _ in items], dtype=float)
     base = np.array([c for _, c in items])
     roots = np.sqrt(orders)
@@ -249,10 +245,7 @@ def lip_alpha_norm(f: HermiteExpansion, alpha: float, box_half_width: float = 6.
         sup_x = np.max(np.abs(phi @ coef_t), axis=0)
         return ts ** (k - alpha) * sup_x
 
-    vals = supremand(DEFAULT_SUP_GRID)
-    i = int(np.argmax(vals))
-    lo, hi = DEFAULT_SUP_GRID[max(i - 1, 0)], DEFAULT_SUP_GRID[min(i + 1, vals.size - 1)]
-    ak = float(max(vals.max(), supremand(np.exp(np.linspace(math.log(lo), math.log(hi), 19))).max()))
+    ak = _grid_sup(supremand, DEFAULT_SUP_GRID)
     return sup_part, ak, sup_part + ak
 
 

@@ -58,18 +58,18 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"gausscalc: config error: {exc}", file=sys.stderr)
         return 2
+    try:
+        reports = [run_experiment(args.experiment, cfg)] if args.command == "run" else verify_all(cfg)
+    except ValueError as exc:
+        print(f"gausscalc: {exc}", file=sys.stderr)
+        return 2
     if args.command == "run":
-        try:
-            report = run_experiment(args.experiment, cfg)
-        except ValueError as exc:
-            print(f"gausscalc: {exc}", file=sys.stderr)
-            return 2
+        report = reports[0]
         text = emit_report(report, cfg.fmt or "json", cfg.out or None)
         if not cfg.out:
             sys.stdout.write(text)
         return 0 if report.passed else 1
     # verify-all
-    reports = verify_all(cfg)
     all_ok = True
     chunks = []
     for rep in reports:

@@ -31,14 +31,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .hermite import HermiteExpansion, SpectralMultiplier
+from .besov import smallest_k
+from .hermite import HermiteExpansion, SpectralMultiplier, pi0
 from .timequad import TimeQuadrature, log_time_rule
 
 __all__ = [
-    "FractionalOrder",
     "DerivativeConstants",
     "TruncationWarning",
-    "fractional_order",
     "c_beta",
     "c_beta_k",
     "derivative_constants",
@@ -58,20 +57,6 @@ TRUNCATION_TOL = 1e-8
 
 class TruncationWarning(UserWarning):
     """A supplied time rule truncates more than the accepted tolerance."""
-
-
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Order beta > 0 with k_rep, the smallest integer strictly greater."""
-
-    beta: float
-    k_rep: int
-
-
-def fractional_order(beta: float) -> FractionalOrder:
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    return FractionalOrder(float(beta), math.floor(beta) + 1)
 
 
 @lru_cache(maxsize=None)
@@ -107,12 +92,14 @@ class DerivativeConstants:
 
 
 def derivative_constants(beta: float) -> DerivativeConstants:
-    order = fractional_order(beta)
+    _check_beta(beta)
+    beta = float(beta)
+    k = smallest_k(beta)
     return DerivativeConstants(
-        beta=order.beta,
-        k=order.k_rep,
+        beta=beta,
+        k=k,
         c_beta=c_beta(beta) if beta < 1 else None,
-        c_beta_k=c_beta_k(order.beta, order.k_rep),
+        c_beta_k=c_beta_k(beta, k),
     )
 
 
@@ -185,12 +172,26 @@ def _warn_if_truncated(label: str, head_est: float, tail_est: float):
             f"{label}: estimated truncation error {est:.2e} exceeds {TRUNCATION_TOL:.0e} "
             "(head+tail of the supplied time rule); widen the rule window",
             TruncationWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of the public *_integral function
         )
 
 
-def _per_order(f: HermiteExpansion, multipliers: dict) -> HermiteExpansion:
-    return f.apply_order_multiplier(lambda n: multipliers[n])
+def _multiplier_integral(label, f, tq, const, integrand, head, tail=None, tail_est=None):
+    """f with each order-n coefficient scaled by int_0^inf integrand(t, n) dt / const.
+
+    The integrand behaves like t^(head-1) at 0.  A positive `tail` marks an
+    algebraic tail t^(-tail-1); otherwise the integrand decays exponentially
+    and tail_est(T) estimates its mass beyond T.  The default rule is sized
+    from these exponents, and a supplied rule that truncates more than
+    TRUNCATION_TOL triggers a TruncationWarning.
+    """
+    rule = tq or log_time_rule(head_exponent=head, tail_exponent=tail)
+    t, w = rule.nodes_weights()
+    eps, big = math.exp(rule.v_min), math.exp(rule.v_max)
+    tail_mass = big ** (-tail) / (tail * abs(const)) if tail else tail_est(big)
+    _warn_if_truncated(label, eps**head / (head * abs(const)), tail_mass)
+    mults = {n: float(np.dot(w, integrand(t, n))) / const for n in f.orders()}
+    return f.apply_order_multiplier(lambda n: mults[n])
 
 
 def riesz_potential_integral(
@@ -203,22 +204,12 @@ def riesz_potential_integral(
     for riesz_potential.
     """
     _check_beta(beta)
-    rule = tq or log_time_rule(head_exponent=beta)
-    t, w = rule.nodes_weights()
-    eps, big = math.exp(rule.v_min), math.exp(rule.v_max)
     gb = gamma_fn(beta)
-    _warn_if_truncated(
-        "riesz_potential_integral",
-        eps**beta / (beta * gb),
-        big ** (beta - 1.0) * math.exp(-big) / gb,
+    return _multiplier_integral(
+        "riesz_potential_integral", pi0(f), tq, gb,
+        lambda t, n: t ** (beta - 1.0) * np.exp(-t * math.sqrt(n)),
+        head=beta, tail_est=lambda big: big ** (beta - 1.0) * math.exp(-big) / gb,
     )
-    mults = {}
-    for n in f.orders():
-        if n == 0:
-            mults[0] = 0.0
-        else:
-            mults[n] = float(np.dot(w, t ** (beta - 1.0) * np.exp(-t * math.sqrt(n)))) / gb
-    return _per_order(f, mults)
 
 
 def bessel_potential_integral(
@@ -226,20 +217,12 @@ def bessel_potential_integral(
 ) -> HermiteExpansion:
     """Bessel potential via (1/Gamma(beta)) int_0^inf t^beta e^(-t) P_t f dt/t."""
     _check_beta(beta)
-    rule = tq or log_time_rule(head_exponent=beta)
-    t, w = rule.nodes_weights()
-    eps, big = math.exp(rule.v_min), math.exp(rule.v_max)
     gb = gamma_fn(beta)
-    _warn_if_truncated(
-        "bessel_potential_integral",
-        eps**beta / (beta * gb),
-        big ** (beta - 1.0) * math.exp(-big) / gb,
+    return _multiplier_integral(
+        "bessel_potential_integral", f, tq, gb,
+        lambda t, n: t ** (beta - 1.0) * np.exp(-t * (1.0 + math.sqrt(n))),
+        head=beta, tail_est=lambda big: big ** (beta - 1.0) * math.exp(-big) / gb,
     )
-    mults = {
-        n: float(np.dot(w, t ** (beta - 1.0) * np.exp(-t * (1.0 + math.sqrt(n))))) / gb
-        for n in f.orders()
-    }
-    return _per_order(f, mults)
 
 
 def riesz_derivative_integral(
@@ -262,38 +245,19 @@ def riesz_derivative_integral(
     if form == "parts":
         if beta >= 1:
             raise ValueError("the integration-by-parts form needs 0 < beta < 1")
-        rule = tq or log_time_rule(head_exponent=1.0 - beta)
-        t, w = rule.nodes_weights()
-        const = beta * c_beta(beta)
-        eps = math.exp(rule.v_min)
-        _warn_if_truncated(
-            "riesz_derivative_integral(parts)", eps ** (1.0 - beta) / ((1.0 - beta) * abs(const)), 0.0
+        return _multiplier_integral(
+            "riesz_derivative_integral(parts)", f, tq, beta * c_beta(beta),
+            lambda t, n: t**(-beta) * (-math.sqrt(n)) * np.exp(-t * math.sqrt(n)),
+            head=1.0 - beta, tail_est=lambda big: 0.0,
         )
-        mults = {}
-        for n in f.orders():
-            lam = math.sqrt(n)
-            mults[n] = float(np.dot(w, t**(-beta) * (-lam) * np.exp(-t * lam))) / const
-        return _per_order(f, mults)
     if form != "kdiff":
         raise ValueError(f"unknown form {form!r}")
-    k = fractional_order(beta).k_rep
-    rule = tq or log_time_rule(head_exponent=k - beta, tail_exponent=beta)
-    t, w = rule.nodes_weights()
-    const = c_beta_k(beta, k)
-    eps, big = math.exp(rule.v_min), math.exp(rule.v_max)
-    _warn_if_truncated(
-        "riesz_derivative_integral",
-        eps ** (k - beta) / ((k - beta) * abs(const)),
-        big ** (-beta) / (beta * abs(const)),
+    k = smallest_k(beta)
+    return _multiplier_integral(
+        "riesz_derivative_integral", pi0(f), tq, c_beta_k(beta, k),
+        lambda t, n: t ** (-beta - 1.0) * _orbit_difference_factor(t * math.sqrt(n), k),
+        head=k - beta, tail=beta,
     )
-    mults = {}
-    for n in f.orders():
-        if n == 0:
-            mults[0] = 0.0
-        else:
-            factors = _orbit_difference_factor(t * math.sqrt(n), k)
-            mults[n] = float(np.dot(w, t ** (-beta - 1.0) * factors)) / const
-    return _per_order(f, mults)
 
 
 def bessel_derivative_integral(
@@ -306,18 +270,9 @@ def bessel_derivative_integral(
     orbit is e^(-t)), giving multiplier 1 at n = 0 as it should.
     """
     _check_beta(beta)
-    k = fractional_order(beta).k_rep
-    rule = tq or log_time_rule(head_exponent=k - beta, tail_exponent=beta)
-    t, w = rule.nodes_weights()
-    const = c_beta_k(beta, k)
-    eps, big = math.exp(rule.v_min), math.exp(rule.v_max)
-    _warn_if_truncated(
-        "bessel_derivative_integral",
-        eps ** (k - beta) / ((k - beta) * abs(const)),
-        big ** (-beta) / (beta * abs(const)),
+    k = smallest_k(beta)
+    return _multiplier_integral(
+        "bessel_derivative_integral", f, tq, c_beta_k(beta, k),
+        lambda t, n: t ** (-beta - 1.0) * _orbit_difference_factor(t * (1.0 + math.sqrt(n)), k),
+        head=k - beta, tail=beta,
     )
-    mults = {}
-    for n in f.orders():
-        factors = _orbit_difference_factor(t * (1.0 + math.sqrt(n)), k)
-        mults[n] = float(np.dot(w, t ** (-beta - 1.0) * factors)) / const
-    return _per_order(f, mults)

@@ -74,6 +74,19 @@ class ExperimentConfig:
     out: str = ""
     fmt: str = "json"
 
+    def __post_init__(self):
+        for ok, requirement in (
+            (self.dimension in (1, 2), "dimension in {1, 2}"),
+            (self.family_size >= 1, "family_size >= 1"),
+            (self.max_degree >= 0, "max_degree >= 0"),
+            (self.refine >= 2, "refine >= 2"),
+            (self.sup_points >= 16, "sup_points >= 16"),
+            (self.t_step > 0, "t_step > 0"),
+            (self.fmt in ("", "json", "csv", "text"), "fmt in {json, csv, text}"),
+        ):
+            if not ok:
+                raise ValueError(f"invalid config: requires {requirement}")
+
     def canonical(self) -> dict:
         d = {}
         for f in fields(self):
@@ -287,14 +300,18 @@ def _sup_rule(points: int) -> TimeQuadrature:
     return TimeQuadrature("log_uniform", math.log(1e-6), math.log(50.0), points)
 
 
-def besov_total(f, alpha, p, q, step=0.02, sup_points=200) -> float:
-    """Besov norm total with explicit resolution knobs (for stability checks)."""
+def _smoothness_part(f, alpha, p, q, step, sup_points) -> float:
+    """The seminorm (q < inf) or A_k (q = inf) term of the Besov norm."""
     k = bz.smallest_k(alpha)
     if math.isinf(q):
-        ak = bz.ak_constant(f, alpha, p, k, tq=_sup_rule(sup_points))
-        return bz.lp_norm(f, p) + ak
+        return bz.ak_constant(f, alpha, p, k, tq=_sup_rule(sup_points))
     tq = log_time_rule(head_exponent=(k - alpha) * q, step=step)
-    return bz.lp_norm(f, p) + bz.besov_seminorm(f, bz.besov_params(alpha, p, q, k), tq=tq)
+    return bz.besov_seminorm(f, bz.besov_params(alpha, p, q, k), tq=tq)
+
+
+def besov_total(f, alpha, p, q, step=0.02, sup_points=200) -> float:
+    """Besov norm total with explicit resolution knobs (for stability checks)."""
+    return bz.lp_norm(f, p) + _smoothness_part(f, alpha, p, q, step, sup_points)
 
 
 def _q_label(q) -> str:
@@ -302,17 +319,24 @@ def _q_label(q) -> str:
 
 
 def _ratio_suite(report, cfg, family, operator, source_alpha, target_alpha, p, q):
-    """Norm ratios target/source for one operator and one parameter combo."""
+    """Norm ratios target/source for one operator and one parameter combo.
+
+    Each member's image and both L^p parts are computed once and shared by
+    the two time resolutions.
+    """
     label = f"alpha={source_alpha:g},p={p:g},q={_q_label(q)}"
     fine = cfg.refine
     ratios, ratios_fine = [], []
     for f in family:
-        num = besov_total(operator(f), target_alpha, p, q, cfg.t_step, cfg.sup_points)
-        den = besov_total(f, source_alpha, p, q, cfg.t_step, cfg.sup_points)
-        ratios.append(num / den)
-        num2 = besov_total(operator(f), target_alpha, p, q, cfg.t_step / fine, cfg.sup_points * fine)
-        den2 = besov_total(f, source_alpha, p, q, cfg.t_step / fine, cfg.sup_points * fine)
-        ratios_fine.append(num2 / den2)
+        g = operator(f)
+        lp_g, lp_f = bz.lp_norm(g, p), bz.lp_norm(f, p)
+        for step, sup_points, out in (
+            (cfg.t_step, cfg.sup_points, ratios),
+            (cfg.t_step / fine, cfg.sup_points * fine, ratios_fine),
+        ):
+            num = lp_g + _smoothness_part(g, target_alpha, p, q, step, sup_points)
+            den = lp_f + _smoothness_part(f, source_alpha, p, q, step, sup_points)
+            out.append(num / den)
     for i, r in enumerate(ratios):
         report.ratios.append({"label": f"f{i:03d}[{label}]", "ratio": r})
     finite = all(math.isfinite(r) for r in ratios)
@@ -332,7 +356,7 @@ def _ratio_suite(report, cfg, family, operator, source_alpha, target_alpha, p, q
 def _new_report(name, cfg, family) -> TheoremReport:
     return TheoremReport(
         experiment=name,
-        statement=STATEMENTS[name],
+        statement=EXPERIMENTS[name].statement,
         config=cfg.canonical(),
         provenance={"config_sha256": _config_hash(cfg), "family_sha1": _family_hash(family)},
     )
@@ -346,122 +370,107 @@ def _require(cond: bool, hypothesis: str):
 # -- experiments ----------------------------------------------------------------------
 
 
-def _with_defaults(cfg, alphas=(), betas=(), ps=(), qs=()):
-    return (
-        cfg.alphas or alphas,
-        cfg.betas or betas,
-        cfg.ps or ps,
-        cfg.qs or qs,
-    )
-
-
-def _exp_riesz_potential(cfg: ExperimentConfig) -> TheoremReport:
-    alphas, betas, ps, qs = _with_defaults(cfg, (0.5,), (0.5,), (2.0,), (2.0, math.inf))
-    for a in alphas:
-        _require(a >= 0, "alpha >= 0")
+def _operator_agreement(family, betas, op, integral_op) -> float:
+    """Worst relative coefficient error of integral_op against the spectral op."""
+    worst = 0.0
     for b in betas:
-        _require(b > 0, "beta > 0")
-    for p in ps:
-        _require(1 < p < math.inf, "1 < p < inf")
-    for q in qs:
-        _require(q >= 1, "1 <= q <= inf")
-    family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
-    rep = _new_report("riesz-potential-bounded", cfg, family)
-    for a in alphas:
-        for b in betas:
-            for p in ps:
-                for q in qs:
-                    _ratio_suite(rep, cfg, family, lambda f, b=b: fr.riesz_potential(f, b), a, a + b, p, q)
-    return rep
-
-
-def _exp_bessel_potential(cfg: ExperimentConfig) -> TheoremReport:
-    alphas, betas, ps, qs = _with_defaults(cfg, (0.5,), (0.5,), (2.0,), (2.0, math.inf))
-    for a in alphas:
-        _require(a >= 0, "alpha >= 0")
-    for b in betas:
-        _require(b > 0, "beta > 0")
-    for p in ps:
-        _require(1 <= p < math.inf, "1 <= p < inf")
-    family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
-    rep = _new_report("bessel-potential-bounded", cfg, family)
-    for a in alphas:
-        for b in betas:
-            for p in ps:
-                for q in qs:
-                    _ratio_suite(rep, cfg, family, lambda f, b=b: fr.bessel_potential(f, b), a, a + b, p, q)
-    return rep
-
-
-def _derivative_experiment(cfg, name, op, integral_op, lt1: bool):
-    defaults = ((0.7,), (0.4,)) if lt1 else ((1.6,), (1.2,))
-    alphas, betas, ps, qs = _with_defaults(cfg, defaults[0], defaults[1], (2.0,), (2.0, math.inf))
-    for a in alphas:
-        for b in betas:
-            if lt1:
-                _require(0 < b < a < 1, "0 < beta < alpha < 1")
-            else:
-                _require(0 < b < a, "0 < beta < alpha")
-    for p in ps:
-        _require(1 <= p < math.inf, "1 <= p < inf")
-    family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
-    rep = _new_report(name, cfg, family)
-    for a in alphas:
-        for b in betas:
-            for p in ps:
-                for q in qs:
-                    _ratio_suite(rep, cfg, family, lambda f, b=b: op(f, b), a, a - b, p, q)
-    # exercise the forward-difference integral representation alongside
-    for b in betas:
-        worst = 0.0
-        for f in family[:5]:
+        for f in family:
             exact = op(f, b)
             approx = integral_op(f, b)
             for nu, c in exact.coeffs.items():
                 if c != 0.0:
                     worst = max(worst, abs(approx.coefficient(nu) - c) / abs(c))
-        rep.add_check(f"difference-path-agreement[beta={b:g}]", worst <= cfg.tol_operator_rel, worst, cfg.tol_operator_rel)
-    return rep
+    return worst
 
 
-def _exp_riesz_derivative_lt1(cfg):
-    return _derivative_experiment(
-        cfg,
+@dataclass(frozen=True)
+class Boundedness:
+    """One boundedness statement: `operator` maps B^alpha_p,q into B^(alpha + shift beta)_p,q.
+
+    Operators are named by their attribute in `fractional` and looked up at
+    call time.  Calling a row with a config checks the hypotheses, then
+    records the norm ratios and, for the derivatives, the agreement of
+    `integral_operator` with the spectral form.
+    """
+
+    name: str
+    statement: str
+    operator: str
+    integral_operator: str | None
+    shift: int  # +1: smoothness rises by beta; -1: it drops by beta
+    p_hypothesis: tuple  # (text, predicate on p)
+    ab_hypotheses: tuple  # ((text, predicate on (alpha, beta)), ...), checked in order
+    alphas: tuple
+    betas: tuple
+
+    def __call__(self, cfg: ExperimentConfig) -> TheoremReport:
+        alphas, betas = cfg.alphas or self.alphas, cfg.betas or self.betas
+        ps, qs = cfg.ps or (2.0,), cfg.qs or (2.0, math.inf)
+        for text, holds in self.ab_hypotheses:
+            for a in alphas:
+                for b in betas:
+                    _require(holds(a, b), text)
+        text, holds = self.p_hypothesis
+        for p in ps:
+            _require(holds(p), text)
+        for q in qs:
+            _require(q >= 1, "1 <= q <= inf")
+        family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
+        rep = _new_report(self.name, cfg, family)
+        op = getattr(fr, self.operator)
+        for a in alphas:
+            for b in betas:
+                for p in ps:
+                    for q in qs:
+                        _ratio_suite(rep, cfg, family, lambda f, b=b: op(f, b), a, a + self.shift * b, p, q)
+        if self.integral_operator is not None:
+            # exercise the forward-difference integral representation alongside
+            for b in betas:
+                worst = _operator_agreement(family[:5], (b,), op, getattr(fr, self.integral_operator))
+                rep.add_check(
+                    f"difference-path-agreement[beta={b:g}]", worst <= cfg.tol_operator_rel, worst, cfg.tol_operator_rel
+                )
+        return rep
+
+
+_P_ABOVE_1 = ("1 < p < inf", lambda p: 1 < p < math.inf)
+_P_FROM_1 = ("1 <= p < inf", lambda p: 1 <= p < math.inf)
+_POTENTIAL_AB = (("alpha >= 0", lambda a, b: a >= 0), ("beta > 0", lambda a, b: b > 0))
+_DERIVATIVE_LT1_AB = (("0 < beta < alpha < 1", lambda a, b: 0 < b < a < 1),)
+_DERIVATIVE_AB = (("0 < beta < alpha", lambda a, b: 0 < b < a),)
+
+BOUNDEDNESS = (
+    Boundedness(
+        "riesz-potential-bounded",
+        "fractional integration raises Besov smoothness by its order, with bounded norm ratios",
+        "riesz_potential", None, +1, _P_ABOVE_1, _POTENTIAL_AB, (0.5,), (0.5,),
+    ),
+    Boundedness(
+        "bessel-potential-bounded",
+        "the resolvent-type potential raises Besov smoothness by its order, with bounded norm ratios",
+        "bessel_potential", None, +1, _P_FROM_1, _POTENTIAL_AB, (0.5,), (0.5,),
+    ),
+    Boundedness(
         "riesz-derivative-bounded-lt1",
-        fr.riesz_derivative,
-        fr.riesz_derivative_integral,
-        lt1=True,
-    )
-
-
-def _exp_riesz_derivative(cfg):
-    return _derivative_experiment(
-        cfg,
+        "fractional differentiation (orders below 1) lowers Besov smoothness by its order",
+        "riesz_derivative", "riesz_derivative_integral", -1, _P_FROM_1, _DERIVATIVE_LT1_AB, (0.7,), (0.4,),
+    ),
+    Boundedness(
         "riesz-derivative-bounded",
-        fr.riesz_derivative,
-        fr.riesz_derivative_integral,
-        lt1=False,
-    )
-
-
-def _exp_bessel_derivative_lt1(cfg):
-    return _derivative_experiment(
-        cfg,
+        "fractional differentiation (any order below alpha) lowers Besov smoothness by its order",
+        "riesz_derivative", "riesz_derivative_integral", -1, _P_FROM_1, _DERIVATIVE_AB, (1.6,), (1.2,),
+    ),
+    Boundedness(
         "bessel-derivative-bounded-lt1",
-        fr.bessel_derivative,
-        fr.bessel_derivative_integral,
-        lt1=True,
-    )
-
-
-def _exp_bessel_derivative(cfg):
-    return _derivative_experiment(
-        cfg,
+        "damped fractional differentiation (orders below 1) lowers Besov smoothness by its order",
+        "bessel_derivative", "bessel_derivative_integral", -1, _P_FROM_1, _DERIVATIVE_LT1_AB, (0.7,), (0.4,),
+    ),
+    Boundedness(
         "bessel-derivative-bounded",
-        fr.bessel_derivative,
-        fr.bessel_derivative_integral,
-        lt1=False,
-    )
+        "damped fractional differentiation (any order below alpha) lowers Besov smoothness by its order",
+        "bessel_derivative", "bessel_derivative_integral", -1, _P_FROM_1, _DERIVATIVE_AB, (1.6,), (1.2,),
+    ),
+)
 
 
 def _exp_inversion(cfg: ExperimentConfig) -> TheoremReport:
@@ -517,14 +526,7 @@ def _exp_oracles(cfg: ExperimentConfig) -> TheoremReport:
         ("bessel-derivative", fr.bessel_derivative, fr.bessel_derivative_integral),
     ]
     for label, op, integral_op in pairs:
-        worst = 0.0
-        for b in betas:
-            for f in family[:10]:
-                exact = op(f, b)
-                approx = integral_op(f, b)
-                for nu, c in exact.coeffs.items():
-                    if c != 0.0:
-                        worst = max(worst, abs(approx.coefficient(nu) - c) / abs(c))
+        worst = _operator_agreement(family[:10], betas, op, integral_op)
         rep.add_check(f"integral-path[{label}]", worst <= cfg.tol_operator_rel, worst, cfg.tol_operator_rel)
 
     c_half = fr.c_beta(0.5)
@@ -664,33 +666,17 @@ def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
     return rep
 
 
-EXPERIMENTS = {
-    "riesz-potential-bounded": _exp_riesz_potential,
-    "bessel-potential-bounded": _exp_bessel_potential,
-    "riesz-derivative-bounded-lt1": _exp_riesz_derivative_lt1,
-    "riesz-derivative-bounded": _exp_riesz_derivative,
-    "bessel-derivative-bounded-lt1": _exp_bessel_derivative_lt1,
-    "bessel-derivative-bounded": _exp_bessel_derivative,
-    "inversion": _exp_inversion,
-    "oracles": _exp_oracles,
-    "lemmas": _exp_lemmas,
-}
+_exp_inversion.statement = "derivative and potential of matching order invert each other on mean-free expansions"
+_exp_oracles.statement = "kernel, subordination and singular-integral quadratures agree with the spectral forms"
+_exp_lemmas.statement = "decay, forward-difference and averaging lemmas plus nested-space ratio records"
 
-STATEMENTS = {
-    "riesz-potential-bounded": "fractional integration raises Besov smoothness by its order, with bounded norm ratios",
-    "bessel-potential-bounded": "the resolvent-type potential raises Besov smoothness by its order, with bounded norm ratios",
-    "riesz-derivative-bounded-lt1": "fractional differentiation (orders below 1) lowers Besov smoothness by its order",
-    "riesz-derivative-bounded": "fractional differentiation (any order below alpha) lowers Besov smoothness by its order",
-    "bessel-derivative-bounded-lt1": "damped fractional differentiation (orders below 1) lowers Besov smoothness by its order",
-    "bessel-derivative-bounded": "damped fractional differentiation (any order below alpha) lowers Besov smoothness by its order",
-    "inversion": "derivative and potential of matching order invert each other on mean-free expansions",
-    "oracles": "kernel, subordination and singular-integral quadratures agree with the spectral forms",
-    "lemmas": "decay, forward-difference and averaging lemmas plus nested-space ratio records",
-}
+# id -> callable(cfg) -> TheoremReport; each callable carries its `statement`
+EXPERIMENTS = {row.name: row for row in BOUNDEDNESS}
+EXPERIMENTS.update({"inversion": _exp_inversion, "oracles": _exp_oracles, "lemmas": _exp_lemmas})
 
 
 def list_experiments() -> list[tuple[str, str]]:
-    rows = [(name, STATEMENTS[name]) for name in EXPERIMENTS]
+    rows = [(name, experiment.statement) for name, experiment in EXPERIMENTS.items()]
     rows += [(f"{ns}/...", "reserved for analogous expansion families; not implemented") for ns in RESERVED_NAMESPACES]
     return rows
 

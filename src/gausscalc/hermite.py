@@ -32,7 +32,7 @@ __all__ = [
     "gauss_hermite_grid",
     "hermite_eval",
     "hermite_values_1d",
-    "expansion_eval",
+    "basis_matrix",
     "inner_product_gamma",
     "lp_norm_gamma",
     "lp_norm",
@@ -95,6 +95,23 @@ def hermite_values_1d(xs, nmax: int) -> np.ndarray:
     for n in range(nmax + 1):
         table[:, n] *= _norm_factor(n)
     return table
+
+
+def basis_matrix(indices, points) -> np.ndarray:
+    """phi[i, j] = h_{indices[j]}(points[i]) for an (npoints, d) array of points.
+
+    One hermite_values_1d table per axis serves every column; each column
+    starts from ones and takes its per-axis factors in axis order.
+    """
+    pts = np.asarray(points, dtype=float)
+    indices = list(indices)
+    degree = max((max(nu) for nu in indices), default=0)
+    tables = [hermite_values_1d(pts[:, i], degree) for i in range(pts.shape[1])]
+    phi = np.ones((pts.shape[0], len(indices)))
+    for col, nu in enumerate(indices):
+        for i, ni in enumerate(nu):
+            phi[:, col] *= tables[i][:, ni]
+    return phi
 
 
 def hermite_eval(nu, x) -> float:
@@ -229,15 +246,10 @@ class HermiteExpansion:
             pts = pts.reshape(-1, self.dimension) if self.dimension > 1 else pts.reshape(-1, 1)
         if pts.shape[1] != self.dimension:
             raise ValueError(f"points have dimension {pts.shape[1]}, expansion has {self.dimension}")
-        if not self._coeffs:
-            return np.zeros(pts.shape[0])
-        tables = [hermite_values_1d(pts[:, i], self.degree) for i in range(self.dimension)]
         out = np.zeros(pts.shape[0])
-        for nu, c in self._coeffs.items():
-            term = np.full(pts.shape[0], c)
-            for i, ni in enumerate(nu):
-                term *= tables[i][:, ni]
-            out += term
+        phi = basis_matrix(self._coeffs, pts)
+        for j, c in enumerate(self._coeffs.values()):
+            out += c * phi[:, j]
         return out
 
     def __call__(self, x) -> float:
@@ -249,13 +261,10 @@ class HermiteExpansion:
     def chaos_values(self, x) -> np.ndarray:
         """Array g with g[n] = value at x of the order-n part, n = 0..degree."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        tables = [hermite_values_1d(x[i : i + 1], self.degree) for i in range(self.dimension)]
+        phi = basis_matrix(self._coeffs, x.reshape(1, -1))
         out = np.zeros(self.degree + 1)
-        for nu, c in self._coeffs.items():
-            v = c
-            for i, ni in enumerate(nu):
-                v *= tables[i][0, ni]
-            out[nu.order] += v
+        for j, (nu, c) in enumerate(self._coeffs.items()):
+            out[nu.order] += c * phi[0, j]
         return out
 
     # -- serialization ----------------------------------------------------------------
@@ -274,11 +283,6 @@ class HermiteExpansion:
     @classmethod
     def from_json(cls, text: str) -> "HermiteExpansion":
         return cls.from_dict(json.loads(text))
-
-
-def expansion_eval(f: HermiteExpansion, x) -> float:
-    """Evaluate f at a point (table-based path, cross-checked against hermite_eval)."""
-    return f(x)
 
 
 @dataclass(frozen=True, eq=False)

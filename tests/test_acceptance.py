@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from gausscalc import (
     HermiteExpansion,
     ak_constant,
+    basis_matrix,
     bessel_derivative,
     bessel_derivative_integral,
     bessel_potential,
@@ -25,7 +26,6 @@ from gausscalc import (
     gauss_hermite_grid,
     gen_family,
     hardy_check,
-    hermite_values_1d,
     kdecay_report,
     l2_norm_coeffs,
     lp_norm,
@@ -59,12 +59,7 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
 
 def gram_matrix(d: int, degree: int, m: int) -> np.ndarray:
     grid = gauss_hermite_grid(d, m)
-    idxs = _indices_up_to(d, degree)
-    tables = [hermite_values_1d(grid.nodes[:, i], degree) for i in range(d)]
-    phi = np.ones((grid.nodes.shape[0], len(idxs)))
-    for col, nu in enumerate(idxs):
-        for i, ni in enumerate(nu):
-            phi[:, col] *= tables[i][:, ni]
+    phi = basis_matrix(_indices_up_to(d, degree), grid.nodes)
     return phi.T @ (grid.weights[:, None] * phi)
 
 

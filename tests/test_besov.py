@@ -10,6 +10,7 @@ from gausscalc import (
     besov_params,
     besov_seminorm,
     hardy_check,
+    hermite_eval,
     kdecay_report,
     lip_alpha_norm,
     lp_norm,
@@ -41,7 +42,9 @@ def gamma_formula(n, alpha, p_norm_of_basis, q, k):
 # -- k selection -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("alpha,k", [(0.0, 1), (0.5, 1), (1.0, 2), (2.3, 3), (3.0, 4)])
+@pytest.mark.parametrize(
+    "alpha,k", [(0.0, 1), (0.5, 1), (1.0, 2), (2.3, 3), (3.0, 4), (0.3, 1), (0.99, 1), (1.5, 2), (2.5, 3)]
+)
 def test_smallest_k(alpha, k):
     assert smallest_k(alpha) == k
 
@@ -282,6 +285,21 @@ def test_hardy_rejects_bad_arguments():
 def test_lip_alias_on_constant():
     sup, ak, total = lip_alpha_norm(CONST, 0.5)
     assert sup == 2.0 and ak == 0.0 and total == 2.0
+
+
+@pytest.mark.parametrize("nu,alpha", [((3,), 0.5), ((3,), 1.3), ((1, 2), 0.5)])
+def test_lip_alias_on_single_chaos(nu, alpha):
+    # u^(k)(., t) = (-sqrt n)^k e^(-t sqrt n) h_nu, so the A_k part is
+    # sup_box |h_nu| * n^(k/2) * max_t t^(k-a) e^(-t sqrt n), attained at t = (k-a)/sqrt(n)
+    f = HermiteExpansion.basis(nu)
+    n, k = sum(nu), smallest_k(alpha)
+    axis = np.linspace(-4.0, 4.0, 101)
+    sup_h = math.prod(max(abs(hermite_eval((m,), x)) for x in axis) for m in nu)
+    sup, ak, total = lip_alpha_norm(f, alpha, box_half_width=4.0, points_per_axis=101)
+    want = sup_h * n ** (k / 2.0) * ((k - alpha) / math.sqrt(n)) ** (k - alpha) * math.exp(-(k - alpha))
+    assert abs(sup - sup_h) <= 1e-12 * sup_h
+    assert want * (1.0 - 1e-4) <= ak <= want * (1.0 + 1e-12)
+    assert total == sup + ak
 
 
 def test_lip_alias_homogeneous():

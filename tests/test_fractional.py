@@ -17,7 +17,6 @@ from gausscalc import (
     c_beta_k,
     derivative_constants,
     forward_difference,
-    fractional_order,
     l2_norm_coeffs,
     log_time_rule,
     pi0,
@@ -51,14 +50,15 @@ def rel_coeff_err(got, want):
 
 @pytest.mark.parametrize("beta,k", [(0.3, 1), (0.5, 1), (0.99, 1), (1.0, 2), (1.5, 2), (2.5, 3), (3.0, 4)])
 def test_k_rep_is_smallest_integer_strictly_greater(beta, k):
-    order = fractional_order(beta)
-    assert order.k_rep == k
-    assert order.k_rep - 1 <= beta < order.k_rep
+    consts = derivative_constants(beta)
+    assert consts.k == k
+    assert consts.k - 1 <= beta < consts.k
 
 
-def test_fractional_order_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        fractional_order(0.0)
+@pytest.mark.parametrize("beta", (0.0, -0.5))
+def test_derivative_constants_reject_nonpositive(beta):
+    with pytest.raises(ValueError, match="beta must be > 0"):
+        derivative_constants(beta)
 
 
 def test_c_half_is_minus_two_sqrt_pi():
@@ -223,6 +223,24 @@ def test_narrow_rule_warns():
         riesz_potential_integral(H4, 0.5, tq=narrow)
     with pytest.warns(TruncationWarning):
         riesz_derivative_integral(H4, 0.5, tq=narrow)
+
+
+@pytest.mark.parametrize(
+    "integral",
+    [
+        riesz_potential_integral,
+        bessel_potential_integral,
+        riesz_derivative_integral,
+        bessel_derivative_integral,
+        lambda f, beta, tq: riesz_derivative_integral(f, beta, tq, form="parts"),
+    ],
+    ids=["riesz-potential", "bessel-potential", "riesz-derivative", "bessel-derivative", "riesz-parts"],
+)
+def test_truncation_warning_points_at_the_caller(integral):
+    narrow = TimeQuadrature("log_uniform", -3.0, 2.0, 64)
+    with pytest.warns(TruncationWarning) as record:
+        integral(H4, 0.5, narrow)
+    assert {w.filename for w in record} == {__file__}
 
 
 def test_integral_rejects_nonpositive_beta():

@@ -277,3 +277,33 @@ def test_cli_failing_invariant_exits_one(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("tol_inversion = 0\nfamily_size = 4\n")
     assert cli_main(["run", "inversion", "--config", str(cfg)]) == 1
+
+
+def test_cli_verify_all_hypothesis_violation_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("alphas = 0.1\nfamily_size = 2\nmax_degree = 2\n")
+    assert cli_main(["verify-all", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gausscalc: ") and "0 < beta < alpha < 1" in err
+
+
+@pytest.mark.parametrize(
+    "line,requirement",
+    [
+        ("refine = 0", "refine >= 2"),
+        ("refine = 1", "refine >= 2"),
+        ("fmt = xml", "fmt in"),
+        ("dimension = 3", "dimension in"),
+        ("family_size = 0", "family_size >= 1"),
+        ("max_degree = -1", "max_degree >= 0"),
+        ("sup_points = 1", "sup_points >= 16"),
+        ("t_step = 0", "t_step > 0"),
+    ],
+)
+def test_config_validation(tmp_path, capsys, line, requirement):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(ValueError, match=requirement):
+        load_config(str(cfg))
+    assert cli_main(["run", "inversion", "--config", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err

@@ -11,8 +11,8 @@ from gausscalc import (
     HermiteExpansion,
     MultiIndex,
     QuadratureExactnessWarning,
+    basis_matrix,
     chaos_project,
-    expansion_eval,
     gauss_hermite_grid,
     hermite_eval,
     inner_product_gamma,
@@ -133,7 +133,32 @@ def test_eval_consistency_two_code_paths(terms, x):
     for n, c in terms:
         f = f + c * HermiteExpansion.basis((n,))
     direct = sum(c * hermite_eval(nu, x) for nu, c in f.coeffs.items())
-    assert abs(expansion_eval(f, x) - direct) <= 1e-12 * (1 + abs(direct))
+    assert abs(f(x) - direct) <= 1e-12 * (1 + abs(direct))
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_basis_matrix_matches_hermite_eval(d):
+    from gausscalc.harness import _indices_up_to
+
+    idxs = _indices_up_to(d, 7)
+    pts = np.random.Generator(np.random.Philox(11 + d)).uniform(-3.0, 3.0, (25, d))
+    phi = basis_matrix(idxs, pts)
+    assert phi.shape == (25, len(idxs))
+    for i, x in enumerate(pts):
+        for j, nu in enumerate(idxs):
+            want = hermite_eval(nu, x)
+            assert abs(phi[i, j] - want) <= 1e-12 * (1 + abs(want))
+
+
+def test_chaos_values_split_f_by_order():
+    f = HermiteExpansion(2, {(0, 0): 0.3, (1, 0): -0.7, (0, 1): 0.2, (2, 1): 0.9, (0, 3): -0.4, (1, 3): 0.5})
+    for x in ([0.3, -1.1], [1.7, 0.4], [-2.2, 2.5]):
+        g = f.chaos_values(x)
+        assert g.shape == (f.degree + 1,)
+        for n in range(f.degree + 1):
+            want = chaos_project(f, n)(x)
+            assert abs(g[n] - want) <= 1e-12 * (1 + abs(want))
+        assert abs(g.sum() - f(x)) <= 1e-12 * (1 + abs(f(x)))
 
 
 # -- inner products and norms ----------------------------------------------------------

@@ -10,12 +10,14 @@ def test_validation():
     with pytest.raises(ValueError):
         TimeQuadrature("simpson", -1, 1, 100)
     with pytest.raises(ValueError):
+        TimeQuadrature("gauss_laguerre", -1, 1, 100)
+    with pytest.raises(ValueError):
         TimeQuadrature("log_uniform", 2.0, 1.0, 100)
     with pytest.raises(ValueError):
         TimeQuadrature("log_uniform", -1.0, 1.0, 8)
 
 
-@pytest.mark.parametrize("kind,n", [("log_uniform", 2048), ("gauss_laguerre", 80)])
+@pytest.mark.parametrize("kind,n", [("log_uniform", 2048)])
 def test_exponential_moments(kind, n):
     rule = TimeQuadrature(kind, -24.0, 7.0, n)  # head truncation e^v_min must sit below tol
     assert abs(rule.integrate(lambda t: np.exp(-t)) - 1.0) < 1e-9
@@ -44,13 +46,6 @@ def test_log_rule_rejects_nonpositive_exponents():
         log_time_rule(head_exponent=0.0)
     with pytest.raises(ValueError):
         log_time_rule(head_exponent=1.0, tail_exponent=-1.0)
-
-
-def test_refined_halves_the_step():
-    rule = TimeQuadrature("log_uniform", -4.0, 4.0, 101)
-    fine = rule.refined(2)
-    assert fine.n_points == 201
-    assert (fine.v_min, fine.v_max) == (rule.v_min, rule.v_max)
 
 
 @pytest.mark.parametrize("t", [1e-2, 0.1, 1.0, 10.0])
