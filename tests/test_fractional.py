@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,14 @@ def test_c_half_is_minus_two_sqrt_pi():
 def test_c_beta_matches_gamma_and_is_negative(beta):
     val = c_beta(beta)
     assert val < 0.0
+    assert abs(val - gamma_fn(-beta)) / abs(gamma_fn(-beta)) < 1e-9
+
+
+@pytest.mark.parametrize("beta", (0.95, 0.98, 0.99, 0.999))
+def test_c_beta_near_one_matches_gamma(beta):
+    # k - beta below 0.1: the default window is capped and the head added in closed form
+    val = c_beta_k(beta, 1)
+    assert math.isfinite(val)
     assert abs(val - gamma_fn(-beta)) / abs(gamma_fn(-beta)) < 1e-9
 
 
@@ -215,6 +224,30 @@ def test_all_integral_paths_match_spectral(beta, family1d):
         assert rel_coeff_err(bessel_potential_integral(f, beta), bessel_potential(f, beta)) < 1e-6
         assert rel_coeff_err(riesz_derivative_integral(f, beta), riesz_derivative(f, beta)) < 1e-6
         assert rel_coeff_err(bessel_derivative_integral(f, beta), bessel_derivative(f, beta)) < 1e-6
+
+
+def test_riesz_derivative_integral_near_integer_order():
+    got = riesz_derivative_integral(H4, 0.99)
+    assert all(math.isfinite(c) for c in got.coeffs.values())
+    assert rel_coeff_err(got, riesz_derivative(H4, 0.99)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "integral,spectral,beta",
+    [
+        (riesz_potential_integral, riesz_potential, 0.02),
+        (bessel_potential_integral, bessel_potential, 0.02),
+        (lambda f, beta: riesz_derivative_integral(f, beta, form="parts"), riesz_derivative, 0.98),
+        (bessel_derivative_integral, bessel_derivative, 1.99),
+    ],
+    ids=["riesz-potential", "bessel-potential", "riesz-parts", "bessel-derivative"],
+)
+def test_integral_paths_at_capped_windows(integral, spectral, beta):
+    # each default window would reach t^(-1) overflow; capped, the dropped head is closed-form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        got = integral(MIX, beta)
+    assert rel_coeff_err(got, spectral(MIX, beta)) < 1e-6
 
 
 def test_narrow_rule_warns():
