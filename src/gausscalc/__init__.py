@@ -52,7 +52,6 @@ from .hermite import (
     HermiteExpansion,
     MultiIndex,
     QuadratureExactnessWarning,
-    SpectralMultiplier,
     basis_matrix,
     chaos_project,
     default_grid,

@@ -58,6 +58,8 @@ MAX_P = 8.0
 
 def smallest_k(alpha: float) -> int:
     """Smallest integer strictly greater than alpha; smallest_k(1.0) == 2."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     return math.floor(alpha) + 1
@@ -92,7 +94,6 @@ class BesovResult:
     ak: float | None
     total: float
     params: BesovParams
-    t_rule: str
 
     def to_dict(self) -> dict:
         q = self.params.q
@@ -117,6 +118,14 @@ def _check_p(p: float):
         raise ValueError(f"p = {p} beyond the supported range (p <= {MAX_P})")
 
 
+def _orbit_table(items, k: int, ts) -> np.ndarray:
+    """(S, T) coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)) of u^(k)(., t), one row per item."""
+    orders = np.array([nu.order for nu, _ in items], dtype=float)
+    base = np.array([c for _, c in items])
+    roots = np.sqrt(orders)
+    return (base * (-roots) ** k)[:, None] * np.exp(-np.outer(roots, ts))
+
+
 def norm_curve(f: HermiteExpansion, k: int, p: float, ts, grid: GaussHermiteGrid | None = None) -> np.ndarray:
     """||u^(k)(., t)||_p,gamma for every t in ts, vectorized over the t-grid.
 
@@ -134,10 +143,7 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts, grid: GaussHermiteGrid
     if not f.coeffs or (k >= 1 and f.degree == 0):
         return np.zeros(ts.shape)
     items = sorted(f.coeffs.items())
-    orders = np.array([nu.order for nu, _ in items], dtype=float)
-    base = np.array([c for _, c in items])
-    roots = np.sqrt(orders)
-    coef_t = (base * (-roots) ** k)[:, None] * np.exp(-np.outer(roots, ts))  # (S, T)
+    coef_t = _orbit_table(items, k, ts)
     if p == 2:
         return np.sqrt(np.sum(coef_t**2, axis=0))
     p_int = int(round(p))
@@ -146,7 +152,7 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts, grid: GaussHermiteGrid
         rows[:, [nu[0] for nu, _ in items]] = coef_t.T
         m, e = _abs_moment_exact_1d(rows, p_int)
         return np.ldexp(m ** (1.0 / p_int), e)
-    g = grid if grid is not None else default_grid(f, p)
+    g = grid if grid is not None else default_grid(f)
     vals = basis_matrix([nu for nu, _ in items], g.nodes) @ coef_t  # (nodes, T)
     return (g.weights @ np.abs(vals) ** p) ** (1.0 / p)
 
@@ -170,7 +176,8 @@ def besov_seminorm(
     return integral ** (1.0 / q)
 
 
-DEFAULT_SUP_GRID = np.exp(np.linspace(math.log(1e-6), math.log(50.0), 200))
+SUP_WINDOW = (math.log(1e-6), math.log(50.0))  # log-time window of every grid sup
+DEFAULT_SUP_GRID = np.exp(np.linspace(*SUP_WINDOW, 200))
 
 
 def _grid_sup(supremand, ts) -> float:
@@ -218,15 +225,9 @@ def besov_norm(
     lp_part = lp_norm(f, params.p, grid)
     if math.isinf(params.q):
         ak = ak_constant(f, params.alpha, params.p, params.k, tq, grid)
-        return BesovResult(lp_part, None, ak, lp_part + ak, params, _rule_label(tq))
+        return BesovResult(lp_part, None, ak, lp_part + ak, params)
     semi = besov_seminorm(f, params, tq, grid)
-    return BesovResult(lp_part, semi, None, lp_part + semi, params, _rule_label(tq))
-
-
-def _rule_label(tq: TimeQuadrature | None) -> str:
-    if tq is None:
-        return "auto"
-    return f"{tq.kind}[{tq.v_min:g},{tq.v_max:g}]x{tq.n_points}"
+    return BesovResult(lp_part, semi, None, lp_part + semi, params)
 
 
 def lip_alpha_norm(f: HermiteExpansion, alpha: float, box_half_width: float = 6.0, points_per_axis: int = 241):
@@ -245,13 +246,9 @@ def lip_alpha_norm(f: HermiteExpansion, alpha: float, box_half_width: float = 6.
     if not items or f.degree == 0:
         return sup_part, 0.0, sup_part
     phi = basis_matrix([nu for nu, _ in items], pts)
-    orders = np.array([nu.order for nu, _ in items], dtype=float)
-    base = np.array([c for _, c in items])
-    roots = np.sqrt(orders)
 
     def supremand(ts):
-        coef_t = (base * (-roots) ** k)[:, None] * np.exp(-np.outer(roots, ts))
-        sup_x = np.max(np.abs(phi @ coef_t), axis=0)
+        sup_x = np.max(np.abs(phi @ _orbit_table(items, k, ts)), axis=0)
         return ts ** (k - alpha) * sup_x
 
     ak = _grid_sup(supremand, DEFAULT_SUP_GRID)
@@ -335,6 +332,11 @@ class KDecayReport:
         return list(zip(self.ts.tolist(), self.values.tolist()))
 
 
+def decay_grid(points: int = 60) -> np.ndarray:
+    """points log-spaced times in [0.05, 20], the default grid of kdecay_report."""
+    return np.exp(np.linspace(math.log(0.05), math.log(20.0), points))
+
+
 def kdecay_report(
     f: HermiteExpansion, p: float, k: int, ts=None, grid: GaussHermiteGrid | None = None
 ) -> KDecayReport:
@@ -345,7 +347,7 @@ def kdecay_report(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ts = np.asarray(ts, dtype=float) if ts is not None else np.exp(np.linspace(math.log(0.05), math.log(20.0), 60))
+    ts = np.asarray(ts, dtype=float) if ts is not None else decay_grid()
     values = norm_curve(f, k, p, ts, grid)
     non_increasing = bool(np.all(np.diff(values) <= 1e-12 * values[:-1] + 1e-300))
     fnorm = lp_norm(f, p, grid)

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .besov import smallest_k
-from .hermite import HermiteExpansion, SpectralMultiplier, pi0
+from .hermite import HermiteExpansion, pi0
 from .timequad import DEFAULT_STEP, TimeQuadrature, log_time_rule
 
 __all__ = [
@@ -133,22 +133,26 @@ def _check_beta(beta: float):
 
 def riesz_potential(f: HermiteExpansion, beta: float) -> HermiteExpansion:
     _check_beta(beta)
-    return SpectralMultiplier.riesz_potential(beta).apply(f)
+    beta = float(beta)
+    return f.apply_order_multiplier(lambda n: 0.0 if n == 0 else n ** (-beta / 2.0))
 
 
 def bessel_potential(f: HermiteExpansion, beta: float) -> HermiteExpansion:
     _check_beta(beta)
-    return SpectralMultiplier.bessel_potential(beta).apply(f)
+    beta = float(beta)
+    return f.apply_order_multiplier(lambda n: (1.0 + math.sqrt(n)) ** (-beta))
 
 
 def riesz_derivative(f: HermiteExpansion, beta: float) -> HermiteExpansion:
     _check_beta(beta)
-    return SpectralMultiplier.riesz_derivative(beta).apply(f)
+    beta = float(beta)
+    return f.apply_order_multiplier(lambda n: 0.0 if n == 0 else n ** (beta / 2.0))
 
 
 def bessel_derivative(f: HermiteExpansion, beta: float) -> HermiteExpansion:
     _check_beta(beta)
-    return SpectralMultiplier.bessel_derivative(beta).apply(f)
+    beta = float(beta)
+    return f.apply_order_multiplier(lambda n: (1.0 + math.sqrt(n)) ** beta)
 
 
 # -- forward differences --------------------------------------------------------

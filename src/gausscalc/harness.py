@@ -297,7 +297,7 @@ def emit_report(report: TheoremReport, fmt: str = "json", path: str | None = Non
 
 
 def _sup_rule(points: int) -> TimeQuadrature:
-    return TimeQuadrature("log_uniform", math.log(1e-6), math.log(50.0), points)
+    return TimeQuadrature("log_uniform", *bz.SUP_WINDOW, points)
 
 
 def _smoothness_part(f, alpha, p, q, step, sup_points) -> float:
@@ -566,8 +566,7 @@ def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
     family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
     rep = _new_report("lemmas", cfg, family)
     sample = family[: min(10, len(family))]
-    ts60 = np.exp(np.linspace(math.log(0.05), math.log(20.0), 60))
-    ts120 = np.exp(np.linspace(math.log(0.05), math.log(20.0), 120))
+    ts60, ts120 = bz.decay_grid(), bz.decay_grid(120)
 
     # decay of t -> ||u^(k)(., t)||_p: monotone, with a finite grid-stable
     # constant; one fitted constant is recorded per (k, p) across the sample

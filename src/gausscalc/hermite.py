@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -29,7 +29,6 @@ __all__ = [
     "MultiIndex",
     "HermiteExpansion",
     "GaussHermiteGrid",
-    "SpectralMultiplier",
     "QuadratureExactnessWarning",
     "gauss_hermite_grid",
     "hermite_eval",
@@ -287,79 +286,6 @@ class HermiteExpansion:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralMultiplier:
-    """Scalar multiplier acting on the chaos order n = |nu|.
-
-    Every operator in this package is diagonal on Hermite expansions; this class
-    carries the diagonal.  Supported kinds and their value at order n:
-
-      ou(t)                exp(-t n)
-      poisson(t)           exp(-t sqrt(n))
-      poisson_deriv(t, k)  (-sqrt(n))^k exp(-t sqrt(n))
-      riesz_potential(b)   n^(-b/2), and 0 at n = 0
-      bessel_potential(b)  (1 + sqrt(n))^(-b)
-      riesz_derivative(b)  n^(b/2), and 0 at n = 0
-      bessel_derivative(b) (1 + sqrt(n))^b
-    """
-
-    kind: str
-    t: float = 0.0
-    beta: float = 0.0
-    k: int = 0
-
-    @classmethod
-    def ou(cls, t):
-        return cls("ou", t=float(t))
-
-    @classmethod
-    def poisson(cls, t):
-        return cls("poisson", t=float(t))
-
-    @classmethod
-    def poisson_deriv(cls, t, k):
-        return cls("poisson_deriv", t=float(t), k=int(k))
-
-    @classmethod
-    def riesz_potential(cls, beta):
-        return cls("riesz_potential", beta=float(beta))
-
-    @classmethod
-    def bessel_potential(cls, beta):
-        return cls("bessel_potential", beta=float(beta))
-
-    @classmethod
-    def riesz_derivative(cls, beta):
-        return cls("riesz_derivative", beta=float(beta))
-
-    @classmethod
-    def bessel_derivative(cls, beta):
-        return cls("bessel_derivative", beta=float(beta))
-
-    def __call__(self, n: int) -> float:
-        rt = math.sqrt(n)
-        if self.kind == "ou":
-            return math.exp(-self.t * n)
-        if self.kind == "poisson":
-            return math.exp(-self.t * rt)
-        if self.kind == "poisson_deriv":
-            if self.k == 0:
-                return math.exp(-self.t * rt)
-            return (-rt) ** self.k * math.exp(-self.t * rt)
-        if self.kind == "riesz_potential":
-            return 0.0 if n == 0 else n ** (-self.beta / 2.0)
-        if self.kind == "bessel_potential":
-            return (1.0 + rt) ** (-self.beta)
-        if self.kind == "riesz_derivative":
-            return 0.0 if n == 0 else n ** (self.beta / 2.0)
-        if self.kind == "bessel_derivative":
-            return (1.0 + rt) ** self.beta
-        raise ValueError(f"unknown multiplier kind {self.kind!r}")
-
-    def apply(self, f: HermiteExpansion) -> HermiteExpansion:
-        return f.apply_order_multiplier(self)
-
-
 # -- Gaussian quadrature --------------------------------------------------------
 
 
@@ -367,23 +293,21 @@ class SpectralMultiplier:
 class GaussHermiteGrid:
     """Tensor Gauss-Hermite rule normalized to the probability measure gamma_d.
 
-    nodes has shape (m^d, d); weights sum to 1.  axis_nodes / axis_weights are
-    the underlying 1-d rule (ascending nodes, so grids are reproducible).
+    nodes has shape (m^d, d), built from ascending 1-d nodes so grids are
+    reproducible; weights sum to 1.
     """
 
     dimension: int
     nodes: np.ndarray
     weights: np.ndarray
     nodes_per_axis: int
-    axis_nodes: np.ndarray = field(repr=False, default=None)
-    axis_weights: np.ndarray = field(repr=False, default=None)
 
     def exact_degree(self) -> int:
         """Largest per-axis polynomial degree integrated exactly."""
         return 2 * self.nodes_per_axis - 1
 
 
-def gauss_hermite_grid(d: int, m: int, max_nodes_per_axis: int = MAX_NODES_PER_AXIS) -> GaussHermiteGrid:
+def gauss_hermite_grid(d: int, m: int) -> GaussHermiteGrid:
     """Build the m-point-per-axis rule for gamma_d.
 
     The 1-d nodes/weights come from the symmetric tridiagonal (Golub-Welsch)
@@ -394,8 +318,8 @@ def gauss_hermite_grid(d: int, m: int, max_nodes_per_axis: int = MAX_NODES_PER_A
         raise ValueError("d must be >= 1")
     if m < 2:
         raise ValueError("m must be >= 2")
-    if m > max_nodes_per_axis:
-        raise ValueError(f"m = {m} exceeds the per-axis cap {max_nodes_per_axis}")
+    if m > MAX_NODES_PER_AXIS:
+        raise ValueError(f"m = {m} exceeds the per-axis cap {MAX_NODES_PER_AXIS}")
     x1, w1 = hermgauss(m)
     w1 = w1 / math.sqrt(math.pi)
     if d == 1:
@@ -406,10 +330,10 @@ def gauss_hermite_grid(d: int, m: int, max_nodes_per_axis: int = MAX_NODES_PER_A
         weights = w1
         for _ in range(d - 1):
             weights = np.outer(weights, w1).ravel()
-    return GaussHermiteGrid(d, nodes, weights, m, x1, w1)
+    return GaussHermiteGrid(d, nodes, weights, m)
 
 
-def default_grid(f: HermiteExpansion, p: float = 2.0) -> GaussHermiteGrid:
+def default_grid(f: HermiteExpansion) -> GaussHermiteGrid:
     """Grid sized for |f|^p at moderate p: m = 4 * degree + 8, capped per axis."""
     m = min(max(4 * f.degree + 8, 13), MAX_NODES_PER_AXIS)
     return gauss_hermite_grid(f.dimension, m)
@@ -582,7 +506,7 @@ def lp_norm(f: HermiteExpansion, p: float, grid: GaussHermiteGrid | None = None)
             row[nu[0]] = c
         m, e = _abs_moment_exact_1d(row, p_int)
         return float(np.ldexp(m[0] ** (1.0 / p_int), e[0]))
-    return lp_norm_gamma(f, p, grid if grid is not None else default_grid(f, p))
+    return lp_norm_gamma(f, p, grid if grid is not None else default_grid(f))
 
 
 def chaos_project(f: HermiteExpansion, n: int) -> HermiteExpansion:

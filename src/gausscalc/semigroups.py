@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .hermite import GaussHermiteGrid, HermiteExpansion, SpectralMultiplier
+from .hermite import GaussHermiteGrid, HermiteExpansion
 from .timequad import SubordinationRule
 
 __all__ = [
@@ -42,14 +42,13 @@ def ou_spectral(f: HermiteExpansion, t: float) -> HermiteExpansion:
     """T_t f: order-n coefficients scaled by exp(-t n)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return SpectralMultiplier.ou(t).apply(f)
+    t = float(t)
+    return f.apply_order_multiplier(lambda n: math.exp(-t * n))
 
 
 def ph_spectral(f: HermiteExpansion, t: float) -> HermiteExpansion:
-    """P_t f: order-n coefficients scaled by exp(-t sqrt(n))."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return SpectralMultiplier.poisson(t).apply(f)
+    """P_t f: order-n coefficients scaled by exp(-t sqrt(n)), the k = 0 time derivative."""
+    return time_derivative(f, t, 0)
 
 
 def time_derivative(f: HermiteExpansion, t: float, k: int) -> HermiteExpansion:
@@ -62,7 +61,8 @@ def time_derivative(f: HermiteExpansion, t: float, k: int) -> HermiteExpansion:
         raise ValueError("t must be >= 0")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return SpectralMultiplier.poisson_deriv(t, k).apply(f)
+    t, k = float(t), int(k)
+    return f.apply_order_multiplier(lambda n: (-math.sqrt(n)) ** k * math.exp(-t * math.sqrt(n)))
 
 
 def ou_mehler(f: HermiteExpansion, t: float, x, grid: GaussHermiteGrid) -> float:

@@ -21,7 +21,7 @@ from gausscalc import (
     smallest_k,
 )
 
-from conftest import quad_lp_norm_1d
+from reference import quad_lp_norm_1d
 
 H1 = HermiteExpansion.basis((1,))
 CONST = HermiteExpansion.constant(1, 2.0)
@@ -51,6 +51,12 @@ def gamma_formula(n, alpha, p_norm_of_basis, q, k):
 )
 def test_smallest_k(alpha, k):
     assert smallest_k(alpha) == k
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_smallest_k_rejects_non_finite(alpha):
+    with pytest.raises(ValueError, match="finite"):
+        smallest_k(alpha)
 
 
 def test_params_validation():

@@ -288,6 +288,17 @@ def test_cli_verify_all_hypothesis_violation_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "experiment,line", [("riesz-potential-bounded", "alphas = inf"), ("bessel-potential-bounded", "betas = inf")]
+)
+def test_cli_infinite_smoothness_is_usage_error(tmp_path, capsys, experiment, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\nfamily_size = 2\nmax_degree = 2\n")
+    assert cli_main(["run", experiment, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gausscalc: ") and "finite" in err
+
+
+@pytest.mark.parametrize(
     "line,requirement",
     [
         ("refine = 0", "refine >= 2"),

@@ -22,7 +22,7 @@ from gausscalc import (
     pi0,
 )
 
-from conftest import quad_lp_norm_1d
+from reference import quad_lp_norm_1d
 
 SQRT2 = math.sqrt(2.0)
 
