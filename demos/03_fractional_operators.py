@@ -16,7 +16,6 @@ from gausscalc import (
     bessel_potential,
     c_beta,
     c_beta_k,
-    derivative_constants,
     forward_difference,
     l2_norm_coeffs,
     pi0,
@@ -43,7 +42,7 @@ print("damped derivative        :", bessel_derivative_integral(h4, beta).coeffic
 
 # normalizing constants: c_beta equals the analytic continuation Gamma(-beta)
 print("c(1/2) =", c_beta(0.5), " vs -2 sqrt(pi) =", -2 * math.sqrt(math.pi))
-print("constants bundle for beta = 1.5:", derivative_constants(1.5))
+print("c^2 for beta = 1.5 (k = 2, the smallest integer above beta):", c_beta_k(1.5, 2))
 print("sign pattern of c^k:", [math.copysign(1, c_beta_k(0.6, k)) for k in (1, 2, 3)])
 
 # orders above 1 go through k-th forward differences of the orbit

@@ -23,7 +23,6 @@ from .besov import (
     smallest_k,
 )
 from .fractional import (
-    DerivativeConstants,
     TruncationWarning,
     bessel_derivative,
     bessel_derivative_integral,
@@ -31,8 +30,6 @@ from .fractional import (
     bessel_potential_integral,
     c_beta,
     c_beta_k,
-    derivative_constants,
-    forward_difference,
     riesz_derivative,
     riesz_derivative_integral,
     riesz_potential,
@@ -65,6 +62,7 @@ from .hermite import (
     pi0,
 )
 from .semigroups import (
+    forward_difference,
     orbit_difference,
     ou_mehler,
     ou_spectral,

@@ -29,14 +29,13 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .hermite import (
-    GaussHermiteGrid,
     HermiteExpansion,
     _abs_moment_exact_1d,
     basis_matrix,
     default_grid,
     lp_norm,
 )
-from .timequad import TimeQuadrature, log_time_rule
+from .timequad import DEFAULT_STEP, TimeQuadrature, log_time_rule
 
 __all__ = [
     "BesovParams",
@@ -126,7 +125,7 @@ def _orbit_table(items, k: int, ts) -> np.ndarray:
     return (base * (-roots) ** k)[:, None] * np.exp(-np.outer(roots, ts))
 
 
-def norm_curve(f: HermiteExpansion, k: int, p: float, ts, grid: GaussHermiteGrid | None = None) -> np.ndarray:
+def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
     """||u^(k)(., t)||_p,gamma for every t in ts, vectorized over the t-grid.
 
     The orbit derivative has coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)), so
@@ -136,7 +135,7 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts, grid: GaussHermiteGrid
     integration for all nodes at once, each row scaled by a power of two so
     that large t (coefficients near e^(-t sqrt(n))) neither underflows nor
     returns NaN.  The other routes are the coefficient norm at p = 2 and
-    quadrature on `grid` (or a default grid) otherwise.
+    quadrature on default_grid(f) otherwise.
     """
     _check_p(p)
     ts = np.asarray(ts, dtype=float)
@@ -152,32 +151,34 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts, grid: GaussHermiteGrid
         rows[:, [nu[0] for nu, _ in items]] = coef_t.T
         m, e = _abs_moment_exact_1d(rows, p_int)
         return np.ldexp(m ** (1.0 / p_int), e)
-    g = grid if grid is not None else default_grid(f)
+    g = default_grid(f)
     vals = basis_matrix([nu for nu, _ in items], g.nodes) @ coef_t  # (nodes, T)
     return (g.weights @ np.abs(vals) ** p) ** (1.0 / p)
 
 
-def besov_seminorm(
-    f: HermiteExpansion,
-    params: BesovParams,
-    tq: TimeQuadrature | None = None,
-    grid: GaussHermiteGrid | None = None,
-) -> float:
-    """The q < inf seminorm: ( int (t^(k-a) ||u^(k)(., t)||_p)^q dt/t )^(1/q)."""
+def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAULT_STEP) -> float:
+    """The q < inf seminorm: ( int (t^(k-a) ||u^(k)(., t)||_p)^q dt/t )^(1/q).
+
+    The t-integral is the log-trapezoid of log_time_rule with head exponent
+    (k - a) q and log step `step`.
+    """
     if math.isinf(params.q):
         raise ValueError("use ak_constant for q = inf")
     k, a, q = params.k, params.alpha, params.q
     if not f.coeffs or f.degree == 0:
         return 0.0
-    rule = tq or log_time_rule(head_exponent=(k - a) * q)
-    t, w = rule.nodes_weights()
-    curve = norm_curve(f, k, params.p, t, grid)
+    t, w = log_time_rule(head_exponent=(k - a) * q, step=step).nodes_weights()
+    curve = norm_curve(f, k, params.p, t)
     integral = float(np.dot(w, (t ** (k - a) * curve) ** q / t))
     return integral ** (1.0 / q)
 
 
-SUP_WINDOW = (math.log(1e-6), math.log(50.0))  # log-time window of every grid sup
-DEFAULT_SUP_GRID = np.exp(np.linspace(*SUP_WINDOW, 200))
+SUP_POINTS = 200
+
+
+def sup_grid(points: int = SUP_POINTS) -> np.ndarray:
+    """points log-spaced times in [1e-6, 50], the grid of every time sup."""
+    return np.exp(np.linspace(math.log(1e-6), math.log(50.0), points))
 
 
 def _grid_sup(supremand, ts) -> float:
@@ -193,40 +194,27 @@ def _grid_sup(supremand, ts) -> float:
     return float(max(vals.max(), supremand(local).max()))
 
 
-def ak_constant(
-    f: HermiteExpansion,
-    alpha: float,
-    p: float,
-    k: int,
-    tq: TimeQuadrature | None = None,
-    grid: GaussHermiteGrid | None = None,
-) -> float:
+def ak_constant(f: HermiteExpansion, alpha: float, p: float, k: int, points: int = SUP_POINTS) -> float:
     """Smallest A with ||u^(k)(., t)||_p <= A t^(alpha-k): sup of t^(k-alpha) ||u^(k)||_p.
 
-    Taken over a 200-point log grid (or the nodes of tq), then polished
-    around the coarse argmax (_grid_sup).  For expansions the supremand is
-    smooth and decays at both ends, so the grid sup is reliable.
+    Taken over sup_grid(points), then polished around the coarse argmax
+    (_grid_sup).  For expansions the supremand is smooth and decays at both
+    ends, so the grid sup is reliable.
     """
     if k <= alpha:
         raise ValueError("need k > alpha")
     if not f.coeffs or f.degree == 0:
         return 0.0
-    ts = tq.nodes_weights()[0] if tq is not None else DEFAULT_SUP_GRID
-    return _grid_sup(lambda t: t ** (k - alpha) * norm_curve(f, k, p, t, grid), ts)
+    return _grid_sup(lambda t: t ** (k - alpha) * norm_curve(f, k, p, t), sup_grid(points))
 
 
-def besov_norm(
-    f: HermiteExpansion,
-    params: BesovParams,
-    tq: TimeQuadrature | None = None,
-    grid: GaussHermiteGrid | None = None,
-) -> BesovResult:
+def besov_norm(f: HermiteExpansion, params: BesovParams) -> BesovResult:
     """Full Besov-Lipschitz norm: L^p part plus seminorm (q < inf) or A_k (q = inf)."""
-    lp_part = lp_norm(f, params.p, grid)
+    lp_part = lp_norm(f, params.p)
     if math.isinf(params.q):
-        ak = ak_constant(f, params.alpha, params.p, params.k, tq, grid)
+        ak = ak_constant(f, params.alpha, params.p, params.k)
         return BesovResult(lp_part, None, ak, lp_part + ak, params)
-    semi = besov_seminorm(f, params, tq, grid)
+    semi = besov_seminorm(f, params)
     return BesovResult(lp_part, semi, None, lp_part + semi, params)
 
 
@@ -251,7 +239,7 @@ def lip_alpha_norm(f: HermiteExpansion, alpha: float, box_half_width: float = 6.
         sup_x = np.max(np.abs(phi @ _orbit_table(items, k, ts)), axis=0)
         return ts ** (k - alpha) * sup_x
 
-    ak = _grid_sup(supremand, DEFAULT_SUP_GRID)
+    ak = _grid_sup(supremand, sup_grid())
     return sup_part, ak, sup_part + ak
 
 
@@ -264,7 +252,7 @@ def _log_slope(y0, y1, f0, f1):
     return math.log(f1 / f0) / math.log(y1 / y0)
 
 
-def hardy_check(f, p: float, r: float, kind: str, rule: TimeQuadrature | None = None):
+def hardy_check(f, p: float, r: float, kind: str):
     """Evaluate both sides of the weighted head/tail averaging inequality.
 
     kind "head":  int_0^inf ( int_0^x f )^p x^(-r-1) dx  <=  (p/r)^p int (y f(y))^p y^(-r-1) dy
@@ -276,7 +264,8 @@ def hardy_check(f, p: float, r: float, kind: str, rule: TimeQuadrature | None = 
     0.34%).  f must be a nonnegative vectorized function on (0, inf).  Returns
     (lhs, rhs); a side whose endpoint behavior is non-integrable is reported
     as math.inf.  At p = 1 the head inequality is an exact interchange of the
-    two integrals, so lhs = rhs up to quadrature error.
+    two integrals, so lhs = rhs up to quadrature error.  Both sides use one
+    log-trapezoid rule on [e^-40, e^12] with 5201 nodes.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -284,8 +273,7 @@ def hardy_check(f, p: float, r: float, kind: str, rule: TimeQuadrature | None = 
         raise ValueError("r must be > 0")
     if kind not in ("head", "tail"):
         raise ValueError("kind must be 'head' or 'tail'")
-    rule = rule or TimeQuadrature("log_uniform", -40.0, 12.0, 5201)
-    y, wy = rule.nodes_weights()
+    y, wy = TimeQuadrature(-40.0, 12.0, 5201).nodes_weights()
     fv = np.asarray(f(y), dtype=float)
     if np.min(fv) < -1e-12:
         raise ValueError("f must be nonnegative")
@@ -337,9 +325,7 @@ def decay_grid(points: int = 60) -> np.ndarray:
     return np.exp(np.linspace(math.log(0.05), math.log(20.0), points))
 
 
-def kdecay_report(
-    f: HermiteExpansion, p: float, k: int, ts=None, grid: GaussHermiteGrid | None = None
-) -> KDecayReport:
+def kdecay_report(f: HermiteExpansion, p: float, k: int, ts=None) -> KDecayReport:
     """Decay table for t -> ||u^(k)(., t)||_p with the monotonicity verdict.
 
     Also fits the smallest C with t^k ||u^(k)(., t)||_p <= C ||f||_p on the
@@ -348,8 +334,8 @@ def kdecay_report(
     if k < 1:
         raise ValueError("k must be >= 1")
     ts = np.asarray(ts, dtype=float) if ts is not None else decay_grid()
-    values = norm_curve(f, k, p, ts, grid)
+    values = norm_curve(f, k, p, ts)
     non_increasing = bool(np.all(np.diff(values) <= 1e-12 * values[:-1] + 1e-300))
-    fnorm = lp_norm(f, p, grid)
+    fnorm = lp_norm(f, p)
     fitted_c = float(np.max(ts**k * values) / fnorm) if fnorm > 0 else 0.0
     return KDecayReport(ts, values, non_increasing, fitted_c)

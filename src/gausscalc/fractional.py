@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,14 +32,13 @@ from scipy.special import gamma as gamma_fn
 
 from .besov import smallest_k
 from .hermite import HermiteExpansion, pi0
+from .semigroups import forward_difference
 from .timequad import DEFAULT_STEP, TimeQuadrature, log_time_rule
 
 __all__ = [
-    "DerivativeConstants",
     "TruncationWarning",
     "c_beta",
     "c_beta_k",
-    "derivative_constants",
     "riesz_potential",
     "riesz_potential_integral",
     "bessel_potential",
@@ -49,7 +47,6 @@ __all__ = [
     "riesz_derivative_integral",
     "bessel_derivative",
     "bessel_derivative_integral",
-    "forward_difference",
 ]
 
 TRUNCATION_TOL = 1e-8
@@ -74,7 +71,7 @@ def _capped_rule(head: float, tail: float | None, blowup: float) -> tuple[TimeQu
     if rule.v_min >= v_cap:
         return rule, 0.0
     n = int(math.ceil((rule.v_max - v_cap) / DEFAULT_STEP)) + 1
-    return TimeQuadrature("log_uniform", v_cap, rule.v_max, n), math.exp(v_cap)
+    return TimeQuadrature(v_cap, rule.v_max, n), math.exp(v_cap)
 
 
 @lru_cache(maxsize=None)
@@ -101,26 +98,6 @@ def c_beta(beta: float) -> float:
     if not 0 < beta < 1:
         raise ValueError("c_beta is defined for 0 < beta < 1")
     return c_beta_k(beta, 1)
-
-
-@dataclass(frozen=True)
-class DerivativeConstants:
-    beta: float
-    k: int
-    c_beta: float | None  # only for 0 < beta < 1
-    c_beta_k: float
-
-
-def derivative_constants(beta: float) -> DerivativeConstants:
-    _check_beta(beta)
-    beta = float(beta)
-    k = smallest_k(beta)
-    return DerivativeConstants(
-        beta=beta,
-        k=k,
-        c_beta=c_beta(beta) if beta < 1 else None,
-        c_beta_k=c_beta_k(beta, k),
-    )
 
 
 # -- spectral forms ---------------------------------------------------------------
@@ -156,22 +133,6 @@ def bessel_derivative(f: HermiteExpansion, beta: float) -> HermiteExpansion:
 
 
 # -- forward differences --------------------------------------------------------
-
-
-def forward_difference(g, s, k: int, t=0.0):
-    """k-th order forward difference of g at t with increment s:
-
-        sum_{j=0}^{k} C(k, j) (-1)^j g(t + (k-j) s)
-
-    Works elementwise when g is vectorized and s (or t) is an array.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    total = None
-    for j in range(k + 1):
-        term = math.comb(k, j) * (-1.0) ** j * g(t + (k - j) * s)
-        total = term if total is None else total + term
-    return total
 
 
 def _orbit_difference_factor(z, k: int):

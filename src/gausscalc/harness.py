@@ -30,7 +30,7 @@ from . import besov as bz
 from . import fractional as fr
 from . import semigroups as sg
 from .hermite import HermiteExpansion, gauss_hermite_grid, l2_norm_coeffs, pi0
-from .timequad import SubordinationRule, TimeQuadrature, log_time_rule
+from .timequad import DEFAULT_STEP
 
 __all__ = [
     "ExperimentConfig",
@@ -62,8 +62,8 @@ class ExperimentConfig:
     betas: tuple = ()
     ps: tuple = ()
     qs: tuple = ()
-    t_step: float = 0.02
-    sup_points: int = 200
+    t_step: float = DEFAULT_STEP
+    sup_points: int = bz.SUP_POINTS
     refine: int = 2
     tol_ratio_stability: float = 0.005
     tol_inversion: float = 1e-12
@@ -79,6 +79,8 @@ class ExperimentConfig:
             (self.dimension in (1, 2), "dimension in {1, 2}"),
             (self.family_size >= 1, "family_size >= 1"),
             (self.max_degree >= 0, "max_degree >= 0"),
+            (all(math.isfinite(a) for a in self.alphas), "finite alphas"),
+            (all(math.isfinite(b) for b in self.betas), "finite betas"),
             (self.refine >= 2, "refine >= 2"),
             (self.sup_points >= 16, "sup_points >= 16"),
             (self.t_step > 0, "t_step > 0"),
@@ -296,20 +298,15 @@ def emit_report(report: TheoremReport, fmt: str = "json", path: str | None = Non
 # -- shared machinery ----------------------------------------------------------------
 
 
-def _sup_rule(points: int) -> TimeQuadrature:
-    return TimeQuadrature("log_uniform", *bz.SUP_WINDOW, points)
-
-
 def _smoothness_part(f, alpha, p, q, step, sup_points) -> float:
     """The seminorm (q < inf) or A_k (q = inf) term of the Besov norm."""
     k = bz.smallest_k(alpha)
     if math.isinf(q):
-        return bz.ak_constant(f, alpha, p, k, tq=_sup_rule(sup_points))
-    tq = log_time_rule(head_exponent=(k - alpha) * q, step=step)
-    return bz.besov_seminorm(f, bz.besov_params(alpha, p, q, k), tq=tq)
+        return bz.ak_constant(f, alpha, p, k, points=sup_points)
+    return bz.besov_seminorm(f, bz.besov_params(alpha, p, q, k), step=step)
 
 
-def besov_total(f, alpha, p, q, step=0.02, sup_points=200) -> float:
+def besov_total(f, alpha, p, q, step=DEFAULT_STEP, sup_points=bz.SUP_POINTS) -> float:
     """Besov norm total with explicit resolution knobs (for stability checks)."""
     return bz.lp_norm(f, p) + _smoothness_part(f, alpha, p, q, step, sup_points)
 
@@ -500,7 +497,6 @@ def _exp_oracles(cfg: ExperimentConfig) -> TheoremReport:
     rep = _new_report("oracles", cfg, family)
     rng = _seeded_rng(cfg.seed, 1)
     grid = gauss_hermite_grid(cfg.dimension, 4 * cfg.max_degree + 8)
-    sub_rule = SubordinationRule()
 
     worst_mehler = worst_sub = 0.0
     for i in range(100):
@@ -508,7 +504,7 @@ def _exp_oracles(cfg: ExperimentConfig) -> TheoremReport:
         t = float(rng.uniform(0.05, 5.0))
         x = rng.uniform(-2.0, 2.0, cfg.dimension)
         worst_mehler = max(worst_mehler, abs(sg.ou_mehler(f, t, x, grid) - sg.ou_spectral(f, t)(x)))
-        worst_sub = max(worst_sub, abs(sg.ph_subordination(f, t, x, sub_rule) - sg.ph_spectral(f, t)(x)))
+        worst_sub = max(worst_sub, abs(sg.ph_subordination(f, t, x) - sg.ph_spectral(f, t)(x)))
     rep.add_check("mehler-vs-spectral", worst_mehler <= cfg.tol_mehler, worst_mehler, cfg.tol_mehler)
     rep.add_check("subordination-vs-spectral", worst_sub <= cfg.tol_subordination, worst_sub, cfg.tol_subordination)
 

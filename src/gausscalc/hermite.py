@@ -474,20 +474,20 @@ def _abs_moment_exact_1d(coeffs, p: int) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(total, 0.0) / math.sqrt(math.pi), expo
 
 
-def lp_norm(f: HermiteExpansion, p: float, grid: GaussHermiteGrid | None = None) -> float:
+def lp_norm(f: HermiteExpansion, p: float) -> float:
     """L^p(gamma_d) norm with the most accurate available route.
 
     p = 2 uses the coefficient norm (exact).  Even integer p uses quadrature on
-    a grid exact for |f|^p = f^p.  Odd integer p in d = 1 uses closed-form
-    sign-split integration (Gauss-Hermite converges poorly across the kinks of
-    |f|^p): the one-row case of the batched _abs_moment_exact_1d, which
+    the m = p*degree/2 + 1 grid, exact for |f|^p = f^p.  Odd integer p in
+    d = 1 uses closed-form sign-split integration (Gauss-Hermite converges
+    poorly across the kinks of |f|^p): the one-row case of the batched _abs_moment_exact_1d, which
     norm_curve runs over a whole time grid.  Against a 40-digit reference on
     300 expansions of degree <= 8 per p, its worst relative error was 1.3e-15
     at p = 1, 1.1e-13 at p = 3, 1.2e-12 at p = 5 and 4.2e-12 at p = 7 (median
     about 1e-15); inputs searched for the worst case reach 1e-11 at p = 5
     and 4e-10 at p = 7.  The loss at high p is cancellation in the power
-    basis of f^p.  Everything else falls back to plain quadrature on `grid`
-    or a default m = 4*degree + 8 grid.
+    basis of f^p.  Everything else (odd p in d = 2, non-integer p) falls back
+    to plain quadrature on default_grid(f), m = 4*degree + 8.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -498,15 +498,14 @@ def lp_norm(f: HermiteExpansion, p: float, grid: GaussHermiteGrid | None = None)
     p_int = int(round(p))
     if p == p_int and p_int % 2 == 0:
         m = min(max((p_int * f.degree) // 2 + 1, 2), MAX_NODES_PER_AXIS)
-        g = grid if grid is not None and grid.exact_degree() >= p_int * f.degree else gauss_hermite_grid(f.dimension, m)
-        return lp_norm_gamma(f, p, g)
+        return lp_norm_gamma(f, p, gauss_hermite_grid(f.dimension, m))
     if p == p_int and f.dimension == 1:
         row = np.zeros(f.degree + 1)
         for nu, c in f.coeffs.items():
             row[nu[0]] = c
         m, e = _abs_moment_exact_1d(row, p_int)
         return float(np.ldexp(m[0] ** (1.0 / p_int), e[0]))
-    return lp_norm_gamma(f, p, grid if grid is not None else default_grid(f))
+    return lp_norm_gamma(f, p, default_grid(f))
 
 
 def chaos_project(f: HermiteExpansion, n: int) -> HermiteExpansion:

@@ -34,6 +34,7 @@ __all__ = [
     "ph_subordination",
     "ph_kernel",
     "time_derivative",
+    "forward_difference",
     "orbit_difference",
 ]
 
@@ -82,13 +83,7 @@ def ou_mehler(f: HermiteExpansion, t: float, x, grid: GaussHermiteGrid) -> float
     return float(np.dot(grid.weights, f.evaluate_many(pts)))
 
 
-def ph_subordination(
-    f: HermiteExpansion,
-    t: float,
-    x,
-    rule: SubordinationRule | None = None,
-    grid: GaussHermiteGrid | None = None,
-) -> float:
+def ph_subordination(f: HermiteExpansion, t: float, x, grid: GaussHermiteGrid | None = None) -> float:
     """P_t f(x) through the stable-measure average of T_s f(x).
 
     Computes sum_j m_j T_{s_j} f(x) + tail * mean(f) over the discretized
@@ -99,8 +94,7 @@ def ph_subordination(
     """
     if t <= 0:
         raise ValueError("t must be > 0")
-    rule = rule or SubordinationRule()
-    s, masses, tail = rule.stable_measure(t)
+    s, masses, tail = SubordinationRule().stable_measure(t)
     if grid is not None:
         values = np.array([ou_mehler(f, sj, x, grid) for sj in s])
     else:
@@ -119,7 +113,7 @@ def _mehler_density(s: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.exp(-diff2 / one_m) / (math.pi ** (d / 2.0) * one_m ** (d / 2.0))
 
 
-def ph_kernel(t: float, x, y, rule: SubordinationRule | None = None) -> float:
+def ph_kernel(t: float, x, y) -> float:
     """Poisson-Hermite kernel p(t, x, y) (density against Lebesgue dy).
 
     Stable-measure average of Mehler densities.  This is the kernel's r-form
@@ -135,11 +129,27 @@ def ph_kernel(t: float, x, y, rule: SubordinationRule | None = None) -> float:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.size != y.size:
         raise ValueError("x and y must have the same dimension")
-    rule = rule or SubordinationRule()
-    s, masses, tail = rule.stable_measure(t)
+    s, masses, tail = SubordinationRule().stable_measure(t)
     d = x.size
     limit_density = math.exp(-float(np.dot(y, y))) / math.pi ** (d / 2.0)
     return float(np.dot(masses, _mehler_density(s, x, y)) + tail * limit_density)
+
+
+def forward_difference(g, s, k: int, t=0.0):
+    """k-th order forward difference of g at t with increment s:
+
+        sum_{j=0}^{k} C(k, j) (-1)^j g(t + (k-j) s)
+
+    Works elementwise when g is vectorized and s (or t) is an array, and on
+    any g whose values support scalar multiplication and addition.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    total = None
+    for j in range(k + 1):
+        term = math.comb(k, j) * (-1.0) ** j * g(t + (k - j) * s)
+        total = term if total is None else total + term
+    return total
 
 
 def orbit_difference(
@@ -153,15 +163,8 @@ def orbit_difference(
     """
     if s <= 0:
         raise ValueError("s must be > 0")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if damped and n != 0:
         raise ValueError("damped orbit differences are only taken of the orbit itself")
-    out = HermiteExpansion.zero(f.dimension)
-    for j in range(k + 1):
-        r = t + (k - j) * s
-        term = time_derivative(f, r, n)
-        if damped:
-            term = math.exp(-r) * term
-        out = out + (math.comb(k, j) * (-1.0) ** j) * term
-    return out
+    if damped:
+        return forward_difference(lambda r: math.exp(-r) * time_derivative(f, r, n), s, k, t)
+    return forward_difference(lambda r: time_derivative(f, r, n), s, k, t)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from gausscalc import HermiteExpansion, gauss_hermite_grid, gen_family
@@ -34,7 +33,3 @@ def h(request):
 def mixed1d():
     # fixed mixed expansion used across modules: orders 0, 1, 2, 4
     return HermiteExpansion(1, {(0,): 0.5, (1,): -1.0, (2,): 0.75, (4,): 0.3})
-
-
-def rng(stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((1234, stream))))

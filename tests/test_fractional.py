@@ -1,7 +1,6 @@
 import math
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +15,6 @@ from gausscalc import (
     bessel_potential_integral,
     c_beta,
     c_beta_k,
-    derivative_constants,
     forward_difference,
     l2_norm_coeffs,
     log_time_rule,
@@ -25,6 +23,7 @@ from gausscalc import (
     riesz_derivative_integral,
     riesz_potential,
     riesz_potential_integral,
+    smallest_k,
 )
 from gausscalc.timequad import TimeQuadrature
 
@@ -51,15 +50,24 @@ def rel_coeff_err(got, want):
 
 @pytest.mark.parametrize("beta,k", [(0.3, 1), (0.5, 1), (0.99, 1), (1.0, 2), (1.5, 2), (2.5, 3), (3.0, 4)])
 def test_k_rep_is_smallest_integer_strictly_greater(beta, k):
-    consts = derivative_constants(beta)
-    assert consts.k == k
-    assert consts.k - 1 <= beta < consts.k
+    assert smallest_k(beta) == k
+    assert k - 1 <= beta < k
 
 
 @pytest.mark.parametrize("beta", (0.0, -0.5))
-def test_derivative_constants_reject_nonpositive(beta):
-    with pytest.raises(ValueError, match="beta must be > 0"):
-        derivative_constants(beta)
+def test_operators_reject_nonpositive_beta(beta):
+    for op in (
+        riesz_potential,
+        bessel_potential,
+        riesz_derivative,
+        bessel_derivative,
+        riesz_potential_integral,
+        bessel_potential_integral,
+        riesz_derivative_integral,
+        bessel_derivative_integral,
+    ):
+        with pytest.raises(ValueError, match="beta must be > 0"):
+            op(H4, beta)
 
 
 def test_c_half_is_minus_two_sqrt_pi():
@@ -96,13 +104,6 @@ def test_c_beta_k_rejects_k_not_above_beta():
         c_beta_k(1.5, 1)
     with pytest.raises(ValueError):
         c_beta(1.2)
-
-
-def test_derivative_constants_bundle():
-    dc = derivative_constants(0.5)
-    assert dc.k == 1 and dc.c_beta == dc.c_beta_k
-    dc2 = derivative_constants(1.5)
-    assert dc2.k == 2 and dc2.c_beta is None and dc2.c_beta_k > 0
 
 
 # -- spectral multipliers ---------------------------------------------------------------
@@ -251,7 +252,7 @@ def test_integral_paths_at_capped_windows(integral, spectral, beta):
 
 
 def test_narrow_rule_warns():
-    narrow = TimeQuadrature("log_uniform", -3.0, 2.0, 64)
+    narrow = TimeQuadrature(-3.0, 2.0, 64)
     with pytest.warns(TruncationWarning):
         riesz_potential_integral(H4, 0.5, tq=narrow)
     with pytest.warns(TruncationWarning):
@@ -270,7 +271,7 @@ def test_narrow_rule_warns():
     ids=["riesz-potential", "bessel-potential", "riesz-derivative", "bessel-derivative", "riesz-parts"],
 )
 def test_truncation_warning_points_at_the_caller(integral):
-    narrow = TimeQuadrature("log_uniform", -3.0, 2.0, 64)
+    narrow = TimeQuadrature(-3.0, 2.0, 64)
     with pytest.warns(TruncationWarning) as record:
         integral(H4, 0.5, narrow)
     assert {w.filename for w in record} == {__file__}

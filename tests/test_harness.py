@@ -296,6 +296,7 @@ def test_cli_infinite_smoothness_is_usage_error(tmp_path, capsys, experiment, li
     assert cli_main(["run", experiment, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gausscalc: ") and "finite" in err
+    assert line.split(" = ")[0] in err  # the message names the offending key
 
 
 @pytest.mark.parametrize(
