@@ -26,8 +26,9 @@ print("weights sum to", grid.weights.sum())
 h1 = HermiteExpansion.basis((1,))
 h2 = HermiteExpansion.basis((2,))
 print("h1(1) =", h1(1.0), " (sqrt 2)")
-print("<h1, h1> =", inner_product_gamma(h1, h1, grid))
-print("<h1, h2> =", inner_product_gamma(h1, h2, grid))
+# inner products size their own exact grid: m = (deg f + deg g)//2 + 1 nodes
+print("<h1, h1> =", inner_product_gamma(h1, h1))
+print("<h1, h2> =", inner_product_gamma(h1, h2))
 
 # a mixed expansion: arithmetic is coefficient-wise, evaluation is vectorized
 f = 0.5 * HermiteExpansion.constant(1, 1.0) + h1 - 0.25 * h2

@@ -23,7 +23,6 @@ from .besov import (
     smallest_k,
 )
 from .fractional import (
-    TruncationWarning,
     bessel_derivative,
     bessel_derivative_integral,
     bessel_potential,
@@ -48,7 +47,6 @@ from .hermite import (
     GaussHermiteGrid,
     HermiteExpansion,
     MultiIndex,
-    QuadratureExactnessWarning,
     basis_matrix,
     chaos_project,
     default_grid,

@@ -6,7 +6,8 @@
     gausscalc list
     gausscalc verify-all [--config FILE] [--seed U64] [--out PATH]
 
-Exit codes: 0 all checks passed, 1 an invariant failed, 2 usage/config error.
+Exit codes: 0 all checks passed, 1 an invariant failed, 2 usage/config error
+or an unwritable --out.
 """
 
 from __future__ import annotations
@@ -64,23 +65,21 @@ def main(argv=None) -> int:
         print(f"gausscalc: {exc}", file=sys.stderr)
         return 2
     if args.command == "run":
-        report = reports[0]
-        text = emit_report(report, cfg.fmt or "json", cfg.out or None)
-        if not cfg.out:
-            sys.stdout.write(text)
-        return 0 if report.passed else 1
-    # verify-all
-    all_ok = True
-    chunks = []
-    for rep in reports:
-        mark = "PASS" if rep.passed else "FAIL"
-        print(f"[{mark}] {rep.experiment}  ({rep.runtime_s:.1f}s)")
-        all_ok = all_ok and rep.passed
-        chunks.append(emit_report(rep, cfg.fmt or "json"))
+        text = emit_report(reports[0], cfg.fmt or "json")
+    else:
+        for rep in reports:
+            print(f"[{'PASS' if rep.passed else 'FAIL'}] {rep.experiment}  ({rep.runtime_s:.1f}s)")
+        text = "\n".join(emit_report(rep, cfg.fmt or "json") for rep in reports)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write("\n".join(chunks))
-    return 0 if all_ok else 1
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"gausscalc: cannot write {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    elif args.command == "run":
+        sys.stdout.write(text)
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 if __name__ == "__main__":

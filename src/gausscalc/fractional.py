@@ -24,7 +24,6 @@ its significant digits; both branches are the same analytic function.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +35,6 @@ from .semigroups import forward_difference
 from .timequad import DEFAULT_STEP, TimeQuadrature, log_time_rule
 
 __all__ = [
-    "TruncationWarning",
     "c_beta",
     "c_beta_k",
     "riesz_potential",
@@ -49,29 +47,27 @@ __all__ = [
     "bessel_derivative_integral",
 ]
 
-TRUNCATION_TOL = 1e-8
 
+def _time_rule(head: float, blowup: float, tail: float | None = None):
+    """Nodes, weights and dropped ends for an integrand ~ t^(head-1) at 0 with a factor t^(-blowup).
 
-class TruncationWarning(UserWarning):
-    """A supplied time rule truncates more than the accepted tolerance."""
-
-
-def _capped_rule(head: float, tail: float | None, blowup: float) -> tuple[TimeQuadrature, float]:
-    """Default rule for an integrand ~ lead t^(head-1) at 0 with a factor t^(-blowup).
-
-    log_time_rule puts v_min near log(HEAD_TOL)/head, so a small head exponent
-    sends e^v_min towards 0 and t^(-blowup) overflows there.  The window then
-    starts at v_min = -700/blowup instead, and cut = e^v_min is returned so
-    that the caller adds the dropped head, lead cut^head / head, in closed
-    form (relative error of order cut).  cut is 0.0 when the cap does not
-    bind, and the rule is then log_time_rule's own.
+    The window is log_time_rule's, clipped so that no power of t overflows:
+    v_min >= -700/blowup and v_max <= 700 (a small head or algebraic tail
+    exponent pushes past either).  Returns (t, w, head_rest, tail_rest): the
+    masses cut^head / head of t^(head-1) over a dropped (0, cut) and
+    big^(-tail) / tail of t^(-tail-1) over a dropped (big, inf), which the
+    caller scales by its leading coefficients.  Each is 0.0 unless its clip
+    binds, and with neither binding the rule is log_time_rule's own.
     """
-    rule = log_time_rule(head_exponent=head, tail_exponent=tail)
-    v_cap = -700.0 / blowup if blowup > 0 else -math.inf
-    if rule.v_min >= v_cap:
-        return rule, 0.0
-    n = int(math.ceil((rule.v_max - v_cap) / DEFAULT_STEP)) + 1
-    return TimeQuadrature(v_cap, rule.v_max, n), math.exp(v_cap)
+    wide = log_time_rule(head_exponent=head, tail_exponent=tail)
+    v_min = max(wide.v_min, -700.0 / blowup) if blowup > 0 else wide.v_min
+    v_max = min(wide.v_max, 700.0)
+    head_rest = math.exp(v_min) ** head / head if v_min > wide.v_min else 0.0
+    tail_rest = math.exp(-v_max * tail) / tail if v_max < wide.v_max else 0.0
+    rule = wide
+    if (v_min, v_max) != (wide.v_min, wide.v_max):
+        rule = TimeQuadrature(v_min, v_max, int(math.ceil((v_max - v_min) / DEFAULT_STEP)) + 1)
+    return (*rule.nodes_weights(), head_rest, tail_rest)
 
 
 @lru_cache(maxsize=None)
@@ -79,18 +75,17 @@ def c_beta_k(beta: float, k: int) -> float:
     """c^k_beta = int_0^inf u^(-beta-1) (e^(-u) - 1)^k du, for k > beta > 0.
 
     Head behaves like (-1)^k u^(k-beta-1), tail like (-1)^k u^(-beta-1); the
-    rule window is sized for both (_capped_rule), and a head the window has to
-    drop is added in closed form.  Values are cached per (beta, k); the
-    integrand sign makes sign(c^k_beta) = (-1)^k.
+    window is sized for both (_time_rule), and the ends it has to drop are
+    added in closed form.  Values are cached per (beta, k); the integrand
+    sign makes sign(c^k_beta) = (-1)^k.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
     if k <= beta:
         raise ValueError(f"need k > beta (k = {k}, beta = {beta}); the integral diverges otherwise")
-    rule, cut = _capped_rule(k - beta, beta, beta + 1.0)
-    u, w = rule.nodes_weights()
-    head = (-1.0) ** k * cut ** (k - beta) / (k - beta)  # the dropped head; 0 unless capped
-    return float(np.dot(w, u ** (-beta - 1.0) * np.expm1(-u) ** k)) + head
+    u, w, head_rest, tail_rest = _time_rule(k - beta, beta + 1.0, beta)
+    sign = (-1.0) ** k
+    return float(np.dot(w, u ** (-beta - 1.0) * np.expm1(-u) ** k)) + sign * head_rest + sign * tail_rest
 
 
 def c_beta(beta: float) -> float:
@@ -150,41 +145,24 @@ def _orbit_difference_factor(z, k: int):
 # -- integral representations ------------------------------------------------------
 
 
-def _warn_if_truncated(label: str, head_est: float, tail_est: float):
-    est = abs(head_est) + abs(tail_est)
-    if est > TRUNCATION_TOL:
-        warnings.warn(
-            f"{label}: estimated truncation error {est:.2e} exceeds {TRUNCATION_TOL:.0e} "
-            "(head+tail of the supplied time rule); widen the rule window",
-            TruncationWarning,
-            stacklevel=4,  # the caller of the public *_integral function
-        )
-
-
-def _multiplier_integral(label, f, tq, const, integrand, head, lead, blowup, tail=None, tail_est=None):
+def _multiplier_integral(f, const, integrand, head, lead, blowup, tail=None, tail_lead=0.0):
     """f with each order-n coefficient scaled by int_0^inf integrand(t, n) dt / const.
 
     The integrand behaves like lead(n) t^(head-1) at 0, through a factor
-    t^(-blowup).  A positive `tail` marks an algebraic tail t^(-tail-1);
-    otherwise the integrand decays exponentially and tail_est(T) estimates
-    its mass beyond T.  The default rule is sized from these exponents
-    (_capped_rule; a head it has to drop is added in closed form), and a
-    supplied rule that truncates more than TRUNCATION_TOL triggers a
-    TruncationWarning.
+    t^(-blowup).  A positive `tail` marks an algebraic tail tail_lead
+    t^(-tail-1); otherwise the integrand decays exponentially.  The rule is
+    sized from these exponents, and the ends it has to drop are added in
+    closed form (_time_rule).
     """
-    rule, cut = (tq, 0.0) if tq else _capped_rule(head, tail, blowup)
-    t, w = rule.nodes_weights()
-    eps, big = math.exp(rule.v_min), math.exp(rule.v_max)
-    tail_mass = big ** (-tail) / (tail * abs(const)) if tail else tail_est(big)
-    _warn_if_truncated(label, 0.0 if cut else eps**head / (head * abs(const)), tail_mass)
-    dropped = cut**head / head
-    mults = {n: (float(np.dot(w, integrand(t, n))) + lead(n) * dropped) / const for n in f.orders()}
+    t, w, head_rest, tail_rest = _time_rule(head, blowup, tail)
+    mults = {
+        n: (float(np.dot(w, integrand(t, n))) + lead(n) * head_rest + tail_lead * tail_rest) / const
+        for n in f.orders()
+    }
     return f.apply_order_multiplier(lambda n: mults[n])
 
 
-def riesz_potential_integral(
-    f: HermiteExpansion, beta: float, tq: TimeQuadrature | None = None
-) -> HermiteExpansion:
+def riesz_potential_integral(f: HermiteExpansion, beta: float) -> HermiteExpansion:
     """Riesz potential via (1/Gamma(beta)) int_0^inf t^(beta-1) (P_t f - P_inf f) dt.
 
     P_inf f is the mean, so the constant part of f maps to 0 and the order-n
@@ -192,32 +170,24 @@ def riesz_potential_integral(
     for riesz_potential.
     """
     _check_beta(beta)
-    gb = gamma_fn(beta)
     return _multiplier_integral(
-        "riesz_potential_integral", pi0(f), tq, gb,
+        pi0(f), gamma_fn(beta),
         lambda t, n: t ** (beta - 1.0) * np.exp(-t * math.sqrt(n)),
         head=beta, lead=lambda n: 1.0, blowup=1.0 - beta,
-        tail_est=lambda big: big ** (beta - 1.0) * math.exp(-big) / gb,
     )
 
 
-def bessel_potential_integral(
-    f: HermiteExpansion, beta: float, tq: TimeQuadrature | None = None
-) -> HermiteExpansion:
+def bessel_potential_integral(f: HermiteExpansion, beta: float) -> HermiteExpansion:
     """Bessel potential via (1/Gamma(beta)) int_0^inf t^beta e^(-t) P_t f dt/t."""
     _check_beta(beta)
-    gb = gamma_fn(beta)
     return _multiplier_integral(
-        "bessel_potential_integral", f, tq, gb,
+        f, gamma_fn(beta),
         lambda t, n: t ** (beta - 1.0) * np.exp(-t * (1.0 + math.sqrt(n))),
         head=beta, lead=lambda n: 1.0, blowup=1.0 - beta,
-        tail_est=lambda big: big ** (beta - 1.0) * math.exp(-big) / gb,
     )
 
 
-def riesz_derivative_integral(
-    f: HermiteExpansion, beta: float, tq: TimeQuadrature | None = None, form: str = "kdiff"
-) -> HermiteExpansion:
+def riesz_derivative_integral(f: HermiteExpansion, beta: float, form: str = "kdiff") -> HermiteExpansion:
     """Riesz derivative by quadrature of its singular-integral representations.
 
     form "kdiff" (default, any beta > 0):
@@ -236,23 +206,21 @@ def riesz_derivative_integral(
         if beta >= 1:
             raise ValueError("the integration-by-parts form needs 0 < beta < 1")
         return _multiplier_integral(
-            "riesz_derivative_integral(parts)", f, tq, beta * c_beta(beta),
+            f, beta * c_beta(beta),
             lambda t, n: t**(-beta) * (-math.sqrt(n)) * np.exp(-t * math.sqrt(n)),
-            head=1.0 - beta, lead=lambda n: -math.sqrt(n), blowup=beta, tail_est=lambda big: 0.0,
+            head=1.0 - beta, lead=lambda n: -math.sqrt(n), blowup=beta,
         )
     if form != "kdiff":
         raise ValueError(f"unknown form {form!r}")
     k = smallest_k(beta)
     return _multiplier_integral(
-        "riesz_derivative_integral", pi0(f), tq, c_beta_k(beta, k),
+        pi0(f), c_beta_k(beta, k),
         lambda t, n: t ** (-beta - 1.0) * _orbit_difference_factor(t * math.sqrt(n), k),
-        head=k - beta, lead=lambda n: (-math.sqrt(n)) ** k, blowup=beta + 1.0, tail=beta,
+        head=k - beta, lead=lambda n: (-math.sqrt(n)) ** k, blowup=beta + 1.0, tail=beta, tail_lead=(-1.0) ** k,
     )
 
 
-def bessel_derivative_integral(
-    f: HermiteExpansion, beta: float, tq: TimeQuadrature | None = None
-) -> HermiteExpansion:
+def bessel_derivative_integral(f: HermiteExpansion, beta: float) -> HermiteExpansion:
     """Bessel derivative via (1/c^k_beta) int t^(-beta-1) (e^(-t) P_t - I)^k f dt.
 
     The damped orbit makes the order-n integrand t^(-beta-1)
@@ -262,7 +230,7 @@ def bessel_derivative_integral(
     _check_beta(beta)
     k = smallest_k(beta)
     return _multiplier_integral(
-        "bessel_derivative_integral", f, tq, c_beta_k(beta, k),
+        f, c_beta_k(beta, k),
         lambda t, n: t ** (-beta - 1.0) * _orbit_difference_factor(t * (1.0 + math.sqrt(n)), k),
-        head=k - beta, lead=lambda n: (-1.0 - math.sqrt(n)) ** k, blowup=beta + 1.0, tail=beta,
+        head=k - beta, lead=lambda n: (-1.0 - math.sqrt(n)) ** k, blowup=beta + 1.0, tail=beta, tail_lead=(-1.0) ** k,
     )

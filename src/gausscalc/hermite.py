@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -29,7 +28,6 @@ __all__ = [
     "MultiIndex",
     "HermiteExpansion",
     "GaussHermiteGrid",
-    "QuadratureExactnessWarning",
     "gauss_hermite_grid",
     "hermite_eval",
     "hermite_values_1d",
@@ -44,10 +42,6 @@ __all__ = [
 ]
 
 MAX_NODES_PER_AXIS = 200
-
-
-class QuadratureExactnessWarning(UserWarning):
-    """A quadrature rule was used outside its polynomial exactness range."""
 
 
 class MultiIndex(tuple):
@@ -300,11 +294,6 @@ class GaussHermiteGrid:
     dimension: int
     nodes: np.ndarray
     weights: np.ndarray
-    nodes_per_axis: int
-
-    def exact_degree(self) -> int:
-        """Largest per-axis polynomial degree integrated exactly."""
-        return 2 * self.nodes_per_axis - 1
 
 
 def gauss_hermite_grid(d: int, m: int) -> GaussHermiteGrid:
@@ -330,7 +319,7 @@ def gauss_hermite_grid(d: int, m: int) -> GaussHermiteGrid:
         weights = w1
         for _ in range(d - 1):
             weights = np.outer(weights, w1).ravel()
-    return GaussHermiteGrid(d, nodes, weights, m)
+    return GaussHermiteGrid(d, nodes, weights)
 
 
 def default_grid(f: HermiteExpansion) -> GaussHermiteGrid:
@@ -339,21 +328,15 @@ def default_grid(f: HermiteExpansion) -> GaussHermiteGrid:
     return gauss_hermite_grid(f.dimension, m)
 
 
-def inner_product_gamma(f: HermiteExpansion, g: HermiteExpansion, grid: GaussHermiteGrid) -> float:
-    """<f, g>_gamma by quadrature; equals sum of coefficient products on exact grids.
+def inner_product_gamma(f: HermiteExpansion, g: HermiteExpansion) -> float:
+    """<f, g>_gamma by quadrature on the smallest exact grid.
 
-    Warns (QuadratureExactnessWarning) when the grid cannot integrate the
-    product exactly, i.e. m < (deg f + deg g)/2 + 1.
+    The m-point rule integrates degree 2m - 1 exactly, so m = (deg f + deg g)//2 + 1
+    nodes per axis reproduce the sum of coefficient products up to rounding.
     """
-    if f.dimension != g.dimension or f.dimension != grid.dimension:
-        raise ValueError("dimension mismatch between expansions and grid")
-    if f.degree + g.degree > grid.exact_degree():
-        warnings.warn(
-            f"grid with m={grid.nodes_per_axis} is not exact for degree "
-            f"{f.degree}+{g.degree}; result is approximate",
-            QuadratureExactnessWarning,
-            stacklevel=2,
-        )
+    if f.dimension != g.dimension:
+        raise ValueError("dimension mismatch between expansions")
+    grid = gauss_hermite_grid(f.dimension, max((f.degree + g.degree) // 2 + 1, 2))
     return float(np.dot(grid.weights, f.evaluate_many(grid.nodes) * g.evaluate_many(grid.nodes)))
 
 

@@ -83,24 +83,19 @@ def ou_mehler(f: HermiteExpansion, t: float, x, grid: GaussHermiteGrid) -> float
     return float(np.dot(grid.weights, f.evaluate_many(pts)))
 
 
-def ph_subordination(f: HermiteExpansion, t: float, x, grid: GaussHermiteGrid | None = None) -> float:
+def ph_subordination(f: HermiteExpansion, t: float, x) -> float:
     """P_t f(x) through the stable-measure average of T_s f(x).
 
     Computes sum_j m_j T_{s_j} f(x) + tail * mean(f) over the discretized
     measure; the far tail (huge s) is exact because T_s f -> mean(f) there.
-    T_s is evaluated spectrally by default; passing `grid` switches it to the
-    Mehler quadrature so the whole path is kernel-based.  Oracle for
-    ph_spectral.
+    T_s is evaluated spectrally, through the chaos values of f at x.  Oracle
+    for ph_spectral.
     """
     if t <= 0:
         raise ValueError("t must be > 0")
     s, masses, tail = SubordinationRule().stable_measure(t)
-    if grid is not None:
-        values = np.array([ou_mehler(f, sj, x, grid) for sj in s])
-    else:
-        g = f.chaos_values(x)
-        orders = np.arange(g.size)
-        values = np.exp(-np.outer(s, orders)) @ g
+    g = f.chaos_values(x)
+    values = np.exp(-np.outer(s, np.arange(g.size))) @ g
     return float(np.dot(masses, values) + tail * f.mean)
 
 

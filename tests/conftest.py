@@ -23,12 +23,6 @@ def family2d():
     return gen_family(seed=7, d=2, M=10, N=8)
 
 
-@pytest.fixture
-def h(request):
-    """Shorthand basis factory: h((2,)) etc."""
-    return HermiteExpansion.basis
-
-
 @pytest.fixture(scope="session")
 def mixed1d():
     # fixed mixed expansion used across modules: orders 0, 1, 2, 4

@@ -8,7 +8,6 @@ from scipy.special import gamma as gamma_fn
 
 from gausscalc import (
     HermiteExpansion,
-    TruncationWarning,
     bessel_derivative,
     bessel_derivative_integral,
     bessel_potential,
@@ -17,15 +16,12 @@ from gausscalc import (
     c_beta_k,
     forward_difference,
     l2_norm_coeffs,
-    log_time_rule,
     pi0,
     riesz_derivative,
     riesz_derivative_integral,
     riesz_potential,
     riesz_potential_integral,
-    smallest_k,
 )
-from gausscalc.timequad import TimeQuadrature
 
 H0 = HermiteExpansion.constant(1, 1.0)
 H1 = HermiteExpansion.basis((1,))
@@ -46,12 +42,6 @@ def rel_coeff_err(got, want):
 
 
 # -- orders and constants -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("beta,k", [(0.3, 1), (0.5, 1), (0.99, 1), (1.0, 2), (1.5, 2), (2.5, 3), (3.0, 4)])
-def test_k_rep_is_smallest_integer_strictly_greater(beta, k):
-    assert smallest_k(beta) == k
-    assert k - 1 <= beta < k
 
 
 @pytest.mark.parametrize("beta", (0.0, -0.5))
@@ -75,7 +65,8 @@ def test_c_half_is_minus_two_sqrt_pi():
     assert abs(c_beta(0.5) - (-2.0 * math.sqrt(math.pi))) < 1e-7
 
 
-@pytest.mark.parametrize("beta", (0.1, 0.3, 0.5, 0.7, 0.9))
+# below beta ~ 0.033 the window ends at u = e^700 and the rest of the tail is closed-form
+@pytest.mark.parametrize("beta", (0.01, 0.02, 0.03, 0.1, 0.3, 0.5, 0.7, 0.9))
 def test_c_beta_matches_gamma_and_is_negative(beta):
     val = c_beta(beta)
     assert val < 0.0
@@ -246,35 +237,17 @@ def test_riesz_derivative_integral_near_integer_order():
 def test_integral_paths_at_capped_windows(integral, spectral, beta):
     # each default window would reach t^(-1) overflow; capped, the dropped head is closed-form
     with warnings.catch_warnings():
-        warnings.simplefilter("error", TruncationWarning)
+        warnings.simplefilter("error")
         got = integral(MIX, beta)
     assert rel_coeff_err(got, spectral(MIX, beta)) < 1e-6
 
 
-def test_narrow_rule_warns():
-    narrow = TimeQuadrature(-3.0, 2.0, 64)
-    with pytest.warns(TruncationWarning):
-        riesz_potential_integral(H4, 0.5, tq=narrow)
-    with pytest.warns(TruncationWarning):
-        riesz_derivative_integral(H4, 0.5, tq=narrow)
-
-
-@pytest.mark.parametrize(
-    "integral",
-    [
-        riesz_potential_integral,
-        bessel_potential_integral,
-        riesz_derivative_integral,
-        bessel_derivative_integral,
-        lambda f, beta, tq: riesz_derivative_integral(f, beta, tq, form="parts"),
-    ],
-    ids=["riesz-potential", "bessel-potential", "riesz-derivative", "bessel-derivative", "riesz-parts"],
-)
-def test_truncation_warning_points_at_the_caller(integral):
-    narrow = TimeQuadrature(-3.0, 2.0, 64)
-    with pytest.warns(TruncationWarning) as record:
-        integral(H4, 0.5, narrow)
-    assert {w.filename for w in record} == {__file__}
+@pytest.mark.parametrize("beta", (0.01, 0.02, 0.03))
+def test_derivative_integrals_at_small_order(beta, family1d):
+    # the default window would end past e^709; clipped at e^700, the tail is closed-form
+    for f in [MIX, *family1d[:4]]:
+        assert rel_coeff_err(riesz_derivative_integral(f, beta), riesz_derivative(f, beta)) < 1e-10
+        assert rel_coeff_err(bessel_derivative_integral(f, beta), bessel_derivative(f, beta)) < 1e-10
 
 
 def test_integral_rejects_nonpositive_beta():
@@ -356,8 +329,3 @@ def test_difference_derivative_in_base(j):
         ) / h**2
     assert abs(fd - forward_difference(gj, s, k, t)) < 1e-6
 
-
-def test_wide_custom_rule_matches_default():
-    rule = log_time_rule(head_exponent=0.5, tail_exponent=0.5, step=0.01)
-    got = riesz_derivative_integral(H4, 0.5, tq=rule).coefficient((4,))
-    assert abs(got - math.sqrt(2.0)) < 1e-8

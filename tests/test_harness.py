@@ -287,6 +287,25 @@ def test_cli_verify_all_hypothesis_violation_is_usage_error(tmp_path, capsys):
     assert err.startswith("gausscalc: ") and "0 < beta < alpha < 1" in err
 
 
+@pytest.mark.parametrize("argv", [["run", "inversion"], ["verify-all"]], ids=["run", "verify-all"])
+def test_cli_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("family_size = 2\nmax_degree = 2\n")
+    out = tmp_path / "missing" / "rep.json"
+    assert cli_main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"gausscalc: cannot write {out}: ")
+
+
+def test_cli_derivative_at_small_order(tmp_path, capsys):
+    # beta = 0.02 puts the time rule's algebraic tail past e^709
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("alphas = 0.7\nbetas = 0.02\n")
+    out = tmp_path / "rep.json"
+    assert cli_main(["run", "riesz-derivative-bounded-lt1", "--config", str(cfg), "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["difference-path-agreement[beta=0.02]"]["passed"]
+
+
 @pytest.mark.parametrize(
     "experiment,line", [("riesz-potential-bounded", "alphas = inf"), ("bessel-potential-bounded", "betas = inf")]
 )

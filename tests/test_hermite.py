@@ -10,7 +10,6 @@ from scipy.integrate import quad, simpson
 from gausscalc import (
     HermiteExpansion,
     MultiIndex,
-    QuadratureExactnessWarning,
     basis_matrix,
     chaos_project,
     gauss_hermite_grid,
@@ -169,25 +168,29 @@ def test_chaos_values_split_f_by_order():
 # -- inner products and norms ----------------------------------------------------------
 
 
-def test_orthonormality_1d(grid1d):
+def test_orthonormality_1d():
     for n in range(9):
         for m in range(9):
-            ip = inner_product_gamma(
-                HermiteExpansion.basis((n,)), HermiteExpansion.basis((m,)), grid1d
-            )
+            ip = inner_product_gamma(HermiteExpansion.basis((n,)), HermiteExpansion.basis((m,)))
             assert abs(ip - (1.0 if n == m else 0.0)) < 1e-12
 
 
-def test_mean_pairing_with_h0(grid1d, mixed1d):
-    ip = inner_product_gamma(HermiteExpansion.constant(1, 1.0), mixed1d, grid1d)
+def test_mean_pairing_with_h0(mixed1d):
+    ip = inner_product_gamma(HermiteExpansion.constant(1, 1.0), mixed1d)
     assert abs(ip - mixed1d.mean) < 1e-13
 
 
-def test_inexact_grid_warns():
-    f = HermiteExpansion.basis((8,))
-    small = gauss_hermite_grid(1, 4)
-    with pytest.warns(QuadratureExactnessWarning):
-        inner_product_gamma(f, f, small)
+def test_inner_product_sizes_its_own_exact_grid(family2d):
+    # m = (deg f + deg g)//2 + 1 nodes per axis reproduce the coefficient pairing
+    for f in family2d[:4]:
+        for g in family2d[:4]:
+            want = sum(c * g.coefficient(nu) for nu, c in f.coeffs.items())
+            assert abs(inner_product_gamma(f, g) - want) <= 1e-12 * l2_norm_coeffs(f) * l2_norm_coeffs(g)
+    h30 = HermiteExpansion.basis((30,))
+    assert abs(inner_product_gamma(h30, h30) - 1.0) < 1e-12
+    assert inner_product_gamma(HermiteExpansion.constant(1, 2.0), HermiteExpansion.constant(1, 3.0)) == pytest.approx(6.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        inner_product_gamma(h30, family2d[0])
 
 
 def test_lp_norm_of_constant(grid1d):
@@ -327,10 +330,10 @@ def test_pi0_examples():
     assert pi0(pi0(f)) == pi0(f)
 
 
-def test_pi0_zero_mean(mixed1d, grid1d):
+def test_pi0_zero_mean(mixed1d):
     g = pi0(mixed1d)
     assert g.mean == 0.0
-    assert abs(inner_product_gamma(HermiteExpansion.constant(1, 1.0), g, grid1d)) < 1e-12
+    assert abs(inner_product_gamma(HermiteExpansion.constant(1, 1.0), g)) < 1e-12
 
 
 # -- serialization -------------------------------------------------------------------------

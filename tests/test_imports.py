@@ -1,12 +1,19 @@
-"""No module in src/, tests/ or demos/ imports a name it never uses.
+"""Import hygiene of src/, tests/ and demos/.
 
-Stdlib `ast` only: every name an import statement binds must occur as a name
-elsewhere in the same file.  `__future__` imports are exempt, and so are the
-package `__init__` files, whose imports are the public re-exports.
+No module imports a name it never uses (stdlib `ast` only: every name an
+import statement binds must occur as a name elsewhere in the same file;
+`__future__` imports are exempt, and so are the package `__init__` files,
+whose imports are the public re-exports).  Every `__all__` entry of a
+gausscalc module resolves, and the package re-exports only names that are in
+their module's `__all__`.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
+
+import gausscalc
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +37,29 @@ def test_no_unused_imports():
     files = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
     assert files
     assert [hit for path in files for hit in unused_imports(path)] == []
+
+
+def _modules():
+    """Every submodule of the gausscalc package, imported."""
+    return [importlib.import_module(f"gausscalc.{m.name}") for m in pkgutil.iter_modules(gausscalc.__path__)]
+
+
+def test_every_all_entry_resolves():
+    # a stale entry would break `from gausscalc.<module> import *`
+    modules = _modules()
+    assert modules
+    stale = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
+    assert stale == []
+
+
+def test_package_reexports_only_public_names():
+    tree = ast.parse((ROOT / "src" / "gausscalc" / "__init__.py").read_text())
+    public = {m.__name__.rpartition(".")[2]: set(getattr(m, "__all__", ())) for m in _modules()}
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in public[node.module]
+    ]
+    assert private == []

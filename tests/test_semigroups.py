@@ -146,15 +146,6 @@ def test_subordination_agrees_with_spectral(family1d):
     assert worst <= 1e-6
 
 
-def test_subordination_through_mehler_route(grid1d, mixed1d):
-    # with a spatial grid supplied, the inner semigroup values come from the
-    # kernel quadrature instead of the multипliers; both routes must agree
-    x = [0.4]
-    spectral_route = ph_subordination(mixed1d, 0.9, x)
-    kernel_route = ph_subordination(mixed1d, 0.9, x, grid=grid1d)
-    assert abs(spectral_route - kernel_route) < 1e-9
-
-
 def test_subordination_rejects_t_zero():
     with pytest.raises(ValueError):
         ph_subordination(H1, 0.0, [0.0])
