@@ -17,7 +17,10 @@ Gauss-Hermite quadrature otherwise.  A norm curve over a time grid is one
 batched evaluation per route: at odd p in dimension 1 the sign-split
 integrals of all nodes are computed together (hermite._abs_moment_exact_1d),
 with relative errors of about 1e-15 at p = 1 up to 1e-11 at p = 5 and
-4e-10 at p = 7 in the worst cases found (see hermite.lp_norm).
+4e-10 at p = 7 in the worst cases found (see hermite.lp_norm); at even p
+it is one matmul on the same exact grid that lp_norm uses.  Every route
+scales each time node by a power of two, so the curve stays accurate at
+large t, where the p-th powers of its values would underflow.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from scipy.integrate import cumulative_simpson
 from .hermite import (
     HermiteExpansion,
     _abs_moment_exact_1d,
+    _abs_pow,
     basis_matrix,
     default_grid,
     lp_norm,
@@ -130,12 +134,15 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
 
     The orbit derivative has coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)), so
     the whole curve is a table of exponentials applied to the basis values.
+    Each time node's coefficients are first scaled by 2^(-e), which brings
+    the largest into [1/2, 1) without rounding, and its norm is scaled back
+    by 2^e, so that large t neither underflows nor returns NaN on any route.
     At odd integer p in d = 1 the (T, degree+1) coefficient table goes to
     hermite._abs_moment_exact_1d in one call: sign-split closed-form
-    integration for all nodes at once, each row scaled by a power of two so
-    that large t (coefficients near e^(-t sqrt(n))) neither underflows nor
-    returns NaN.  The other routes are the coefficient norm at p = 2 and
-    quadrature on default_grid(f) otherwise.
+    integration for all nodes at once.  The other routes are the coefficient
+    norm at p = 2 and quadrature on default_grid(f, p) otherwise: the exact
+    m = p*degree/2 + 1 grid of lp_norm at even p, m = 4*degree + 8 at odd p
+    in d = 2 and at non-integer p, with |.|^p taken in place.
     """
     _check_p(p)
     ts = np.asarray(ts, dtype=float)
@@ -143,17 +150,19 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
         return np.zeros(ts.shape)
     items = sorted(f.coeffs.items())
     coef_t = _orbit_table(items, k, ts)
+    expo = np.frexp(np.max(np.abs(coef_t), axis=0))[1]  # 0 for a zero column
+    np.ldexp(coef_t, -expo, out=coef_t)
     if p == 2:
-        return np.sqrt(np.sum(coef_t**2, axis=0))
+        return np.ldexp(np.sqrt(np.sum(coef_t**2, axis=0)), expo)
     p_int = int(round(p))
     if p == p_int and p_int % 2 == 1 and f.dimension == 1:
         rows = np.zeros((ts.size, f.degree + 1))
         rows[:, [nu[0] for nu, _ in items]] = coef_t.T
         m, e = _abs_moment_exact_1d(rows, p_int)
-        return np.ldexp(m ** (1.0 / p_int), e)
-    g = default_grid(f)
+        return np.ldexp(m ** (1.0 / p_int), e + expo)
+    g = default_grid(f, p)
     vals = basis_matrix([nu for nu, _ in items], g.nodes) @ coef_t  # (nodes, T)
-    return (g.weights @ np.abs(vals) ** p) ** (1.0 / p)
+    return np.ldexp((g.weights @ _abs_pow(vals, p)) ** (1.0 / p), expo)
 
 
 def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAULT_STEP) -> float:

@@ -13,6 +13,8 @@ or an unwritable --out.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .harness import emit_report, list_experiments, load_config, run_experiment, verify_all
@@ -48,6 +50,22 @@ def _config_from_args(args) -> "ExperimentConfig":
     return load_config(args.config, **overrides)
 
 
+def _unwritable(path: str) -> str | None:
+    """Why a report could not be written to path, or None if it looks writable.
+
+    Checked before any experiment runs, so a bad --out fails at once rather
+    than after the whole run; the write itself still handles OSError.
+    """
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    if not os.path.isdir(folder):
+        return os.strerror(errno.ENOENT)
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return os.strerror(errno.EACCES)
+    return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
@@ -58,6 +76,10 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
     except (OSError, ValueError) as exc:
         print(f"gausscalc: config error: {exc}", file=sys.stderr)
+        return 2
+    reason = _unwritable(cfg.out) if cfg.out else None
+    if reason:
+        print(f"gausscalc: cannot write {cfg.out}: {reason}", file=sys.stderr)
         return 2
     try:
         reports = [run_experiment(args.experiment, cfg)] if args.command == "run" else verify_all(cfg)

@@ -296,12 +296,14 @@ class GaussHermiteGrid:
     weights: np.ndarray
 
 
+@lru_cache(maxsize=32)
 def gauss_hermite_grid(d: int, m: int) -> GaussHermiteGrid:
     """Build the m-point-per-axis rule for gamma_d.
 
     The 1-d nodes/weights come from the symmetric tridiagonal (Golub-Welsch)
     eigenproblem for the exp(-x^2) weight; weights are divided by sqrt(pi) so
-    they sum to 1.  Tensorized to d dimensions: m^d nodes.
+    they sum to 1.  Tensorized to d dimensions: m^d nodes.  Grids are cached
+    and shared by every caller, so nodes and weights are read-only.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -312,20 +314,35 @@ def gauss_hermite_grid(d: int, m: int) -> GaussHermiteGrid:
     x1, w1 = hermgauss(m)
     w1 = w1 / math.sqrt(math.pi)
     if d == 1:
-        nodes = x1.reshape(-1, 1)
-        weights = w1.copy()
+        nodes, weights = x1.reshape(-1, 1), w1
     else:
         nodes = np.array(list(product(x1, repeat=d)))
         weights = w1
         for _ in range(d - 1):
             weights = np.outer(weights, w1).ravel()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return GaussHermiteGrid(d, nodes, weights)
 
 
-def default_grid(f: HermiteExpansion) -> GaussHermiteGrid:
-    """Grid sized for |f|^p at moderate p: m = 4 * degree + 8, capped per axis."""
-    m = min(max(4 * f.degree + 8, 13), MAX_NODES_PER_AXIS)
-    return gauss_hermite_grid(f.dimension, m)
+def _grid_size(degree: int, p: float) -> int:
+    """Nodes per axis for |f|^p with deg f = degree, capped at MAX_NODES_PER_AXIS.
+
+    At even integer p, |f|^p = f^p has degree p*degree and the m-point rule
+    integrates degree 2m - 1 exactly, so m = p*degree/2 + 1 is exact.  Any
+    other p gets m = 4*degree + 8 (at least 13), a rule for a non-polynomial
+    integrand.
+    """
+    if float(p).is_integer() and p % 2 == 0:
+        m = int(p) * degree // 2 + 1
+    else:
+        m = max(4 * degree + 8, 13)
+    return min(max(m, 2), MAX_NODES_PER_AXIS)
+
+
+def default_grid(f: HermiteExpansion, p: float) -> GaussHermiteGrid:
+    """The shared grid for |f|^p: exact at even integer p, m = 4*degree + 8 otherwise (_grid_size)."""
+    return gauss_hermite_grid(f.dimension, _grid_size(f.degree, p))
 
 
 def inner_product_gamma(f: HermiteExpansion, g: HermiteExpansion) -> float:
@@ -345,14 +362,38 @@ def l2_norm_coeffs(f: HermiteExpansion) -> float:
     return math.sqrt(sum(c * c for c in f.coeffs.values()))
 
 
+def _abs_pow(v: np.ndarray, p: float) -> np.ndarray:
+    """|v|^p, computed in place in v, which the caller owns; returns v.
+
+    Integer p multiplies by a copy of |v| p - 1 times (within p - 1 roundings
+    of the correctly rounded power, and several times faster than the float
+    power); any other p keeps np.power.
+    """
+    np.abs(v, out=v)
+    if not float(p).is_integer():
+        np.power(v, p, out=v)
+    elif p > 1:
+        base = v.copy()
+        for _ in range(int(p) - 1):
+            v *= base
+    return v
+
+
 def lp_norm_gamma(f: HermiteExpansion, p: float, grid: GaussHermiteGrid) -> float:
-    """(sum_i w_i |f(x_i)|^p)^(1/p) on the supplied grid."""
+    """(sum_i w_i |f(x_i)|^p)^(1/p) on the supplied grid.
+
+    The values are first scaled by 2^(-e), which brings the largest into
+    [1/2, 1) without rounding, and the norm is scaled back by 2^e, so tiny
+    expansions do not underflow when raised to the p-th power.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     if f.dimension != grid.dimension:
         raise ValueError("dimension mismatch between expansion and grid")
-    vals = np.abs(f.evaluate_many(grid.nodes))
-    return float(np.dot(grid.weights, vals**p) ** (1.0 / p))
+    vals = f.evaluate_many(grid.nodes)
+    expo = int(np.frexp(np.max(np.abs(vals)))[1])  # 0 for a zero expansion
+    total = np.dot(grid.weights, _abs_pow(np.ldexp(vals, -expo, out=vals), p))
+    return float(np.ldexp(total ** (1.0 / p), expo))
 
 
 @lru_cache(maxsize=None)
@@ -461,7 +502,8 @@ def lp_norm(f: HermiteExpansion, p: float) -> float:
     """L^p(gamma_d) norm with the most accurate available route.
 
     p = 2 uses the coefficient norm (exact).  Even integer p uses quadrature on
-    the m = p*degree/2 + 1 grid, exact for |f|^p = f^p.  Odd integer p in
+    the m = p*degree/2 + 1 grid, exact for |f|^p = f^p, which norm_curve
+    shares through the same size rule (_grid_size).  Odd integer p in
     d = 1 uses closed-form sign-split integration (Gauss-Hermite converges
     poorly across the kinks of |f|^p): the one-row case of the batched _abs_moment_exact_1d, which
     norm_curve runs over a whole time grid.  Against a 40-digit reference on
@@ -470,7 +512,9 @@ def lp_norm(f: HermiteExpansion, p: float) -> float:
     about 1e-15); inputs searched for the worst case reach 1e-11 at p = 5
     and 4e-10 at p = 7.  The loss at high p is cancellation in the power
     basis of f^p.  Everything else (odd p in d = 2, non-integer p) falls back
-    to plain quadrature on default_grid(f), m = 4*degree + 8.
+    to plain quadrature on default_grid(f, p), m = 4*degree + 8.  Both
+    quadrature routes go through lp_norm_gamma, which scales the values by a
+    power of two so tiny expansions do not underflow.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -480,15 +524,14 @@ def lp_norm(f: HermiteExpansion, p: float) -> float:
         return 0.0
     p_int = int(round(p))
     if p == p_int and p_int % 2 == 0:
-        m = min(max((p_int * f.degree) // 2 + 1, 2), MAX_NODES_PER_AXIS)
-        return lp_norm_gamma(f, p, gauss_hermite_grid(f.dimension, m))
+        return lp_norm_gamma(f, p, gauss_hermite_grid(f.dimension, _grid_size(f.degree, p)))
     if p == p_int and f.dimension == 1:
         row = np.zeros(f.degree + 1)
         for nu, c in f.coeffs.items():
             row[nu[0]] = c
         m, e = _abs_moment_exact_1d(row, p_int)
         return float(np.ldexp(m[0] ** (1.0 / p_int), e[0]))
-    return lp_norm_gamma(f, p, default_grid(f))
+    return lp_norm_gamma(f, p, default_grid(f, p))
 
 
 def chaos_project(f: HermiteExpansion, n: int) -> HermiteExpansion:

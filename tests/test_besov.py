@@ -188,8 +188,8 @@ def test_norm_curve_p1_and_p4(family1d):
     from gausscalc import time_derivative
 
     for p in (1.0, 3.0, 4.0):
-        # odd p also at large t, where ||.||_3^3 underflows while the norm does not
-        ts = np.array([0.3, 1.0, 50.0, 120.0, 200.0] if p != 4.0 else [0.3, 1.0])
+        # large t too, where ||.||_p^p underflows while the norm does not
+        ts = np.array([0.3, 1.0, 50.0, 120.0, 200.0])
         curve = norm_curve(f, 1, p, ts)
         for t, v in zip(ts, curve):
             direct = lp_norm(time_derivative(f, float(t), 1), p)
@@ -217,6 +217,40 @@ def test_norm_curve_regression_member_at_large_t():
         coeffs = [g.coefficient((n,)) for n in range(g.degree + 1)]
         ref = quad_lp_norm_1d(coeffs, params.p)
         assert abs(v - ref) / ref < 1e-10
+
+
+@pytest.mark.parametrize("p", (2.0, 3.0, 4.0, 1.5))
+@pytest.mark.parametrize("d", (1, 2))
+def test_norm_curve_does_not_underflow_at_large_t(d, p):
+    # at t = 120 and 200 the orbit derivative's coefficients are below 1e-80,
+    # so their p-th powers underflow unless each time node is rescaled
+    from gausscalc import time_derivative
+
+    f = gen_family(7, d, 3, 8)[0]
+    ts = np.array([50.0, 120.0, 200.0])
+    curve = norm_curve(f, 1, p, ts)
+    for t, v in zip(ts, curve):
+        g = time_derivative(f, float(t), 1)
+        s = -math.frexp(max(abs(c) for c in g.coeffs.values()))[1]  # 2^s g has top |coefficient| in [1/2, 1)
+        ref = math.ldexp(lp_norm(math.ldexp(1.0, s) * g, p), -s)
+        assert ref > 0.0
+        assert abs(v - ref) / ref < 1e-12
+
+
+@pytest.mark.parametrize("p", (4.0, 6.0))
+@pytest.mark.parametrize("d", (1, 2))
+def test_norm_curve_even_p_integrates_on_the_exact_grid(d, p):
+    # the m = p deg/2 + 1 grid of lp_norm, and the larger 4 deg + 8 grid agrees
+    from gausscalc import gauss_hermite_grid, lp_norm_gamma, time_derivative
+
+    k = 1
+    f = gen_family(7, d, 3, 8)[1]
+    big = gauss_hermite_grid(d, 4 * f.degree + 8)
+    ts = np.array([0.01, 0.3, 1.0, 5.0])
+    for t, v in zip(ts, norm_curve(f, k, p, ts)):
+        g = time_derivative(f, float(t), k)
+        assert abs(v - lp_norm(g, p)) / v < 1e-14
+        assert abs(v - lp_norm_gamma(g, p, big)) / v < 1e-13
 
 
 def test_norm_curve_rejects_large_p():

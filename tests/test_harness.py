@@ -296,6 +296,26 @@ def test_cli_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith(f"gausscalc: cannot write {out}: ")
 
 
+@pytest.mark.parametrize("argv", [["run", "inversion"], ["verify-all"]], ids=["run", "verify-all"])
+def test_cli_unwritable_out_fails_before_any_experiment(tmp_path, capsys, monkeypatch, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an experiment ran before --out was checked")
+
+    monkeypatch.setattr("gausscalc.harness.run_experiment", must_not_run)
+    monkeypatch.setattr("gausscalc.cli.run_experiment", must_not_run)
+    out = tmp_path / "missing" / "rep.json"
+    assert cli_main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"gausscalc: cannot write {out}: ")
+
+
+def test_cli_write_failure_after_the_run_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the directory vanishes between the check and the write
+    monkeypatch.setattr("gausscalc.cli._unwritable", lambda path: None)
+    out = tmp_path / "missing" / "rep.json"
+    assert cli_main(["run", "inversion", "--family-size", "2", "--max-degree", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"gausscalc: cannot write {out}: ")
+
+
 def test_cli_derivative_at_small_order(tmp_path, capsys):
     # beta = 0.02 puts the time rule's algebraic tail past e^709
     cfg = tmp_path / "c.cfg"

@@ -22,7 +22,7 @@ from gausscalc import (
     lp_norm_gamma,
     pi0,
 )
-from gausscalc.hermite import _abs_moment_exact_1d
+from gausscalc.hermite import _abs_moment_exact_1d, _abs_pow
 
 from reference import quad_lp_norm_1d
 
@@ -80,6 +80,15 @@ def test_grid_rejects_bad_arguments():
         gauss_hermite_grid(1, 1)
     with pytest.raises(ValueError):
         gauss_hermite_grid(1, 201)
+
+
+def test_grid_is_cached_and_read_only():
+    g = gauss_hermite_grid(2, 17)
+    assert gauss_hermite_grid(2, 17) is g
+    with pytest.raises(ValueError):
+        g.nodes[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.weights[0] = 1.0
 
 
 def test_grid_polynomial_exactness():
@@ -207,6 +216,24 @@ def test_h1_l4_norm(grid1d):
     # E[(sqrt(2) x)^4] = 4 E[x^4] = 3 under gamma_1, so the norm is 3^(1/4)
     want = 3.0 ** 0.25
     assert abs(lp_norm_gamma(HermiteExpansion.basis((1,)), 4.0, grid1d) - want) < 1e-12
+
+
+def test_lp_norm_gamma_does_not_underflow(grid1d):
+    # (1e-200 h_1)^4 underflows; the norm 1e-200 3^(1/4) does not
+    tiny = HermiteExpansion.basis((1,), 1e-200)
+    assert abs(lp_norm_gamma(tiny, 4.0, grid1d) / (1e-200 * 3.0**0.25) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1.5, 2.5])
+def test_abs_pow_matches_float_power(p):
+    rng = np.random.Generator(np.random.Philox(3))
+    v = rng.normal(size=(50, 40)) * np.exp(rng.uniform(-5.0, 5.0, size=(50, 40)))
+    want = np.abs(v) ** p
+    got = _abs_pow(v.copy(), p)
+    if p.is_integer():
+        assert np.max(np.abs(got - want) / want) < 1e-15
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_lp_norm_rejects_p_below_one(grid1d):
