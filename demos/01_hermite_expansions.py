@@ -36,7 +36,7 @@ xs = np.linspace(-2, 2, 5).reshape(-1, 1)
 print("f on a few points:", f.evaluate_many(xs))
 
 # L^p norms: p = 2 comes from the coefficients, p = 4 from exact quadrature,
-# p = 1 from closed-form sign-split integration (d = 1)
+# p = 1 from positive-weight pieces between the real roots (d = 1)
 for p in (1.0, 2.0, 4.0):
     print(f"||f||_{p:g} =", lp_norm(f, p))
 print("||f||_2 by plain quadrature:", lp_norm_gamma(f, 2.0, grid))

@@ -12,15 +12,15 @@ On finite expansions the time derivative of the Poisson orbit is exact, so the
 only approximations are the t-integral (log-trapezoid, window sized from the
 endpoint exponents) and, for p not 2, the spatial norm.  The spatial norm uses
 the coefficient norm at p = 2, exact polynomial quadrature at even integer p,
-closed-form sign-split integration at odd integer p in dimension 1, and plain
-Gauss-Hermite quadrature otherwise.  A norm curve over a time grid is one
-batched evaluation per route: at odd p in dimension 1 the sign-split
-integrals of all nodes are computed together (hermite._abs_moment_exact_1d),
-with relative errors of about 1e-15 at p = 1 up to 1e-11 at p = 5 and
-4e-10 at p = 7 in the worst cases found (see hermite.lp_norm); at even p
-it is one matmul on the same exact grid that lp_norm uses.  Every route
-scales each time node by a power of two, so the curve stays accurate at
-large t, where the p-th powers of its values would underflow.
+positive-weight Gauss-Legendre pieces between the real roots at odd integer p
+in dimension 1, and plain Gauss-Hermite quadrature otherwise.  A norm curve
+over a time grid is one batched evaluation per route: at odd p in dimension 1
+the piece integrals of all nodes are computed together
+(hermite._abs_moment_exact_1d), with relative errors of about 1e-15 at every
+odd p (see hermite.lp_norm); at even p it is one matmul on the same exact
+grid that lp_norm uses.  Every route scales each time node by a power of
+two, so the curve stays accurate at large t, where the p-th powers of its
+values would underflow.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .hermite import (
     HermiteExpansion,
     _abs_moment_exact_1d,
     _abs_pow,
+    _check_p,
     basis_matrix,
     default_grid,
     lp_norm,
@@ -78,8 +79,7 @@ class BesovParams:
     def __post_init__(self):
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        _check_p(self.p)
         if self.q < 1:
             raise ValueError("q must be >= 1 (or inf)")
         if self.k <= self.alpha:
@@ -114,13 +114,6 @@ class BesovResult:
         }
 
 
-def _check_p(p: float):
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if p > MAX_P:
-        raise ValueError(f"p = {p} beyond the supported range (p <= {MAX_P})")
-
-
 def _orbit_table(items, k: int, ts) -> np.ndarray:
     """(S, T) coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)) of u^(k)(., t), one row per item."""
     orders = np.array([nu.order for nu, _ in items], dtype=float)
@@ -138,13 +131,15 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
     the largest into [1/2, 1) without rounding, and its norm is scaled back
     by 2^e, so that large t neither underflows nor returns NaN on any route.
     At odd integer p in d = 1 the (T, degree+1) coefficient table goes to
-    hermite._abs_moment_exact_1d in one call: sign-split closed-form
-    integration for all nodes at once.  The other routes are the coefficient
+    hermite._abs_moment_exact_1d in one call: positive-weight pieces between
+    the real roots, for all nodes at once.  The other routes are the coefficient
     norm at p = 2 and quadrature on default_grid(f, p) otherwise: the exact
     m = p*degree/2 + 1 grid of lp_norm at even p, m = 4*degree + 8 at odd p
     in d = 2 and at non-integer p, with |.|^p taken in place.
     """
     _check_p(p)
+    if p > MAX_P:
+        raise ValueError(f"p = {p} beyond the supported range (p <= {MAX_P})")
     ts = np.asarray(ts, dtype=float)
     if not f.coeffs or (k >= 1 and f.degree == 0):
         return np.zeros(ts.shape)

@@ -219,6 +219,28 @@ def test_norm_curve_regression_member_at_large_t():
         assert abs(v - ref) / ref < 1e-10
 
 
+def test_norm_curve_odd_p_roots_at_large_t():
+    # at t >= 60 the scaled orbit derivative of this member is h_1 + 1e-14 h_2
+    # + ..., whose colleague-matrix root came out as 0.015625 instead of about
+    # 0; without a Newton polish the curve was off by up to 2.4e-4 relative
+    from gausscalc import time_derivative
+
+    f = gen_family(7, 1, 50, 8)[2]
+    ts = np.exp(np.arange(-20.0, 5.0, 0.0235))
+    late = ts >= 60.0
+    assert np.count_nonzero(late) >= 30
+    for t, v in zip(ts[late], norm_curve(f, 1, 1.0, ts)[late]):
+        g = time_derivative(f, float(t), 1)
+        ref = quad_lp_norm_1d([g.coefficient((n,)) for n in range(g.degree + 1)], 1.0)
+        assert abs(v - ref) / ref < 1e-12
+
+
+@pytest.mark.parametrize("p", (math.inf, math.nan))
+def test_norm_curve_rejects_non_finite_p(p):
+    with pytest.raises(ValueError, match=f"got p = {p}"):
+        norm_curve(MIX, 1, p, [0.5, 1.0])
+
+
 @pytest.mark.parametrize("p", (2.0, 3.0, 4.0, 1.5))
 @pytest.mark.parametrize("d", (1, 2))
 def test_norm_curve_does_not_underflow_at_large_t(d, p):

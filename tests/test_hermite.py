@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,19 @@ def test_basis_matrix_matches_hermite_eval(d):
             assert abs(phi[i, j] - want) <= 1e-12 * (1 + abs(want))
 
 
+@pytest.mark.parametrize("x", (15.0, 25.0, 30.0))
+def test_hermite_values_stay_finite_and_accurate_at_degree_200(x):
+    # the raw recurrence with a 1/sqrt(2^n n!) rescale overflowed at x = 25
+    # and 30 (15 and 25 non-finite entries).  h_n alone can sit near one of
+    # its zeros, so each error is measured against the pair (h_n, h_(n+1)),
+    # which never vanishes together
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.hermite(n, x) / mpmath.sqrt(2**n * mpmath.factorial(n))) for n in range(202)])
+    got = hermite_values_1d([x], 200)[0]
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - ref[:-1]) / np.hypot(ref[:-1], ref[1:])) < 1e-13
+
+
 def test_chaos_values_split_f_by_order():
     f = HermiteExpansion(2, {(0, 0): 0.3, (1, 0): -0.7, (0, 1): 0.2, (2, 1): 0.9, (0, 3): -0.4, (1, 3): 0.5})
     for x in ([0.3, -1.1], [1.7, 0.4], [-2.2, 2.5]):
@@ -259,7 +273,7 @@ def test_exact_l1_matches_adaptive_quadrature(mixed1d):
     assert abs(lp_norm(mixed1d, 1.0) - ref) < 1e-9
 
 
-ODD_P_TOL = {1: 1e-11, 3: 1e-11, 5: 1e-10, 7: 3e-9}
+ODD_P_TOL = 1e-13
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,15 +285,58 @@ ODD_P_TOL = {1: 1e-11, 3: 1e-11, 5: 1e-10, 7: 3e-9}
 )
 def test_odd_p_norm_matches_split_quadrature(lower, top, negative, p):
     # random degree 1-8 (the top coefficient is at least 0.1 in size) against
-    # an independent adaptive quadrature split at the real roots.  The bound
-    # grows with p because the route integrates f^p in the power basis, whose
-    # cancellation grows like a p-th power: a hypothesis search that maximised
-    # the error found up to 1.2e-15, 2.9e-13, 1.1e-11 and 4.2e-10 at
-    # p = 1, 3, 5, 7.
+    # an independent adaptive quadrature split at the real roots.  The route
+    # adds positive-weight Gauss-Legendre pieces between the roots, so no sum
+    # cancels and the error does not grow with p: a hypothesis search of 1500
+    # inputs per p that maximised the error found at most 1.4e-15, 8.9e-16,
+    # 1.6e-15 and 7.4e-16 at p = 1, 3, 5, 7 (the power-basis route it
+    # replaced reached 1.1e-11 at p = 5 and 4.2e-10 at p = 7).
     coeffs = lower + [-top if negative else top]
     f = HermiteExpansion(1, {(n,): c for n, c in enumerate(coeffs)})
     ref = quad_lp_norm_1d(coeffs, p)
-    assert abs(lp_norm(f, float(p)) - ref) / ref < ODD_P_TOL[p]
+    assert abs(lp_norm(f, float(p)) - ref) / ref < ODD_P_TOL
+
+
+@pytest.mark.parametrize("n", (16, 24, 32, 40))
+def test_odd_p_norm_holds_its_accuracy_at_high_degree(n):
+    # the power-basis route lost digits exponentially with degree here: up to
+    # 5e-11 at degree 16, 1e-7 at 24, 5e-4 at 32 and no correct digit at 40
+    for f in [HermiteExpansion.basis((n,))] + gen_family(7, 1, 60, n)[:3]:
+        coeffs = [f.coefficient((j,)) for j in range(f.degree + 1)]
+        for p in (1, 3, 5, 7):
+            ref = quad_lp_norm_1d(coeffs, p)
+            assert abs(lp_norm(f, float(p)) - ref) / ref < ODD_P_TOL
+
+
+def test_odd_p_norm_of_h200_is_finite_and_grows_with_p():
+    # at degree 200 the power basis returned 9.6e12 at p = 1 (the L^1 norm of
+    # an L^2-normalized function is at most 1) and NaN at p = 3; the
+    # reference overflows at p >= 3 here, so only p = 1 is compared with it
+    norms = [lp_norm(HermiteExpansion.basis((200,)), p) for p in (1.0, 3.0, 5.0)]
+    assert all(math.isfinite(v) for v in norms)
+    assert norms[0] <= norms[1] <= norms[2]
+    ref = quad_lp_norm_1d([0.0] * 200 + [1.0], 1.0)
+    assert abs(norms[0] - ref) / ref < ODD_P_TOL
+
+
+def test_odd_p_rows_do_not_depend_on_each_other():
+    # lp_norm (one row) and norm_curve (a whole time grid) share this kernel,
+    # so a row's value must be the same bits whatever rows come with it
+    rng = np.random.Generator(np.random.Philox(5))
+    rows = rng.normal(size=(40, 9)) * np.exp2(rng.integers(-300, 300, size=(40, 1)))
+    for p in (1, 3, 7):
+        m, e = _abs_moment_exact_1d(rows, p)
+        for i in range(rows.shape[0]):
+            mi, ei = _abs_moment_exact_1d(rows[i], p)
+            assert (mi[0], ei[0]) == (m[i], e[i])
+
+
+@pytest.mark.parametrize("p", (math.inf, math.nan))
+def test_norms_reject_non_finite_p(grid1d, p):
+    f = HermiteExpansion.basis((1,))
+    for call in (lambda: lp_norm(f, p), lambda: lp_norm_gamma(f, p, grid1d)):
+        with pytest.raises(ValueError, match=f"got p = {p}"):
+            call()
 
 
 def test_even_p_norm_is_exact(mixed1d):
@@ -304,7 +361,7 @@ def _sliced_lp_norm_2d(f: HermiteExpansion, p: int) -> float:
     """||f||_p,gamma_2 for odd p, exact in x_1 and composite Simpson in x_2.
 
     On the slice x_2 = y, f is the 1-d expansion with coefficients
-    sum_nu2 c_(nu1, nu2) h_nu2(y), whose |.|^p integral is the closed-form
+    sum_nu2 c_(nu1, nu2) h_nu2(y), whose |.|^p integral is the odd-p
     d = 1 route (checked against adaptive quadrature in
     test_odd_p_norm_matches_split_quadrature).  The slice integrals are
     integrated against gamma_1 over 4001 slices of [-9, 9]; doubling the
