@@ -17,10 +17,11 @@ in dimension 1, and plain Gauss-Hermite quadrature otherwise.  A norm curve
 over a time grid is one batched evaluation per route: at odd p in dimension 1
 the piece integrals of all nodes are computed together
 (hermite._abs_moment_exact_1d), with relative errors of about 1e-15 at every
-odd p (see hermite.lp_norm); at even p it is one matmul on the same exact
-grid that lp_norm uses.  Every route scales each time node by a power of
-two, so the curve stays accurate at large t, where the p-th powers of its
-values would underflow.
+odd p (see hermite.lp_norm); the quadrature routes (even p, on the same
+exact grid that lp_norm uses, and the rest) build the basis table once and
+walk the time grid in cache-sized blocks of TIME_BLOCK nodes.  Every route
+scales each time node by a power of two, so the curve stays accurate at
+large t, where the p-th powers of its values would underflow.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ __all__ = [
 ]
 
 MAX_P = 8.0
+# Time nodes per block of norm_curve's quadrature route: 400 KB of values at
+# d = 2, degree 8 (1600 nodes) stay in a 4 MiB L2 through |.|^p and the sum,
+# where the whole (nodes, T) table, 11 MB at T = 840, streams from memory.
+TIME_BLOCK = 32
 
 
 def smallest_k(alpha: float) -> int:
@@ -135,7 +140,9 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
     the real roots, for all nodes at once.  The other routes are the coefficient
     norm at p = 2 and quadrature on default_grid(f, p) otherwise: the exact
     m = p*degree/2 + 1 grid of lp_norm at even p, m = 4*degree + 8 at odd p
-    in d = 2 and at non-integer p, with |.|^p taken in place.
+    in d = 2 and at non-integer p.  Quadrature walks ts in blocks of
+    TIME_BLOCK nodes: values, |.|^p in place and the weighted sum, in two
+    buffers allocated once per call, so memory does not grow with ts.
     """
     _check_p(p)
     if p > MAX_P:
@@ -156,8 +163,19 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
         m, e = _abs_moment_exact_1d(rows, p_int)
         return np.ldexp(m ** (1.0 / p_int), e + expo)
     g = default_grid(f, p)
-    vals = basis_matrix([nu for nu, _ in items], g.nodes) @ coef_t  # (nodes, T)
-    return np.ldexp((g.weights @ _abs_pow(vals, p)) ** (1.0 / p), expo)
+    phi = basis_matrix([nu for nu, _ in items], g.nodes)
+    # The last block takes the remainder (TIME_BLOCK to 2 TIME_BLOCK - 1 nodes):
+    # OpenBLAS's gemv sums 1 to 3 columns in another order than the same
+    # columns of a wider block, and numpy multiplies 1 column by gemv.
+    edges = [0, *range(TIME_BLOCK, ts.size - TIME_BLOCK + 1, TIME_BLOCK), ts.size]
+    n = g.weights.size
+    size = n * max(np.diff(edges))
+    flat, scratch, out = np.empty(size), np.empty(size), np.empty(ts.size)
+    for a, b in zip(edges, edges[1:]):
+        vals = flat[: n * (b - a)].reshape(n, b - a)  # C-contiguous, unlike a column slice
+        np.matmul(phi, coef_t[:, a:b], out=vals)
+        out[a:b] = g.weights @ _abs_pow(vals, p, scratch[: vals.size].reshape(vals.shape))
+    return np.ldexp(out ** (1.0 / p), expo)
 
 
 def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAULT_STEP) -> float:

@@ -109,7 +109,9 @@ def basis_matrix(indices, points) -> np.ndarray:
 
 
 def hermite_eval(nu, x) -> float:
-    """h_nu(x) for a single multi-index, independent of the table machinery."""
+    """h_nu(x) for a single multi-index, independent of the table machinery:
+    the raw recurrence H_(n+1) = 2x H_n - 2n H_(n-1), rescaled by a power of
+    two at each step (H_200(30) ~ 1e355), its 2^e folded into 1/sqrt(2^n n!)."""
     nu = MultiIndex(nu)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != len(nu):
@@ -118,10 +120,12 @@ def hermite_eval(nu, x) -> float:
     for xi, ni in zip(x, nu):
         if ni == 0:
             continue
-        h_prev, h = 1.0, 2.0 * xi
+        h_prev, h, e = 1.0, 2.0 * xi, 0
         for n in range(1, ni):
             h_prev, h = h, 2.0 * xi * h - 2.0 * n * h_prev
-        out *= h * math.exp(-0.5 * (ni * math.log(2.0) + math.lgamma(ni + 1.0)))  # 1 / sqrt(2^n n!)
+            h, s = math.frexp(h)
+            h_prev, e = math.ldexp(h_prev, -s), e + s
+        out *= h * math.exp((e - 0.5 * ni) * math.log(2.0) - 0.5 * math.lgamma(ni + 1.0))
     return out
 
 
@@ -367,18 +371,19 @@ def _check_p(p: float):
         raise ValueError(f"p must be finite and >= 1, got p = {p}")
 
 
-def _abs_pow(v: np.ndarray, p: float) -> np.ndarray:
+def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None) -> np.ndarray:
     """|v|^p, computed in place in v, which the caller owns; returns v.
 
     Integer p multiplies by a copy of |v| p - 1 times (within p - 1 roundings
     of the correctly rounded power, and several times faster than the float
-    power); any other p keeps np.power.
+    power), into scratch (v's shape) if given; any other p keeps np.power.
     """
     np.abs(v, out=v)
     if not float(p).is_integer():
         np.power(v, p, out=v)
     elif p > 1:
-        base = v.copy()
+        base = np.empty_like(v) if scratch is None else scratch
+        np.copyto(base, v)
         for _ in range(int(p) - 1):
             v *= base
     return v

@@ -14,13 +14,15 @@ def quad_lp_norm_1d(coeffs, p: float) -> float:
 
     Independent of the package: g is evaluated with numpy's hermval, split at
     its sign changes on [-W, W] (bracketed on a 0.001 grid, refined by
-    brentq), and |g|^p e^(-x^2) / sqrt(pi) is integrated piecewise.  The
-    integrand peaks no further out than sqrt(p deg / 2) and decays like
-    e^(-2 (x - peak)^2) beyond it, so W = sqrt(p deg / 2) + 9 leaves out
-    less than e^(-160) relative.  The coefficients are scaled by their
-    largest magnitude first, so tiny expansions keep their digits, and the
-    normalization 1/sqrt(2^n n!) goes through lgamma, so it does not
-    overflow at high degree.
+    brentq), and (|g| e^(-x^2/p) / B)^p / sqrt(pi) is integrated piecewise,
+    with B the largest |g| e^(-x^2/p) on that grid multiplied back after the
+    root, so |g|^p does not overflow at high degree.  The integrand peaks
+    no further out than sqrt(p deg / 2) and decays like e^(-2 (x - peak)^2)
+    beyond it, so W = sqrt(p deg / 2) + 9 leaves out less than e^(-160)
+    relative.  The coefficients are scaled by their largest magnitude
+    first, so tiny expansions keep their digits, and the normalization
+    1/sqrt(2^n n!) goes through lgamma, so it does not overflow at high
+    degree.
     """
     c = np.asarray(coeffs, dtype=float)
     scale = float(np.max(np.abs(c)))
@@ -35,8 +37,9 @@ def quad_lp_norm_1d(coeffs, p: float) -> float:
     vals = g(xs)
     cuts = list(xs[vals == 0.0])
     cuts += [brentq(g, xs[i], xs[i + 1], xtol=1e-16) for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
+    big = float(np.max(np.abs(vals) * np.exp(-xs * xs / p)))
     val, _ = quad(
-        lambda x: abs(g(x)) ** p * math.exp(-x * x),
+        lambda x: (abs(g(x)) * math.exp(-x * x / p) / big) ** p,
         -half_width,
         half_width,
         points=sorted(cuts) or None,
@@ -44,4 +47,4 @@ def quad_lp_norm_1d(coeffs, p: float) -> float:
         epsrel=1e-13,
         limit=500,
     )
-    return scale * (val / math.sqrt(math.pi)) ** (1.0 / p)
+    return scale * big * (val / math.sqrt(math.pi)) ** (1.0 / p)

@@ -275,6 +275,35 @@ def test_norm_curve_even_p_integrates_on_the_exact_grid(d, p):
         assert abs(v - lp_norm_gamma(g, p, big)) / v < 1e-13
 
 
+@pytest.mark.parametrize("p", (1.0, 1.5, 3.0, 4.0))
+@pytest.mark.parametrize("d", (1, 2))
+def test_norm_curve_node_values_do_not_depend_on_the_blocks(d, p):
+    # the quadrature route walks the time grid in blocks; each node's value
+    # must not depend on the block it lands in, nor on the grid's length
+    f = gen_family(20260809, d, 3, 8)[2]
+    ts = np.exp(np.linspace(math.log(1e-6), math.log(50.0), 1553))
+    single = np.array([norm_curve(f, 1, p, ts[i : i + 1])[0] for i in range(ts.size)])
+    for size in (1, 2, 31, 32, 33, 34, 63, 64, 65, 1553):
+        curve = norm_curve(f, 1, p, ts[:size])
+        assert np.max(np.abs(curve - single[:size]) / single[:size]) < 4e-15
+
+
+def test_norm_curve_quadrature_memory_does_not_grow_with_t():
+    # the whole (nodes, T) value table took 79 MiB here; blocks of the time
+    # grid need a few hundred kB whatever T is
+    import tracemalloc
+
+    f = gen_family(20260809, 2, 1, 8)[0]
+    ts = np.exp(np.linspace(math.log(1e-6), math.log(50.0), 4000))
+    tracemalloc.start()
+    try:
+        norm_curve(f, 1, 3.0, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_norm_curve_rejects_large_p():
     with pytest.raises(ValueError):
         norm_curve(MIX, 1, 9.0, np.array([1.0]))

@@ -177,6 +177,14 @@ def test_hermite_values_stay_finite_and_accurate_at_degree_200(x):
     assert np.max(np.abs(got - ref[:-1]) / np.hypot(ref[:-1], ref[1:])) < 1e-13
 
 
+@pytest.mark.parametrize("x", (15.0, 25.0, 30.0))
+def test_hermite_eval_does_not_overflow_at_degree_200(x):
+    # H_200(30) ~ 1e355: the unscaled recurrence overflowed at x = 30
+    with mpmath.workdps(40):
+        ref = float(mpmath.hermite(200, x) / mpmath.sqrt(2**200 * mpmath.factorial(200)))
+    assert abs(hermite_eval((200,), x) - ref) / abs(ref) < 1e-12
+
+
 def test_chaos_values_split_f_by_order():
     f = HermiteExpansion(2, {(0, 0): 0.3, (1, 0): -0.7, (0, 1): 0.2, (2, 1): 0.9, (0, 3): -0.4, (1, 3): 0.5})
     for x in ([0.3, -1.1], [1.7, 0.4], [-2.2, 2.5]):
@@ -310,13 +318,14 @@ def test_odd_p_norm_holds_its_accuracy_at_high_degree(n):
 
 def test_odd_p_norm_of_h200_is_finite_and_grows_with_p():
     # at degree 200 the power basis returned 9.6e12 at p = 1 (the L^1 norm of
-    # an L^2-normalized function is at most 1) and NaN at p = 3; the
-    # reference overflows at p >= 3 here, so only p = 1 is compared with it
-    norms = [lp_norm(HermiteExpansion.basis((200,)), p) for p in (1.0, 3.0, 5.0)]
+    # an L^2-normalized function is at most 1) and NaN at p = 3
+    ps = (1.0, 3.0, 5.0)
+    norms = [lp_norm(HermiteExpansion.basis((200,)), p) for p in ps]
     assert all(math.isfinite(v) for v in norms)
     assert norms[0] <= norms[1] <= norms[2]
-    ref = quad_lp_norm_1d([0.0] * 200 + [1.0], 1.0)
-    assert abs(norms[0] - ref) / ref < ODD_P_TOL
+    for p, v in zip(ps, norms):
+        ref = quad_lp_norm_1d([0.0] * 200 + [1.0], p)
+        assert abs(v - ref) / ref < ODD_P_TOL
 
 
 def test_odd_p_rows_do_not_depend_on_each_other():
