@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .hermite import (
     HermiteExpansion,
@@ -143,6 +142,7 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
     in d = 2 and at non-integer p.  Quadrature walks ts in blocks of
     TIME_BLOCK nodes: values, |.|^p in place and the weighted sum, in two
     buffers allocated once per call, so memory does not grow with ts.
+    Every route returns an array shaped like ts.
     """
     _check_p(p)
     if p > MAX_P:
@@ -150,6 +150,11 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if not f.coeffs or (k >= 1 and f.degree == 0):
         return np.zeros(ts.shape)
+    return _flat_curve(f, k, p, ts.ravel()).reshape(ts.shape)
+
+
+def _flat_curve(f: HermiteExpansion, k: int, p: float, ts: np.ndarray) -> np.ndarray:
+    """norm_curve of a nonzero expansion on a 1-d grid ts."""
     items = sorted(f.coeffs.items())
     coef_t = _orbit_table(items, k, ts)
     expo = np.frexp(np.max(np.abs(coef_t), axis=0))[1]  # 0 for a zero column
@@ -274,6 +279,33 @@ def _log_slope(y0, y1, f0, f1):
     return math.log(f1 / f0) / math.log(y1 / y0)
 
 
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running integral of samples y over an increasing grid x, 0 at x[0] (len(x) >= 3).
+
+    Composite Simpson on unequal intervals: interval i gets the integral of
+    the parabola through its ends and the next node for even i ("h1"), the
+    previous node for odd i and the last interval ("h2"); then a running sum.
+    Same arithmetic, so the same bits, as
+    scipy.integrate.cumulative_simpson(y, x=x, initial=0.0).
+    """
+
+    def pieces(f, dx):  # over [x_i, x_(i+1)], the parabola through x_i, x_(i+1), x_(i+2)
+        x21, x32 = dx[:-1], dx[1:]
+        a = x21 / (x21 + x32)
+        b = a * (x21 / x32)
+        return x21 / 6 * ((3 - a) * f[:-2] + (3 + b + a) * f[1:-1] + -b * f[2:])
+
+    dx = np.diff(x)
+    h1 = pieces(y, dx)
+    h2 = pieces(y[::-1], dx[::-1])[::-1]
+    out = np.zeros(y.size)
+    sub = out[1:]
+    sub[:-1:2] = h1[::2]
+    sub[1::2] = h2[::2]
+    sub[-1] = h2[-1]
+    return np.cumsum(out)
+
+
 def hardy_check(f, p: float, r: float, kind: str):
     """Evaluate both sides of the weighted head/tail averaging inequality.
 
@@ -303,20 +335,19 @@ def hardy_check(f, p: float, r: float, kind: str):
     m0 = _log_slope(y[0], y[1], fv[0], fv[1])
     m_inf = -_log_slope(y[-2], y[-1], fv[-2], fv[-1])  # f ~ y^(-m_inf) at infinity
 
-    # cumulative integrals of f along the log grid (Simpson: the trapezoid's
-    # O(h^2) endpoint bias on exponential integrands is visible at 1e-6)
+    # cumulative integrals of f along the log grid, F from 0 for "head" and G
+    # to inf for "tail" (Simpson: the trapezoid's O(h^2) endpoint bias on
+    # exponential integrands is visible at 1e-6)
     inner = fv * y  # integrand of int f dy in the log variable
     v = np.log(y)
-    head_piece = 0.0 if math.isinf(m0) else fv[0] * y[0] / (m0 + 1.0)
-    F = head_piece + cumulative_simpson(inner, x=v, initial=0.0)
-    G = cumulative_simpson(inner[::-1], x=-v[::-1], initial=0.0)[::-1]
-
     if kind == "head":
         lhs_exp = p * (m0 + 1.0) - r  # local exponent of the lhs integrand at 0
         if (not math.isinf(m0)) and lhs_exp <= 1e-9:
             return math.inf, math.inf
         if (not math.isinf(m_inf)) and p * (1.0 - m_inf) - r >= -1e-9:
             return math.inf, math.inf  # f decays too slowly: both tails blow up
+        head_piece = 0.0 if math.isinf(m0) else fv[0] * y[0] / (m0 + 1.0)
+        F = head_piece + _cumulative_simpson(inner, v)
         lhs = float(np.dot(wy, F**p * y ** (-r - 1.0)))
         # the lhs integrand decays only like x^(-r-1) once the inner integral
         # saturates, so the truncated tail must be added in closed form
@@ -325,6 +356,7 @@ def hardy_check(f, p: float, r: float, kind: str):
         return lhs, rhs
     if (not math.isinf(m_inf)) and p * (1.0 - m_inf) + r >= -1e-9:
         return math.inf, math.inf  # both sides share the heavy-tail exponent
+    G = _cumulative_simpson(inner[::-1], -v[::-1])[::-1]
     lhs = float(np.dot(wy, G**p * y ** (r - 1.0)))
     lhs += G[0] ** p * y[0] ** r / r  # same saturation effect at the x -> 0 end
     rhs = (p / r) ** p * float(np.dot(wy, (y * fv) ** p * y ** (r - 1.0)))

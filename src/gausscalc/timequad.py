@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -42,17 +43,26 @@ class TimeQuadrature:
             raise ValueError("need n_points >= 16")
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """(t_j, w_j) with  int_0^inf g(t) dt  ~=  sum w_j g(t_j)."""
-        v = np.linspace(self.v_min, self.v_max, self.n_points)
-        dv = np.full(self.n_points, v[1] - v[0])
-        dv[0] *= 0.5
-        dv[-1] *= 0.5
-        t = np.exp(v)
-        return t, t * dv
+        """(t_j, w_j) with  int_0^inf g(t) dt  ~=  sum w_j g(t_j); cached and shared, so read-only."""
+        return _log_uniform_rule(self.v_min, self.v_max, self.n_points)
 
     def integrate(self, fn) -> float:
         t, w = self.nodes_weights()
         return float(np.dot(w, fn(t)))
+
+
+@lru_cache(maxsize=64)  # the default verify-all pass uses 30 windows
+def _log_uniform_rule(v_min: float, v_max: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t = e^v and trapezoid weights t dv of TimeQuadrature(v_min, v_max, n_points), read-only."""
+    v = np.linspace(v_min, v_max, n_points)
+    dv = np.full(n_points, v[1] - v[0])
+    dv[0] *= 0.5
+    dv[-1] *= 0.5
+    t = np.exp(v)
+    w = t * dv
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 def log_time_rule(

@@ -20,6 +20,8 @@ from gausscalc import (
     orbit_difference,
     smallest_k,
 )
+from gausscalc.besov import _cumulative_simpson
+from gausscalc.timequad import TimeQuadrature
 
 from reference import quad_lp_norm_1d
 
@@ -304,6 +306,28 @@ def test_norm_curve_quadrature_memory_does_not_grow_with_t():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize(
+    "f,p",
+    [
+        (MIX, 2.0),  # coefficient norm
+        (MIX, 3.0),  # odd-exact pieces
+        (MIX, 4.0),  # even p on the exact grid
+        (MIX, 1.5),  # quadrature
+        (HermiteExpansion(2, {(1, 0): 0.7, (2, 1): -0.4}), 3.0),  # quadrature in d = 2
+        (HermiteExpansion.zero(1), 3.0),
+        (CONST, 3.0),  # degree 0
+    ],
+)
+def test_norm_curve_returns_the_shape_of_ts(f, p):
+    ts = np.array([[0.1, 0.5], [1.0, 4.0]])
+    curve = norm_curve(f, 1, p, ts)
+    assert curve.shape == (2, 2)
+    assert np.array_equal(curve, norm_curve(f, 1, p, ts.ravel()).reshape(2, 2))
+    scalar = norm_curve(f, 1, p, 0.5)
+    assert scalar.shape == ()
+    assert scalar == norm_curve(f, 1, p, [0.5])[0]
+
+
 def test_norm_curve_rejects_large_p():
     with pytest.raises(ValueError):
         norm_curve(MIX, 1, 9.0, np.array([1.0]))
@@ -385,6 +409,20 @@ def test_hardy_divergent_tail_reports_inf():
     assert math.isinf(lhs) and math.isinf(rhs)
     lhs, rhs = hardy_check(heavy, 1.0, 0.5, "tail")  # convergent combo stays finite
     assert math.isfinite(lhs) and lhs <= rhs * (1 + 1e-6)
+
+
+def test_cumulative_simpson_is_bit_identical_to_scipy():
+    from scipy.integrate import cumulative_simpson
+
+    y, _ = TimeQuadrature(-40.0, 12.0, 5201).nodes_weights()  # hardy_check's grid
+    v = np.log(y)
+    inner = y**3 * np.exp(-y) / (1.0 + y)
+    cases = [(inner, v), (inner[::-1], -v[::-1])]  # the head and the tail integral
+    rng = np.random.default_rng(20260809)
+    for n in (3, 4, 5, 1000):
+        cases.append((rng.normal(size=n), np.cumsum(rng.uniform(0.01, 1.0, n))))
+    for samples, x in cases:
+        assert np.array_equal(_cumulative_simpson(samples, x), cumulative_simpson(samples, x=x, initial=0.0))
 
 
 def test_hardy_rejects_bad_arguments():

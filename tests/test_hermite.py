@@ -23,7 +23,7 @@ from gausscalc import (
     lp_norm_gamma,
     pi0,
 )
-from gausscalc.hermite import _abs_moment_exact_1d, _abs_pow
+from gausscalc.hermite import _abs_moment_exact_1d, _abs_pow, _gauss_legendre
 
 from reference import quad_lp_norm_1d
 
@@ -177,9 +177,10 @@ def test_hermite_values_stay_finite_and_accurate_at_degree_200(x):
     assert np.max(np.abs(got - ref[:-1]) / np.hypot(ref[:-1], ref[1:])) < 1e-13
 
 
-@pytest.mark.parametrize("x", (15.0, 25.0, 30.0))
+@pytest.mark.parametrize("x", (15.0, 25.0, 30.0, 2.225073858507203e-309))
 def test_hermite_eval_does_not_overflow_at_degree_200(x):
-    # H_200(30) ~ 1e355: the unscaled recurrence overflowed at x = 30
+    # H_200(30) ~ 1e355: the unscaled recurrence overflowed at x = 30; at a
+    # subnormal x, H_odd ~ x made a rescaling by H_n alone send H_(n-1) to inf
     with mpmath.workdps(40):
         ref = float(mpmath.hermite(200, x) / mpmath.sqrt(2**200 * mpmath.factorial(200)))
     assert abs(hermite_eval((200,), x) - ref) / abs(ref) < 1e-12
@@ -326,6 +327,28 @@ def test_odd_p_norm_of_h200_is_finite_and_grows_with_p():
     for p, v in zip(ps, norms):
         ref = quad_lp_norm_1d([0.0] * 200 + [1.0], p)
         assert abs(v - ref) / ref < ODD_P_TOL
+
+
+@pytest.mark.parametrize("m", [1, 2, 9, 12, 20, 44, 100, 508])
+def test_gauss_legendre_rule_matches_mpmath(m):
+    # m = 508 is the rule of the odd-p pieces at degree 200, p = 5
+    x, w = _gauss_legendre(m)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.all(w > 0)
+    assert abs(w.sum() - 2.0) <= 1e-15
+    picks = np.arange(m // 2, m)  # the nonnegative nodes; the rest are their mirror images
+    if m > 100:  # 40-digit Newton costs about 10 ms per node here: the 16 outermost and every 16th
+        picks = np.union1d(picks[::16], picks[-16:])
+    with mpmath.workdps(40):
+        for i in picks:
+            r = mpmath.mpf(float(x[i]))
+            for _ in range(2):  # from a 1e-16 start, two Newton steps reach 40 digits
+                p_prev, p = mpmath.mpf(1), r
+                for j in range(1, m):
+                    p_prev, p = p, ((2 * j + 1) * r * p - j * p_prev) / (j + 1)
+                dp = m * (r * p - p_prev) / (r * r - 1)
+                r -= p / dp
+            assert abs(float(r - x[i])) <= 2e-16
+            assert abs(float((2 / ((1 - r * r) * dp * dp) - w[i]) / w[i])) <= 1e-14 * m
 
 
 def test_odd_p_rows_do_not_depend_on_each_other():

@@ -5,12 +5,18 @@ import statement binds must occur as a name elsewhere in the same file;
 `__future__` imports are exempt, and so are the package `__init__` files,
 whose imports are the public re-exports).  Every `__all__` entry of a
 gausscalc module resolves, and the package re-exports only names that are in
-their module's `__all__`.
+their module's `__all__`.  The package runs on numpy and scipy.special
+alone: a fresh interpreter that imports the command line and runs the odd-p
+norm, the averaging inequality and the oracles experiment never loads
+scipy.integrate, scipy.optimize or scipy.linalg.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import gausscalc
@@ -63,3 +69,24 @@ def test_package_reexports_only_public_names():
         if alias.name not in public[node.module]
     ]
     assert private == []
+
+
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
+
+
+def test_package_imports_only_numpy_and_scipy_special():
+    code = """
+import sys
+import numpy as np
+import gausscalc.cli
+from gausscalc import ExperimentConfig, HermiteExpansion, hardy_check, lp_norm, run_experiment
+assert lp_norm(HermiteExpansion(1, {(1,): 1.0, (3,): -0.5}), 3.0) > 0
+assert hardy_check(lambda y: y * np.exp(-y), 2.0, 1.0, "head")[0] > 0
+assert run_experiment("oracles", ExperimentConfig(family_size=3, max_degree=4)).passed
+print(" ".join(m for m in %r if m in sys.modules))
+""" % (HEAVY_SCIPY,)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""

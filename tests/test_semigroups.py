@@ -17,6 +17,7 @@ from gausscalc import (
     ph_subordination,
     time_derivative,
 )
+from gausscalc.harness import _kernel_mass
 
 H1 = HermiteExpansion.basis((1,))
 H2 = HermiteExpansion.basis((2,))
@@ -158,6 +159,8 @@ def test_subordination_rejects_t_zero():
 def test_kernel_mass(t):
     mass, err = quad(lambda y: ph_kernel(t, 0.0, y), -np.inf, np.inf, limit=200)
     assert abs(mass - 1.0) < 1e-6
+    # the fixed rule of the oracles experiment's kernel-mass check
+    assert abs(_kernel_mass(t) - mass) < 1e-14
 
 
 def test_kernel_first_moment_matches_spectral():

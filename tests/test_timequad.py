@@ -23,6 +23,17 @@ def test_exponential_moments(kind, n):
     assert abs(rule.integrate(lambda t: t**4 * np.exp(-t)) - 24.0) < 1e-7
 
 
+def test_rules_are_cached_and_read_only():
+    t, w = TimeQuadrature(-16.0, 7.0, 1151).nodes_weights()
+    again = TimeQuadrature(-16.0, 7.0, 1151).nodes_weights()
+    assert again[0] is t and again[1] is w
+    assert SubordinationRule(-16.0, 7.0, 1151).nodes_weights()[0] is t  # keyed by the window, not the class
+    with pytest.raises(ValueError):
+        t[0] = 1.0
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
 def test_log_rule_head_adaptation():
     # head exponent 0.3: the default window -16 would truncate ~1e-2 of mass
     rule = log_time_rule(head_exponent=0.3)
