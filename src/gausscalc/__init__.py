@@ -18,7 +18,6 @@ from .besov import (
     besov_seminorm,
     hardy_check,
     kdecay_report,
-    lip_alpha_norm,
     norm_curve,
     smallest_k,
 )
@@ -51,7 +50,6 @@ from .hermite import (
     chaos_project,
     default_grid,
     gauss_hermite_grid,
-    hermite_eval,
     hermite_values_1d,
     inner_product_gamma,
     l2_norm_coeffs,

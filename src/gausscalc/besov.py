@@ -19,9 +19,10 @@ the piece integrals of all nodes are computed together
 (hermite._abs_moment_exact_1d), with relative errors of about 1e-15 at every
 odd p (see hermite.lp_norm); the quadrature routes (even p, on the same
 exact grid that lp_norm uses, and the rest) build the basis table once and
-walk the time grid in cache-sized blocks of TIME_BLOCK nodes.  Every route
-scales each time node by a power of two, so the curve stays accurate at
-large t, where the p-th powers of its values would underflow.
+hand the whole coefficient table to hermite._quadrature_norms, the kernel
+behind lp_norm_gamma too.  Every route scales each time node by a power of
+two, so the curve stays accurate at large t, where the p-th powers of its
+values would underflow, and at high degree, where they would overflow.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 from .hermite import (
     HermiteExpansion,
     _abs_moment_exact_1d,
-    _abs_pow,
     _check_p,
+    _quadrature_norms,
     basis_matrix,
     default_grid,
     lp_norm,
@@ -52,16 +53,11 @@ __all__ = [
     "besov_seminorm",
     "ak_constant",
     "besov_norm",
-    "lip_alpha_norm",
     "hardy_check",
     "kdecay_report",
 ]
 
 MAX_P = 8.0
-# Time nodes per block of norm_curve's quadrature route: 400 KB of values at
-# d = 2, degree 8 (1600 nodes) stay in a 4 MiB L2 through |.|^p and the sum,
-# where the whole (nodes, T) table, 11 MB at T = 840, streams from memory.
-TIME_BLOCK = 32
 
 
 def smallest_k(alpha: float) -> int:
@@ -139,10 +135,12 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
     the real roots, for all nodes at once.  The other routes are the coefficient
     norm at p = 2 and quadrature on default_grid(f, p) otherwise: the exact
     m = p*degree/2 + 1 grid of lp_norm at even p, m = 4*degree + 8 at odd p
-    in d = 2 and at non-integer p.  Quadrature walks ts in blocks of
-    TIME_BLOCK nodes: values, |.|^p in place and the weighted sum, in two
-    buffers allocated once per call, so memory does not grow with ts.
-    Every route returns an array shaped like ts.
+    in d = 2 and at non-integer p.  Quadrature is one call of
+    hermite._quadrature_norms, the kernel of lp_norm_gamma, on the whole
+    coefficient table: it walks ts in blocks of TIME_BLOCK nodes, so memory
+    does not grow with ts, and scales each node again so that the p-th
+    powers do not overflow at high degree.  Every route returns an array
+    shaped like ts.
     """
     _check_p(p)
     if p > MAX_P:
@@ -169,18 +167,7 @@ def _flat_curve(f: HermiteExpansion, k: int, p: float, ts: np.ndarray) -> np.nda
         return np.ldexp(m ** (1.0 / p_int), e + expo)
     g = default_grid(f, p)
     phi = basis_matrix([nu for nu, _ in items], g.nodes)
-    # The last block takes the remainder (TIME_BLOCK to 2 TIME_BLOCK - 1 nodes):
-    # OpenBLAS's gemv sums 1 to 3 columns in another order than the same
-    # columns of a wider block, and numpy multiplies 1 column by gemv.
-    edges = [0, *range(TIME_BLOCK, ts.size - TIME_BLOCK + 1, TIME_BLOCK), ts.size]
-    n = g.weights.size
-    size = n * max(np.diff(edges))
-    flat, scratch, out = np.empty(size), np.empty(size), np.empty(ts.size)
-    for a, b in zip(edges, edges[1:]):
-        vals = flat[: n * (b - a)].reshape(n, b - a)  # C-contiguous, unlike a column slice
-        np.matmul(phi, coef_t[:, a:b], out=vals)
-        out[a:b] = g.weights @ _abs_pow(vals, p, scratch[: vals.size].reshape(vals.shape))
-    return np.ldexp(out ** (1.0 / p), expo)
+    return np.ldexp(_quadrature_norms(phi, coef_t, p, g.weights), expo)
 
 
 def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAULT_STEP) -> float:
@@ -243,31 +230,6 @@ def besov_norm(f: HermiteExpansion, params: BesovParams) -> BesovResult:
         return BesovResult(lp_part, None, ak, lp_part + ak, params)
     semi = besov_seminorm(f, params)
     return BesovResult(lp_part, semi, None, lp_part + semi, params)
-
-
-def lip_alpha_norm(f: HermiteExpansion, alpha: float, box_half_width: float = 6.0, points_per_axis: int = 241):
-    """Lipschitz-type norm: the (p, q) = (inf, inf) analogue on a compact box.
-
-    True essential suprema over R^d are meaningless for polynomials, which are
-    unbounded; this alias replaces them by suprema over [-R, R]^d and is meant
-    for bounded test functions only.  Returns (sup_part, ak_part, total).
-    """
-    k = smallest_k(alpha)
-    axes = [np.linspace(-box_half_width, box_half_width, points_per_axis)] * f.dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    sup_part = float(np.max(np.abs(f.evaluate_many(pts))))
-    items = sorted(f.coeffs.items())
-    if not items or f.degree == 0:
-        return sup_part, 0.0, sup_part
-    phi = basis_matrix([nu for nu, _ in items], pts)
-
-    def supremand(ts):
-        sup_x = np.max(np.abs(phi @ _orbit_table(items, k, ts)), axis=0)
-        return ts ** (k - alpha) * sup_x
-
-    ak = _grid_sup(supremand, sup_grid())
-    return sup_part, ak, sup_part + ak
 
 
 # -- weighted averaging inequalities ----------------------------------------------

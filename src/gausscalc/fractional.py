@@ -187,31 +187,14 @@ def bessel_potential_integral(f: HermiteExpansion, beta: float) -> HermiteExpans
     )
 
 
-def riesz_derivative_integral(f: HermiteExpansion, beta: float, form: str = "kdiff") -> HermiteExpansion:
-    """Riesz derivative by quadrature of its singular-integral representations.
+def riesz_derivative_integral(f: HermiteExpansion, beta: float) -> HermiteExpansion:
+    """Riesz derivative via (1/c^k_beta) int t^(-beta-1) (P_t - I)^k f dt, k smallest integer > beta.
 
-    form "kdiff" (default, any beta > 0):
-        (1/c^k_beta) int t^(-beta-1) (P_t - I)^k f dt,  k smallest integer > beta,
-    with (P_t - I)^k expanded as the k-th forward difference of the orbit; the
+    (P_t - I)^k is expanded as the k-th forward difference of the orbit; the
     order-n integrand is t^(-beta-1) (e^(-t sqrt(n)) - 1)^k, integrable near 0
     since k > beta.
-
-    form "parts" (0 < beta < 1 only):
-        (1/(beta c_beta)) int t^(-beta) d/dt P_t f dt,
-    the integration-by-parts variant; stated for twice-differentiable bounded
-    functions, it holds per chaos order and is verified there.
     """
     _check_beta(beta)
-    if form == "parts":
-        if beta >= 1:
-            raise ValueError("the integration-by-parts form needs 0 < beta < 1")
-        return _multiplier_integral(
-            f, beta * c_beta(beta),
-            lambda t, n: t**(-beta) * (-math.sqrt(n)) * np.exp(-t * math.sqrt(n)),
-            head=1.0 - beta, lead=lambda n: -math.sqrt(n), blowup=beta,
-        )
-    if form != "kdiff":
-        raise ValueError(f"unknown form {form!r}")
     k = smallest_k(beta)
     return _multiplier_integral(
         pi0(f), c_beta_k(beta, k),

@@ -8,8 +8,11 @@ exp(-x^2)) normalized so that
 
 Finite expansions (sparse maps multi-index -> coefficient) are the single function
 representation used by the rest of the package; point samples appear only inside
-quadrature loops.  All objects are immutable after construction and all operations
-are pure functions, so they are safe to share across workers.
+quadrature loops.  The Gauss-Hermite sum of |f|^p has one implementation,
+_quadrature_norms, which takes a whole table of coefficient columns: lp_norm_gamma
+is its one-column call and besov.norm_curve runs it over a time grid.  All objects
+are immutable after construction and all operations are pure functions, so they
+are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "HermiteExpansion",
     "GaussHermiteGrid",
     "gauss_hermite_grid",
-    "hermite_eval",
     "hermite_values_1d",
     "basis_matrix",
     "inner_product_gamma",
@@ -105,29 +107,6 @@ def basis_matrix(indices, points) -> np.ndarray:
         for i, ni in enumerate(nu):
             phi[:, col] *= tables[i][:, ni]
     return phi
-
-
-def hermite_eval(nu, x) -> float:
-    """h_nu(x) for a single multi-index, independent of the table machinery:
-    the raw recurrence H_(n+1) = 2x H_n - 2n H_(n-1), rescaled by a power of
-    two at each step (H_200(30) ~ 1e355), its 2^e folded into 1/sqrt(2^n n!).
-    The power of two brings the larger of the two values into [1/2, 1), so
-    a value near a root (H_3 at x = 1e-309) cannot push the other to inf."""
-    nu = MultiIndex(nu)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != len(nu):
-        raise ValueError(f"point has dimension {x.size}, index has {len(nu)}")
-    out = 1.0
-    for xi, ni in zip(x, nu):
-        if ni == 0:
-            continue
-        h_prev, h, e = 1.0, 2.0 * xi, 0
-        for n in range(1, ni):
-            h_prev, h = h, 2.0 * xi * h - 2.0 * n * h_prev
-            s = math.frexp(max(abs(h), abs(h_prev)))[1]
-            h, h_prev, e = math.ldexp(h, -s), math.ldexp(h_prev, -s), e + s
-        out *= h * math.exp((e - 0.5 * ni) * math.log(2.0) - 0.5 * math.lgamma(ni + 1.0))
-    return out
 
 
 class HermiteExpansion:
@@ -390,20 +369,49 @@ def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None) -> np.n
     return v
 
 
-def lp_norm_gamma(f: HermiteExpansion, p: float, grid: GaussHermiteGrid) -> float:
-    """(sum_i w_i |f(x_i)|^p)^(1/p) on the supplied grid.
+# Columns per block of _quadrature_norms: 400 KB of values at d = 2, degree 8
+# (1600 nodes) stay in a 4 MiB L2 through |.|^p and the sum, where the whole
+# (nodes, T) table, 11 MB at T = 840, streams from memory.
+TIME_BLOCK = 32
 
-    The values are first scaled by 2^(-e), which brings the largest into
-    [1/2, 1) without rounding, and the norm is scaled back by 2^e, so tiny
-    expansions do not underflow when raised to the p-th power.
+
+def _quadrature_norms(phi: np.ndarray, coef: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
+    """(weights @ |phi @ coef[:, t]|^p)^(1/p) for every column t of an (S, T) coefficient table.
+
+    phi is the (nodes, S) basis table of a Gauss-Hermite grid and weights
+    are its weights: the one Gauss-Hermite |f|^p sum of the package.  Column
+    t is scaled by 2^(-e_t), which brings the bound
+    sum_j |coef[j, t]| max_i |phi[i, j]| on its values into [1/2, 1) without
+    rounding, and its norm is scaled back by 2^(e_t): every value is at most
+    1 in size, so neither the values nor their p-th powers overflow at high
+    degree, and tiny columns do not underflow.  The columns go in blocks of
+    TIME_BLOCK: values, |.|^p in place and the weighted sum, in two buffers
+    allocated once per call, so memory does not grow with T.
     """
+    expo = np.frexp(np.max(np.abs(phi), axis=0) @ np.abs(coef))[1]  # 0 for a zero column
+    coef = np.ldexp(coef, -expo)
+    # The last block takes the remainder (TIME_BLOCK to 2 TIME_BLOCK - 1 columns):
+    # OpenBLAS's gemv sums 1 to 3 columns in another order than the same
+    # columns of a wider block, and numpy multiplies 1 column by gemv.
+    cols = coef.shape[1]
+    edges = [0, *range(TIME_BLOCK, cols - TIME_BLOCK + 1, TIME_BLOCK), cols]
+    n = weights.size
+    size = n * max(np.diff(edges))
+    flat, scratch, out = np.empty(size), np.empty(size), np.empty(cols)
+    for a, b in zip(edges, edges[1:]):
+        vals = flat[: n * (b - a)].reshape(n, b - a)  # C-contiguous, unlike a column slice
+        np.matmul(phi, coef[:, a:b], out=vals)
+        out[a:b] = weights @ _abs_pow(vals, p, scratch[: vals.size].reshape(vals.shape))
+    return np.ldexp(out ** (1.0 / p), expo)
+
+
+def lp_norm_gamma(f: HermiteExpansion, p: float, grid: GaussHermiteGrid) -> float:
+    """(sum_i w_i |f(x_i)|^p)^(1/p) on the supplied grid: the one-column call of _quadrature_norms."""
     _check_p(p)
     if f.dimension != grid.dimension:
         raise ValueError("dimension mismatch between expansion and grid")
-    vals = f.evaluate_many(grid.nodes)
-    expo = int(np.frexp(np.max(np.abs(vals)))[1])  # 0 for a zero expansion
-    total = np.dot(grid.weights, _abs_pow(np.ldexp(vals, -expo, out=vals), p))
-    return float(np.ldexp(total ** (1.0 / p), expo))
+    coef = np.fromiter(f.coeffs.values(), float, len(f.coeffs)).reshape(-1, 1)
+    return float(_quadrature_norms(basis_matrix(f.coeffs, grid.nodes), coef, p, grid.weights)[0])
 
 
 def _real_roots_rows(c: np.ndarray, bound: float) -> np.ndarray:
@@ -558,8 +566,9 @@ def lp_norm(f: HermiteExpansion, p: float) -> float:
     degree <= 8 found at most 1.6e-15 relative for p = 1, 3, 5, 7, and
     degrees 16 to 40 stay within 1e-14.  Everything else (odd p in d = 2,
     non-integer p) falls back to plain quadrature on default_grid(f, p),
-    m = 4*degree + 8.  Both quadrature routes go through lp_norm_gamma, which
-    scales the values by a power of two so tiny expansions do not underflow.
+    m = 4*degree + 8.  Both quadrature routes go through lp_norm_gamma, the
+    one-column call of _quadrature_norms, which scales by a power of two so
+    that high degree does not overflow and tiny expansions do not underflow.
     """
     _check_p(p)
     if p == 2:

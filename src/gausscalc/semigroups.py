@@ -99,35 +99,44 @@ def ph_subordination(f: HermiteExpansion, t: float, x) -> float:
     return float(np.dot(masses, values) + tail * f.mean)
 
 
+# Points per block of ph_kernel: each (4096, KERNEL_BLOCK) temporary of the
+# Mehler densities is 512 KB, where the 161 points of the kernel-mass rule in
+# one block would add about 15 MB to peak memory.
+KERNEL_BLOCK = 16
+
+
 def _mehler_density(s: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mehler kernel of T_s as a density in y (Lebesgue), vectorized over s."""
+    """Mehler kernel of T_s as a density in y (Lebesgue): (S, Y) for s of shape (S,) and points y (Y, d)."""
     d = x.size
-    r = np.exp(-s)
-    one_m = -np.expm1(-2.0 * s)  # 1 - e^(-2s), accurate for small s
-    diff2 = np.sum((y[None, :] - r[:, None] * x[None, :]) ** 2, axis=1)
+    r = np.exp(-s)[:, None]
+    one_m = -np.expm1(-2.0 * s)[:, None]  # 1 - e^(-2s), accurate for small s
+    diff2 = np.sum((y[None, :, :] - r[:, :, None] * x) ** 2, axis=2)
     return np.exp(-diff2 / one_m) / (math.pi ** (d / 2.0) * one_m ** (d / 2.0))
 
 
-def ph_kernel(t: float, x, y) -> float:
+def ph_kernel(t: float, x, y):
     """Poisson-Hermite kernel p(t, x, y) (density against Lebesgue dy).
 
-    Stable-measure average of Mehler densities.  This is the kernel's r-form
-    integral over r in (0, 1) after the double-log substitution
-    r = exp(-t^2 / 4u), u = e^v, which resolves both endpoint singularities:
-    r -> 1 becomes the (double-exponentially damped) small-s end, r -> 0 the
-    heavy s^(-3/2) tail.  The tail beyond the grid is added in closed form
-    using that the Mehler density tends to the gamma_d density.
+    y is one point (a float is returned) or a (Y, d) array of points (a (Y,)
+    array is returned).  Stable-measure average of Mehler densities.  This
+    is the kernel's r-form integral over r in (0, 1) after the double-log
+    substitution r = exp(-t^2 / 4u), u = e^v, which resolves both endpoint
+    singularities: r -> 1 becomes the (double-exponentially damped) small-s
+    end, r -> 0 the heavy s^(-3/2) tail.  The tail beyond the grid is added
+    in closed form using that the Mehler density tends to the gamma_d density.
     """
     if t <= 0:
         raise ValueError("t must be > 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.size != y.size:
+    y = np.asarray(y, dtype=float)
+    pts = y if y.ndim == 2 else np.atleast_1d(y)[None, :]
+    if pts.shape[1] != x.size:
         raise ValueError("x and y must have the same dimension")
     s, masses, tail = SubordinationRule().stable_measure(t)
-    d = x.size
-    limit_density = math.exp(-float(np.dot(y, y))) / math.pi ** (d / 2.0)
-    return float(np.dot(masses, _mehler_density(s, x, y)) + tail * limit_density)
+    values = tail * np.exp(-np.sum(pts * pts, axis=1)) / math.pi ** (x.size / 2.0)
+    for a in range(0, len(pts), KERNEL_BLOCK):
+        values[a : a + KERNEL_BLOCK] += masses @ _mehler_density(s, x, pts[a : a + KERNEL_BLOCK])
+    return values if y.ndim == 2 else float(values[0])
 
 
 def forward_difference(g, s, k: int, t=0.0):
@@ -147,19 +156,11 @@ def forward_difference(g, s, k: int, t=0.0):
     return total
 
 
-def orbit_difference(
-    f: HermiteExpansion, s: float, k: int, t: float = 0.0, n: int = 0, damped: bool = False
-) -> HermiteExpansion:
+def orbit_difference(f: HermiteExpansion, s: float, k: int, t: float = 0.0, n: int = 0) -> HermiteExpansion:
     """k-th forward difference, step s, of the Poisson orbit derivative u^(n).
 
-    Returns sum_j C(k,j) (-1)^j u^(n)(., t + (k-j) s) as an expansion.  With
-    damped=True the orbit is e^(-r) P_r f instead (n must be 0), which is the
-    (e^(-s) P_s - I)^k combination behind the damped fractional derivative.
+    Returns sum_j C(k,j) (-1)^j u^(n)(., t + (k-j) s) as an expansion.
     """
     if s <= 0:
         raise ValueError("s must be > 0")
-    if damped and n != 0:
-        raise ValueError("damped orbit differences are only taken of the orbit itself")
-    if damped:
-        return forward_difference(lambda r: math.exp(-r) * time_derivative(f, r, n), s, k, t)
     return forward_difference(lambda r: time_derivative(f, r, n), s, k, t)

@@ -65,6 +65,15 @@ def _log_uniform_rule(v_min: float, v_max: float, n_points: int) -> tuple[np.nda
     return t, w
 
 
+@lru_cache(maxsize=8)
+def _stable_atoms(v_min: float, v_max: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u and the t-independent masses exp(-u) u^(-1/2) w / sqrt(pi) of SubordinationRule, read-only."""
+    u, w = _log_uniform_rule(v_min, v_max, n_points)
+    masses = np.exp(-u) / np.sqrt(u) / math.sqrt(math.pi) * w
+    masses.setflags(write=False)
+    return u, masses
+
+
 def log_time_rule(
     head_exponent: float, tail_exponent: float | None = None, step: float = DEFAULT_STEP
 ) -> TimeQuadrature:
@@ -116,13 +125,13 @@ class SubordinationRule(TimeQuadrature):
 
         sum(m_j) + tail is the total mass, equal to 1 up to the trapezoid
         boundary error (~1e-9 at the default resolution), uniformly in t.
+        The masses do not depend on t: they are cached with the rule and
+        shared, so read-only.
         """
         if t <= 0:
             raise ValueError("t must be > 0")
-        u, w = self.nodes_weights()
-        masses = np.exp(-u) / np.sqrt(u) / math.sqrt(math.pi) * w
-        s = t * t / (4.0 * u)
-        return s, masses, self.tail_mass()
+        u, masses = _stable_atoms(self.v_min, self.v_max, self.n_points)
+        return t * t / (4.0 * u), masses, self.tail_mass()
 
     def mass(self, t: float) -> float:
         _, masses, tail = self.stable_measure(t)

@@ -9,6 +9,32 @@ from scipy.optimize import brentq
 from scipy.special import gammaln
 
 
+def hermite_eval(nu, x) -> float:
+    """h_nu(x) for a single multi-index, independent of the package's tables.
+
+    The raw recurrence H_(n+1) = 2x H_n - 2n H_(n-1), rescaled by a power of
+    two at each step (H_200(30) ~ 1e355), its 2^e folded into
+    1/sqrt(2^n n!).  The power of two brings the larger of the two values
+    into [1/2, 1), so a value near a root (H_3 at x = 1e-309) cannot push the
+    other to inf.
+    """
+    nu = tuple(int(n) for n in nu)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.size != len(nu):
+        raise ValueError(f"point has dimension {x.size}, index has {len(nu)}")
+    out = 1.0
+    for xi, ni in zip(x, nu):
+        if ni == 0:
+            continue
+        h_prev, h, e = 1.0, 2.0 * xi, 0
+        for n in range(1, ni):
+            h_prev, h = h, 2.0 * xi * h - 2.0 * n * h_prev
+            s = math.frexp(max(abs(h), abs(h_prev)))[1]
+            h, h_prev, e = math.ldexp(h, -s), math.ldexp(h_prev, -s), e + s
+        out *= h * math.exp((e - 0.5 * ni) * math.log(2.0) - 0.5 * math.lgamma(ni + 1.0))
+    return out
+
+
 def quad_lp_norm_1d(coeffs, p: float) -> float:
     """||g||_p,gamma_1 for g = sum_n coeffs[n] h_n by adaptive quadrature.
 

@@ -191,15 +191,6 @@ def test_riesz_derivative_integral_k2_example():
     assert abs(got - 2.0**1.5) < 1e-6
 
 
-def test_riesz_derivative_parts_form():
-    got = riesz_derivative_integral(H1, 0.5, form="parts").coefficient((1,))
-    assert abs(got - 1.0) < 1e-8
-    with pytest.raises(ValueError):
-        riesz_derivative_integral(H1, 1.5, form="parts")
-    with pytest.raises(ValueError):
-        riesz_derivative_integral(H1, 0.5, form="simpson")
-
-
 def test_bessel_derivative_integral_examples():
     got = bessel_derivative_integral(H4, 0.5).coefficient((4,))
     assert abs(got - math.sqrt(3.0)) < 1e-7
@@ -229,10 +220,10 @@ def test_riesz_derivative_integral_near_integer_order():
     [
         (riesz_potential_integral, riesz_potential, 0.02),
         (bessel_potential_integral, bessel_potential, 0.02),
-        (lambda f, beta: riesz_derivative_integral(f, beta, form="parts"), riesz_derivative, 0.98),
+        (riesz_derivative_integral, riesz_derivative, 0.98),
         (bessel_derivative_integral, bessel_derivative, 1.99),
     ],
-    ids=["riesz-potential", "bessel-potential", "riesz-parts", "bessel-derivative"],
+    ids=["riesz-potential", "bessel-potential", "riesz-derivative", "bessel-derivative"],
 )
 def test_integral_paths_at_capped_windows(integral, spectral, beta):
     # each default window would reach t^(-1) overflow; capped, the dropped head is closed-form

@@ -212,6 +212,20 @@ def test_failing_check_flips_exit_semantics():
     assert any(not c["passed"] for c in rep.checks)
 
 
+def test_nan_ratios_fail_every_gate():
+    # max() and "> 0" both drop a NaN: grid stability and scale invariance
+    # passed with value 0 and max_ratio read 0
+    from gausscalc.harness import TheoremReport, _ratio_suite
+
+    rep = TheoremReport(experiment="none", statement="", config={}, provenance={})
+    family = gen_family(3, 1, 3, 4)
+    _ratio_suite(rep, ExperimentConfig(), family, lambda f: math.nan * f, 0.5, 0.5, 2.0, math.inf)
+    assert not rep.passed
+    assert [c["passed"] for c in rep.checks] == [False, False, False]
+    assert all(math.isnan(c["value"]) for c in rep.checks[1:])
+    assert math.isnan(rep.max_ratio)
+
+
 def test_empty_report_is_valid():
     from gausscalc.harness import TheoremReport
 
@@ -271,6 +285,14 @@ def test_cli_config_file_applies(tmp_path, capsys):
     cfg.write_text("family_size = 5\nmax_degree = 5\n")
     code = cli_main(["run", "inversion", "--config", str(cfg), "--format", "text"])
     assert code == 0
+
+
+def test_cli_passes_at_degree_60(tmp_path, capsys):
+    # |f|^p of the degree-60 members overflowed on the quadrature route at p = 7.5
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("ps = 7.5\nfamily_size = 2\nmax_degree = 60\n")
+    assert cli_main(["run", "bessel-potential-bounded", "--config", str(cfg), "--format", "text"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_cli_failing_invariant_exits_one(tmp_path, capsys):

@@ -15,7 +15,6 @@ from gausscalc import (
     chaos_project,
     gauss_hermite_grid,
     gen_family,
-    hermite_eval,
     hermite_values_1d,
     inner_product_gamma,
     l2_norm_coeffs,
@@ -25,7 +24,7 @@ from gausscalc import (
 )
 from gausscalc.hermite import _abs_moment_exact_1d, _abs_pow, _gauss_legendre
 
-from reference import quad_lp_norm_1d
+from reference import hermite_eval, quad_lp_norm_1d
 
 SQRT2 = math.sqrt(2.0)
 

@@ -32,6 +32,11 @@ def test_rules_are_cached_and_read_only():
         t[0] = 1.0
     with pytest.raises(ValueError):
         w[0] = 1.0
+    # the stable-measure masses do not depend on t, so they are cached with the rule
+    masses = SubordinationRule().stable_measure(1.0)[1]
+    assert SubordinationRule().stable_measure(2.0)[1] is masses
+    with pytest.raises(ValueError):
+        masses[0] = 1.0
 
 
 def test_log_rule_head_adaptation():
