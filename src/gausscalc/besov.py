@@ -41,7 +41,7 @@ from .hermite import (
     default_grid,
     lp_norm,
 )
-from .timequad import DEFAULT_STEP, TimeQuadrature, log_time_rule
+from .timequad import DEFAULT_STEP, TimeQuadrature, clipped_time_rule
 
 __all__ = [
     "BesovParams",
@@ -173,17 +173,20 @@ def _flat_curve(f: HermiteExpansion, k: int, p: float, ts: np.ndarray) -> np.nda
 def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAULT_STEP) -> float:
     """The q < inf seminorm: ( int (t^(k-a) ||u^(k)(., t)||_p)^q dt/t )^(1/q).
 
-    The t-integral is the log-trapezoid of log_time_rule with head exponent
-    (k - a) q and log step `step`.
+    The t-integral is the log-trapezoid of clipped_time_rule with head
+    exponent (k - a) q, blow-up exponent 1 (the dt/t) and log step `step`.
+    Where a small (k - a) q pushes the window below t = e^(-700), the rule is
+    clipped there and the dropped head, where the integrand is
+    ||u^(k)(., 0)||_p^q t^((k-a)q - 1), is added in closed form.
     """
     if math.isinf(params.q):
         raise ValueError("use ak_constant for q = inf")
     k, a, q = params.k, params.alpha, params.q
     if not f.coeffs or f.degree == 0:
         return 0.0
-    t, w = log_time_rule(head_exponent=(k - a) * q, step=step).nodes_weights()
+    t, w, head_rest, _ = clipped_time_rule((k - a) * q, 1.0, step=step)
     curve = norm_curve(f, k, params.p, t)
-    integral = float(np.dot(w, (t ** (k - a) * curve) ** q / t))
+    integral = float(np.dot(w, (t ** (k - a) * curve) ** q / t)) + curve[0] ** q * head_rest
     return integral ** (1.0 / q)
 
 

@@ -15,10 +15,8 @@ the integral paths act per coefficient on the scalar multiplier integrals --
 identical mathematics, with no spatial quadrature error mixed in.
 
 For orders beta >= 1 the derivative representations use the k-th power
-(P_t - I)^k with k the smallest integer strictly greater than beta, expanded
-as a k-th forward difference of the orbit.  The difference sum is swapped for
-an expm1 power once t is small enough that the alternating sum would lose all
-its significant digits; both branches are the same analytic function.
+(P_t - I)^k with k the smallest integer strictly greater than beta, whose
+order-n multiplier (e^(-t sqrt(n)) - 1)^k is computed as an expm1 power.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ from scipy.special import gamma as gamma_fn
 
 from .besov import smallest_k
 from .hermite import HermiteExpansion, pi0
-from .semigroups import forward_difference
-from .timequad import DEFAULT_STEP, TimeQuadrature, log_time_rule
+from .timequad import clipped_time_rule
 
 __all__ = [
     "c_beta",
@@ -48,42 +45,20 @@ __all__ = [
 ]
 
 
-def _time_rule(head: float, blowup: float, tail: float | None = None):
-    """Nodes, weights and dropped ends for an integrand ~ t^(head-1) at 0 with a factor t^(-blowup).
-
-    The window is log_time_rule's, clipped so that no power of t overflows:
-    v_min >= -700/blowup and v_max <= 700 (a small head or algebraic tail
-    exponent pushes past either).  Returns (t, w, head_rest, tail_rest): the
-    masses cut^head / head of t^(head-1) over a dropped (0, cut) and
-    big^(-tail) / tail of t^(-tail-1) over a dropped (big, inf), which the
-    caller scales by its leading coefficients.  Each is 0.0 unless its clip
-    binds, and with neither binding the rule is log_time_rule's own.
-    """
-    wide = log_time_rule(head_exponent=head, tail_exponent=tail)
-    v_min = max(wide.v_min, -700.0 / blowup) if blowup > 0 else wide.v_min
-    v_max = min(wide.v_max, 700.0)
-    head_rest = math.exp(v_min) ** head / head if v_min > wide.v_min else 0.0
-    tail_rest = math.exp(-v_max * tail) / tail if v_max < wide.v_max else 0.0
-    rule = wide
-    if (v_min, v_max) != (wide.v_min, wide.v_max):
-        rule = TimeQuadrature(v_min, v_max, int(math.ceil((v_max - v_min) / DEFAULT_STEP)) + 1)
-    return (*rule.nodes_weights(), head_rest, tail_rest)
-
-
 @lru_cache(maxsize=None)
 def c_beta_k(beta: float, k: int) -> float:
     """c^k_beta = int_0^inf u^(-beta-1) (e^(-u) - 1)^k du, for k > beta > 0.
 
     Head behaves like (-1)^k u^(k-beta-1), tail like (-1)^k u^(-beta-1); the
-    window is sized for both (_time_rule), and the ends it has to drop are
-    added in closed form.  Values are cached per (beta, k); the integrand
+    window is sized for both (clipped_time_rule), and the ends it has to drop
+    are added in closed form.  Values are cached per (beta, k); the integrand
     sign makes sign(c^k_beta) = (-1)^k.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
     if k <= beta:
         raise ValueError(f"need k > beta (k = {k}, beta = {beta}); the integral diverges otherwise")
-    u, w, head_rest, tail_rest = _time_rule(k - beta, beta + 1.0, beta)
+    u, w, head_rest, tail_rest = clipped_time_rule(k - beta, beta + 1.0, beta)
     sign = (-1.0) ** k
     return float(np.dot(w, u ** (-beta - 1.0) * np.expm1(-u) ** k)) + sign * head_rest + sign * tail_rest
 
@@ -127,21 +102,6 @@ def bessel_derivative(f: HermiteExpansion, beta: float) -> HermiteExpansion:
     return f.apply_order_multiplier(lambda n: (1.0 + math.sqrt(n)) ** beta)
 
 
-# -- forward differences --------------------------------------------------------
-
-
-def _orbit_difference_factor(z, k: int):
-    """(e^(-z) - 1)^k via the forward-difference sum of the orbit e^(-z s).
-
-    Below z ~ (1e-5)^(1/k) the alternating sum cancels to rounding noise, so
-    the expm1 power (the same function) takes over.
-    """
-    z = np.asarray(z, dtype=float)
-    summed = forward_difference(lambda s: np.exp(-z * s), 1.0, k)
-    stable = np.expm1(-z) ** k
-    return np.where(z >= 1e-5 ** (1.0 / k), summed, stable)
-
-
 # -- integral representations ------------------------------------------------------
 
 
@@ -152,9 +112,9 @@ def _multiplier_integral(f, const, integrand, head, lead, blowup, tail=None, tai
     t^(-blowup).  A positive `tail` marks an algebraic tail tail_lead
     t^(-tail-1); otherwise the integrand decays exponentially.  The rule is
     sized from these exponents, and the ends it has to drop are added in
-    closed form (_time_rule).
+    closed form (clipped_time_rule).
     """
-    t, w, head_rest, tail_rest = _time_rule(head, blowup, tail)
+    t, w, head_rest, tail_rest = clipped_time_rule(head, blowup, tail)
     mults = {
         n: (float(np.dot(w, integrand(t, n))) + lead(n) * head_rest + tail_lead * tail_rest) / const
         for n in f.orders()
@@ -190,15 +150,14 @@ def bessel_potential_integral(f: HermiteExpansion, beta: float) -> HermiteExpans
 def riesz_derivative_integral(f: HermiteExpansion, beta: float) -> HermiteExpansion:
     """Riesz derivative via (1/c^k_beta) int t^(-beta-1) (P_t - I)^k f dt, k smallest integer > beta.
 
-    (P_t - I)^k is expanded as the k-th forward difference of the orbit; the
-    order-n integrand is t^(-beta-1) (e^(-t sqrt(n)) - 1)^k, integrable near 0
-    since k > beta.
+    (P_t - I)^k acts per order: the order-n integrand is
+    t^(-beta-1) (e^(-t sqrt(n)) - 1)^k, integrable near 0 since k > beta.
     """
     _check_beta(beta)
     k = smallest_k(beta)
     return _multiplier_integral(
         pi0(f), c_beta_k(beta, k),
-        lambda t, n: t ** (-beta - 1.0) * _orbit_difference_factor(t * math.sqrt(n), k),
+        lambda t, n: t ** (-beta - 1.0) * np.expm1(-t * math.sqrt(n)) ** k,
         head=k - beta, lead=lambda n: (-math.sqrt(n)) ** k, blowup=beta + 1.0, tail=beta, tail_lead=(-1.0) ** k,
     )
 
@@ -214,6 +173,6 @@ def bessel_derivative_integral(f: HermiteExpansion, beta: float) -> HermiteExpan
     k = smallest_k(beta)
     return _multiplier_integral(
         f, c_beta_k(beta, k),
-        lambda t, n: t ** (-beta - 1.0) * _orbit_difference_factor(t * (1.0 + math.sqrt(n)), k),
+        lambda t, n: t ** (-beta - 1.0) * np.expm1(-t * (1.0 + math.sqrt(n))) ** k,
         head=k - beta, lead=lambda n: (-1.0 - math.sqrt(n)) ** k, blowup=beta + 1.0, tail=beta, tail_lead=(-1.0) ** k,
     )

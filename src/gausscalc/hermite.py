@@ -42,7 +42,10 @@ __all__ = [
     "default_grid",
 ]
 
-MAX_NODES_PER_AXIS = 200
+# The largest m at which numpy's hermgauss weights are finite and sum to
+# sqrt(pi); from m = 371 its weight normalization overflows (all weights 0,
+# then NaN).
+MAX_NODES_PER_AXIS = 370
 
 
 class MultiIndex(tuple):
@@ -54,6 +57,8 @@ class MultiIndex(tuple):
     """
 
     def __new__(cls, exponents):
+        if type(exponents) is cls:  # already validated, and immutable
+            return exponents
         exps = tuple(int(e) for e in exponents)
         if any(e < 0 for e in exps):
             raise ValueError(f"multi-index entries must be >= 0, got {exps}")
@@ -309,18 +314,23 @@ def gauss_hermite_grid(d: int, m: int) -> GaussHermiteGrid:
 
 
 def _grid_size(degree: int, p: float) -> int:
-    """Nodes per axis for |f|^p with deg f = degree, capped at MAX_NODES_PER_AXIS.
+    """Nodes per axis for |f|^p with deg f = degree.
 
     At even integer p, |f|^p = f^p has degree p*degree and the m-point rule
-    integrates degree 2m - 1 exactly, so m = p*degree/2 + 1 is exact.  Any
-    other p gets m = 4*degree + 8 (at least 13), a rule for a non-polynomial
-    integrand.
+    integrates degree 2m - 1 exactly, so m = p*degree/2 + 1 is exact; an m
+    beyond MAX_NODES_PER_AXIS raises ValueError rather than lose exactness.
+    Any other p gets m = 4*degree + 8 (at least 13), a rule for a
+    non-polynomial integrand, capped at MAX_NODES_PER_AXIS.
     """
     if float(p).is_integer() and p % 2 == 0:
-        m = int(p) * degree // 2 + 1
-    else:
-        m = max(4 * degree + 8, 13)
-    return min(max(m, 2), MAX_NODES_PER_AXIS)
+        m = max(int(p) * degree // 2 + 1, 2)
+        if m > MAX_NODES_PER_AXIS:
+            raise ValueError(
+                f"the exact L^{p:g} norm of degree {degree} needs {m} Gauss-Hermite nodes per axis,"
+                f" beyond the cap {MAX_NODES_PER_AXIS}"
+            )
+        return m
+    return min(max(4 * degree + 8, 13), MAX_NODES_PER_AXIS)
 
 
 def default_grid(f: HermiteExpansion, p: float) -> GaussHermiteGrid:

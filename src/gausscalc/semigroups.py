@@ -159,8 +159,14 @@ def forward_difference(g, s, k: int, t=0.0):
 def orbit_difference(f: HermiteExpansion, s: float, k: int, t: float = 0.0, n: int = 0) -> HermiteExpansion:
     """k-th forward difference, step s, of the Poisson orbit derivative u^(n).
 
-    Returns sum_j C(k,j) (-1)^j u^(n)(., t + (k-j) s) as an expansion.
+    Equals sum_j C(k,j) (-1)^j u^(n)(., t + (k-j) s) (forward_difference of
+    the orbit), computed as one multiplier on u^(n)(., t): the order-m
+    coefficients pick up (e^(-s sqrt(m)) - 1)^k, an expm1 power, which keeps
+    every digit at small s where the alternating sum cancels.
     """
     if s <= 0:
         raise ValueError("s must be > 0")
-    return forward_difference(lambda r: time_derivative(f, r, n), s, k, t)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    s, k = float(s), int(k)
+    return time_derivative(f, t, n).apply_order_multiplier(lambda m: math.expm1(-s * math.sqrt(m)) ** k)

@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import gammainc
 
-__all__ = ["TimeQuadrature", "SubordinationRule", "log_time_rule"]
+__all__ = ["TimeQuadrature", "SubordinationRule", "log_time_rule", "clipped_time_rule"]
 
 DEFAULT_STEP = 0.02
 HEAD_TOL = 1e-10
@@ -95,6 +95,28 @@ def log_time_rule(
         v_max = max(v_max, -math.log(HEAD_TOL) / tail_exponent + 3.0)
     n = int(math.ceil((v_max - v_min) / step)) + 1
     return TimeQuadrature(v_min, v_max, max(n, 16))
+
+
+def clipped_time_rule(head: float, blowup: float, tail: float | None = None, step: float = DEFAULT_STEP):
+    """Nodes, weights and dropped ends for an integrand ~ t^(head-1) at 0 with a factor t^(-blowup).
+
+    The window is log_time_rule's, clipped so that no power of t overflows:
+    v_min >= -700/blowup and v_max <= 700 (a small head or algebraic tail
+    exponent pushes past either).  Returns (t, w, head_rest, tail_rest): the
+    masses cut^head / head of t^(head-1) over a dropped (0, cut) and
+    big^(-tail) / tail of t^(-tail-1) over a dropped (big, inf), which the
+    caller scales by its leading coefficients.  Each is 0.0 unless its clip
+    binds, and with neither binding the rule is log_time_rule's own.
+    """
+    wide = log_time_rule(head_exponent=head, tail_exponent=tail, step=step)
+    v_min = max(wide.v_min, -700.0 / blowup) if blowup > 0 else wide.v_min
+    v_max = min(wide.v_max, 700.0)
+    head_rest = math.exp(v_min) ** head / head if v_min > wide.v_min else 0.0
+    tail_rest = math.exp(-v_max * tail) / tail if v_max < wide.v_max else 0.0
+    rule = wide
+    if (v_min, v_max) != (wide.v_min, wide.v_max):
+        rule = TimeQuadrature(v_min, v_max, int(math.ceil((v_max - v_min) / step)) + 1)
+    return (*rule.nodes_weights(), head_rest, tail_rest)
 
 
 @dataclass(frozen=True)

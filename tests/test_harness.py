@@ -295,6 +295,15 @@ def test_cli_passes_at_degree_60(tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_cli_passes_at_alpha_near_one(tmp_path, capsys):
+    # (k - alpha) q = 0.02 put the seminorm's time window below t = e^(-709),
+    # and every ratio came out NaN
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("alphas = 0.99\nfamily_size = 5\n")
+    assert cli_main(["run", "riesz-potential-bounded", "--config", str(cfg), "--format", "text"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_cli_failing_invariant_exits_one(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("tol_inversion = 0\nfamily_size = 4\n")

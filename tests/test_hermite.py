@@ -20,9 +20,10 @@ from gausscalc import (
     l2_norm_coeffs,
     lp_norm,
     lp_norm_gamma,
+    norm_curve,
     pi0,
 )
-from gausscalc.hermite import _abs_moment_exact_1d, _abs_pow, _gauss_legendre
+from gausscalc.hermite import MAX_NODES_PER_AXIS, _abs_moment_exact_1d, _abs_pow, _gauss_legendre
 
 from reference import hermite_eval, quad_lp_norm_1d
 
@@ -37,6 +38,11 @@ def test_multiindex_order_and_dimension():
     assert nu.order == 5
     assert nu.dimension == 3
     assert nu == (2, 0, 3)  # interoperable with plain tuples
+
+
+def test_multiindex_of_a_multiindex_is_itself():
+    nu = MultiIndex((2, 0, 3))
+    assert MultiIndex(nu) is nu
 
 
 def test_multiindex_rejects_negative():
@@ -79,7 +85,7 @@ def test_grid_rejects_bad_arguments():
     with pytest.raises(ValueError):
         gauss_hermite_grid(1, 1)
     with pytest.raises(ValueError):
-        gauss_hermite_grid(1, 201)
+        gauss_hermite_grid(1, MAX_NODES_PER_AXIS + 1)
 
 
 def test_grid_is_cached_and_read_only():
@@ -314,6 +320,30 @@ def test_odd_p_norm_holds_its_accuracy_at_high_degree(n):
         for p in (1, 3, 5, 7):
             ref = quad_lp_norm_1d(coeffs, p)
             assert abs(lp_norm(f, float(p)) - ref) / ref < ODD_P_TOL
+
+
+def test_grid_cap_is_a_valid_rule():
+    g = gauss_hermite_grid(1, MAX_NODES_PER_AXIS)
+    assert np.all(g.weights > 0) and abs(g.weights.sum() - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("n,p", [(80, 8.0), (100, 6.0)])
+def test_even_p_norm_is_exact_beyond_200_nodes(n, p):
+    # m = p n / 2 + 1 is 321 and 301: a grid capped at 200 nodes left these
+    # 1.2e-2 and 6.5e-3 low
+    f = HermiteExpansion.basis((n,))
+    ref = quad_lp_norm_1d([0.0] * n + [1.0], p)
+    assert abs(lp_norm(f, p) - ref) <= 1e-13 * ref
+    assert abs(norm_curve(f, 0, p, [0.0])[0] - ref) <= 1e-13 * ref
+
+
+def test_even_p_norm_refuses_an_inexact_grid():
+    # h_100 at p = 8 needs m = 401 > MAX_NODES_PER_AXIS; the capped grid was 74% low
+    f = HermiteExpansion.basis((100,))
+    with pytest.raises(ValueError, match="401 Gauss-Hermite nodes"):
+        lp_norm(f, 8.0)
+    with pytest.raises(ValueError, match="401 Gauss-Hermite nodes"):
+        norm_curve(f, 1, 8.0, [0.5])
 
 
 def test_odd_p_norm_of_h200_is_finite_and_grows_with_p():

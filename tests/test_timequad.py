@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gausscalc import SubordinationRule, TimeQuadrature, log_time_rule
+from gausscalc.timequad import clipped_time_rule
 
 
 def test_validation():
@@ -54,6 +55,27 @@ def test_log_rule_tail_adaptation():
     val = rule.integrate(lambda t: t ** (-0.3) * np.exp(-t))
     assert abs(val - math.gamma(0.7)) / math.gamma(0.7) < 1e-9
     assert rule.v_max > 60
+
+
+def test_clipped_rule_is_log_time_rule_where_no_clip_binds():
+    t, w, head_rest, tail_rest = clipped_time_rule(0.7, 1.0, 0.3, step=0.01)
+    t0, w0 = log_time_rule(head_exponent=0.7, tail_exponent=0.3, step=0.01).nodes_weights()
+    assert t is t0 and w is w0
+    assert head_rest == tail_rest == 0.0
+
+
+def test_clipped_rule_adds_the_dropped_ends():
+    # head 0.01 would start the window at e^(-2304), where t^(-1) overflows;
+    # tail 0.02 would end it at e^(1154), past the largest double
+    h, b = 0.01, 0.02
+    t, w, head_rest, _ = clipped_time_rule(h, 1.0)
+    assert t[0] == math.exp(-700.0)
+    val = float(np.dot(w, t ** (h - 1.0) * np.exp(-t))) + head_rest
+    assert abs(val - math.gamma(h)) / math.gamma(h) < 1e-10
+    t, w, _, tail_rest = clipped_time_rule(1.0 - b, b, b)
+    assert t[-1] == math.exp(700.0)
+    val = float(np.dot(w, t ** (-b) / (1.0 + t))) + tail_rest
+    assert abs(val - math.pi / math.sin(math.pi * (1.0 - b))) < 1e-9 * val
 
 
 def test_log_rule_rejects_nonpositive_exponents():
