@@ -18,8 +18,9 @@ over a time grid is one batched evaluation per route: at odd p in dimension 1
 the piece integrals of all nodes are computed together
 (hermite._abs_moment_exact_1d), with relative errors of about 1e-15 at every
 odd p (see hermite.lp_norm); the quadrature routes (even p, on the same
-exact grid that lp_norm uses, and the rest) build the basis table once and
-hand the whole coefficient table to hermite._quadrature_norms, the kernel
+exact grid that lp_norm uses, and the rest) take the basis table of the
+support and grid from hermite._basis_table, which builds it once per process,
+and hand the whole coefficient table to hermite._quadrature_norms, the kernel
 behind lp_norm_gamma too.  Every route scales each time node by a power of
 two, so the curve stays accurate at large t, where the p-th powers of its
 values would underflow, and at high degree, where they would overflow.
@@ -35,9 +36,9 @@ import numpy as np
 from .hermite import (
     HermiteExpansion,
     _abs_moment_exact_1d,
+    _basis_table,
     _check_p,
     _quadrature_norms,
-    basis_matrix,
     default_grid,
     lp_norm,
 )
@@ -166,8 +167,8 @@ def _flat_curve(f: HermiteExpansion, k: int, p: float, ts: np.ndarray) -> np.nda
         m, e = _abs_moment_exact_1d(rows, p_int)
         return np.ldexp(m ** (1.0 / p_int), e + expo)
     g = default_grid(f, p)
-    phi = basis_matrix([nu for nu, _ in items], g.nodes)
-    return np.ldexp(_quadrature_norms(phi, coef_t, p, g.weights), expo)
+    phi, bound = _basis_table(tuple(nu for nu, _ in items), g)
+    return np.ldexp(_quadrature_norms(phi, bound, coef_t, p, g.weights), expo)
 
 
 def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAULT_STEP) -> float:

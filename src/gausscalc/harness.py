@@ -10,7 +10,10 @@ as a regression baseline.
 
 Determinism contract: families come from a counter-based generator (Philox),
 so identical configs produce byte-identical reports; wall-clock metadata is
-kept in a separate block that comparisons can drop.
+kept in a separate block that comparisons can drop.  The Besov smoothness
+term is memoized per process (_smoothness_part); a memoized term is the same
+bits as a cold call, so a report does not depend on which experiments ran
+before it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -279,8 +283,16 @@ def emit_report(report: TheoremReport, fmt: str = "json", path: str | None = Non
 # -- shared machinery ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=256, typed=True)
 def _smoothness_part(f, alpha, p, q, step, sup_points) -> float:
-    """The seminorm (q < inf) or A_k (q = inf) term of the Besov norm."""
+    """The seminorm (q < inf) or A_k (q = inf) term of the Besov norm.
+
+    Memoized: boundedness rows that share a source smoothness (the two
+    potentials at alpha = 0.5, the two derivatives at 0.7 and at 1.6) share
+    every denominator.  Expansions are immutable and compare by their
+    coefficient maps, and the term does not depend on coefficient order
+    (norm_curve sorts the support), so a hit is the same bits as a cold call.
+    """
     k = bz.smallest_k(alpha)
     if math.isinf(q):
         return bz.ak_constant(f, alpha, p, k, points=sup_points)

@@ -10,7 +10,8 @@ Finite expansions (sparse maps multi-index -> coefficient) are the single functi
 representation used by the rest of the package; point samples appear only inside
 quadrature loops.  The Gauss-Hermite sum of |f|^p has one implementation,
 _quadrature_norms, which takes a whole table of coefficient columns: lp_norm_gamma
-is its one-column call and besov.norm_curve runs it over a time grid.  All objects
+is its one-column call and besov.norm_curve runs it over a time grid.  Both take
+their basis table from _basis_table, built once per support and grid.  All objects
 are immutable after construction and all operations are pure functions, so they
 are safe to share across workers.
 """
@@ -19,8 +20,10 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from itertools import product
 
 import numpy as np
@@ -46,6 +49,53 @@ __all__ = [
 # sqrt(pi); from m = 371 its weight normalization overflows (all weights 0,
 # then NaN).
 MAX_NODES_PER_AXIS = 370
+
+# Bytes of tables that each _TableCache keeps alive.  Every table of the
+# default and wide configs fits many times over (the largest, d = 2 at
+# degree 8, is about 0.6 MB); a larger result, such as the 51 MB odd-p table
+# of degree 200 at p = 5, is built for its call alone.
+TABLE_CACHE_BYTES = 32 * 2**20
+
+
+def _nbytes(value: tuple) -> int:
+    return sum(a.nbytes for a in value if isinstance(a, np.ndarray))
+
+
+class _TableCache:
+    """Memoize a pure function of hashable arguments that returns a tuple of read-only arrays.
+
+    Results are kept, least recently used first out, while their arrays
+    total at most TABLE_CACHE_BYTES; a result larger than that is returned
+    uncached.  nbytes is the total held now.
+    """
+
+    def __init__(self, fn):
+        update_wrapper(self, fn)
+        self._fn = fn
+        self._store: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def __call__(self, *args):
+        with self._lock:
+            value = self._store.get(args)
+            if value is not None:
+                self._store.move_to_end(args)
+                return value
+        value = self._fn(*args)
+        size = _nbytes(value)
+        with self._lock:
+            if size <= TABLE_CACHE_BYTES and args not in self._store:
+                self._store[args] = value
+                self.nbytes += size
+                while self.nbytes > TABLE_CACHE_BYTES:
+                    self.nbytes -= _nbytes(self._store.popitem(last=False)[1])
+        return value
+
+    def cache_clear(self):
+        with self._lock:
+            self._store.clear()
+            self.nbytes = 0
 
 
 class MultiIndex(tuple):
@@ -112,6 +162,21 @@ def basis_matrix(indices, points) -> np.ndarray:
         for i, ni in enumerate(nu):
             phi[:, col] *= tables[i][:, ni]
     return phi
+
+
+@_TableCache
+def _basis_table(indices: tuple, grid: GaussHermiteGrid) -> tuple[np.ndarray, np.ndarray]:
+    """basis_matrix(indices, grid.nodes) and its column bound max_i |phi[i, j]|, both read-only.
+
+    Cached per index tuple, in the caller's order (so no sum over it is
+    reordered), and per grid object: grids compare by identity, and
+    gauss_hermite_grid hands every caller the same one.
+    """
+    phi = basis_matrix(indices, grid.nodes)
+    bound = np.max(np.abs(phi), axis=0)
+    phi.setflags(write=False)
+    bound.setflags(write=False)
+    return phi, bound
 
 
 class HermiteExpansion:
@@ -276,7 +341,8 @@ class GaussHermiteGrid:
     """Tensor Gauss-Hermite rule normalized to the probability measure gamma_d.
 
     nodes has shape (m^d, d), built from ascending 1-d nodes so grids are
-    reproducible; weights sum to 1.
+    reproducible; weights sum to 1.  A grid's nodes must not change after
+    it is built: basis tables on it are cached per grid object.
     """
 
     dimension: int
@@ -362,20 +428,23 @@ def _check_p(p: float):
 
 
 def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None) -> np.ndarray:
-    """|v|^p, computed in place in v, which the caller owns; returns v.
+    """|v|^p in v, which the caller owns, or in scratch (v's shape); returns the one that holds it.
 
-    Integer p multiplies by a copy of |v| p - 1 times (within p - 1 roundings
-    of the correctly rounded power, and several times faster than the float
-    power), into scratch (v's shape) if given; any other p keeps np.power.
+    Integer p >= 2 forms v v = |v| |v| in scratch (allocated if not given),
+    then multiplies by |v| p - 2 more times: ((|v| |v|) |v|) ..., within
+    p - 1 roundings of the correctly rounded power, and several times faster
+    than the float power.  Any other p takes |v| and np.power in v.
     """
+    if float(p).is_integer() and p >= 2:
+        power = np.multiply(v, v, out=np.empty_like(v) if scratch is None else scratch)
+        if p > 2:
+            np.abs(v, out=v)
+            for _ in range(int(p) - 2):
+                power *= v
+        return power
     np.abs(v, out=v)
-    if not float(p).is_integer():
+    if p != 1:
         np.power(v, p, out=v)
-    elif p > 1:
-        base = np.empty_like(v) if scratch is None else scratch
-        np.copyto(base, v)
-        for _ in range(int(p) - 1):
-            v *= base
     return v
 
 
@@ -385,20 +454,23 @@ def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None) -> np.n
 TIME_BLOCK = 32
 
 
-def _quadrature_norms(phi: np.ndarray, coef: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
+def _quadrature_norms(
+    phi: np.ndarray, bound: np.ndarray, coef: np.ndarray, p: float, weights: np.ndarray
+) -> np.ndarray:
     """(weights @ |phi @ coef[:, t]|^p)^(1/p) for every column t of an (S, T) coefficient table.
 
-    phi is the (nodes, S) basis table of a Gauss-Hermite grid and weights
-    are its weights: the one Gauss-Hermite |f|^p sum of the package.  Column
-    t is scaled by 2^(-e_t), which brings the bound
-    sum_j |coef[j, t]| max_i |phi[i, j]| on its values into [1/2, 1) without
+    phi is the (nodes, S) basis table of a Gauss-Hermite grid, bound its
+    column bound max_i |phi[i, j]| (both from _basis_table) and weights are
+    the grid's weights: the one Gauss-Hermite |f|^p sum of the package.
+    Column t is scaled by 2^(-e_t), which brings the bound
+    sum_j |coef[j, t]| bound[j] on its values into [1/2, 1) without
     rounding, and its norm is scaled back by 2^(e_t): every value is at most
     1 in size, so neither the values nor their p-th powers overflow at high
     degree, and tiny columns do not underflow.  The columns go in blocks of
-    TIME_BLOCK: values, |.|^p in place and the weighted sum, in two buffers
+    TIME_BLOCK: values, |.|^p and the weighted sum, in two buffers
     allocated once per call, so memory does not grow with T.
     """
-    expo = np.frexp(np.max(np.abs(phi), axis=0) @ np.abs(coef))[1]  # 0 for a zero column
+    expo = np.frexp(bound @ np.abs(coef))[1]  # 0 for a zero column
     coef = np.ldexp(coef, -expo)
     # The last block takes the remainder (TIME_BLOCK to 2 TIME_BLOCK - 1 columns):
     # OpenBLAS's gemv sums 1 to 3 columns in another order than the same
@@ -421,7 +493,7 @@ def lp_norm_gamma(f: HermiteExpansion, p: float, grid: GaussHermiteGrid) -> floa
     if f.dimension != grid.dimension:
         raise ValueError("dimension mismatch between expansion and grid")
     coef = np.fromiter(f.coeffs.values(), float, len(f.coeffs)).reshape(-1, 1)
-    return float(_quadrature_norms(basis_matrix(f.coeffs, grid.nodes), coef, p, grid.weights)[0])
+    return float(_quadrature_norms(*_basis_table(tuple(f.coeffs), grid), coef, p, grid.weights)[0])
 
 
 def _real_roots_rows(c: np.ndarray, bound: float) -> np.ndarray:
@@ -495,7 +567,7 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x[: m // 2], x[::-1]]), np.concatenate([w[: m // 2], w[::-1]])
 
 
-@lru_cache(maxsize=32)
+@_TableCache
 def _unit_pieces(n: int, p: int):
     """Gauss-Legendre rule on the unit pieces of [-L, L] for g^p dgamma_1, deg g = n.
 
@@ -505,7 +577,7 @@ def _unit_pieces(n: int, p: int):
     on [0, 1] (w over sqrt(pi)) and the (n+1, 2L * nodes) table of
     h_j(x) e^(-x^2/p) at the nodes in order: (row @ table)^p @ w, one piece
     at a time, is the row's signed integral of g^p dgamma_1 there.  Cached
-    and shared, so read-only.
+    and shared within TABLE_CACHE_BYTES, so read-only.
     """
     half = math.ceil(math.sqrt(p * n / 2.0) + 8.0)
     s, w = _gauss_legendre((p * n + 1) // 2 + 8)

@@ -5,6 +5,7 @@ import pytest
 
 from gausscalc import (
     ExperimentConfig,
+    HermiteExpansion,
     emit_report,
     gen_family,
     l2_norm_coeffs,
@@ -240,6 +241,60 @@ def test_dimension_two_smoke():
     cfg = ExperimentConfig(dimension=2, family_size=6, max_degree=5)
     for name in ("inversion", "riesz-potential-bounded"):
         assert run_experiment(name, cfg).passed
+
+
+def test_memoized_terms_leave_reports_unchanged(monkeypatch):
+    # bessel-potential-bounded shares riesz-potential-bounded's denominators
+    # (alpha = 0.5): run warm it takes them from the memo, with the same bits
+    from gausscalc import besov, harness, hermite
+
+    cfg = ExperimentConfig(dimension=2, family_size=2, max_degree=4, ps=(3.0, 4.0))
+    calls = []
+    norm_curve = besov.norm_curve
+    monkeypatch.setattr(besov, "norm_curve", lambda *args: calls.append(1) or norm_curve(*args))
+
+    def cold_caches():
+        harness._smoothness_part.cache_clear()
+        hermite._basis_table.cache_clear()
+        calls.clear()
+
+    def payload(name):
+        doc = json.loads(emit_report(run_experiment(name, cfg)))
+        del doc["meta"]
+        return json.dumps(doc)
+
+    cold_caches()
+    cold = payload("bessel-potential-bounded")
+    cold_calls = len(calls)
+    cold_caches()
+    payload("riesz-potential-bounded")
+    calls.clear()
+    assert payload("bessel-potential-bounded") == cold
+    assert len(calls) < cold_calls
+
+
+def test_smoothness_memo_misses_on_every_key():
+    from gausscalc.besov import SUP_POINTS
+    from gausscalc.harness import _smoothness_part
+    from gausscalc.timequad import DEFAULT_STEP
+
+    f = gen_family(5, 1, 1, 6)[0]
+    base = (f, 0.5, 4.0, 2.0, DEFAULT_STEP, SUP_POINTS)
+    _smoothness_part.cache_clear()
+    value = _smoothness_part(*base)
+    for i, changed in ((1, 0.6), (3, 3.0), (3, math.inf), (4, DEFAULT_STEP / 2), (5, 2 * SUP_POINTS)):
+        args = base[:i] + (changed,) + base[i + 1 :]
+        misses = _smoothness_part.cache_info().misses
+        _smoothness_part(*args)
+        assert _smoothness_part.cache_info().misses == misses + 1, args[1:]
+    # an equal expansion with its coefficients in another order is a hit, and
+    # a cold call on it gives the same bits
+    reordered = HermiteExpansion(1, dict(reversed(list(f.coeffs.items()))))
+    hits = _smoothness_part.cache_info().hits
+    assert _smoothness_part(reordered, *base[1:]) == value
+    assert _smoothness_part.cache_info().hits == hits + 1
+    _smoothness_part.cache_clear()
+    assert _smoothness_part(reordered, *base[1:]) == value
 
 
 # -- command line ---------------------------------------------------------------------

@@ -23,7 +23,16 @@ from gausscalc import (
     norm_curve,
     pi0,
 )
-from gausscalc.hermite import MAX_NODES_PER_AXIS, _abs_moment_exact_1d, _abs_pow, _gauss_legendre
+from gausscalc.hermite import (
+    MAX_NODES_PER_AXIS,
+    TABLE_CACHE_BYTES,
+    _abs_moment_exact_1d,
+    _abs_pow,
+    _basis_table,
+    _gauss_legendre,
+    _TableCache,
+    _unit_pieces,
+)
 
 from reference import hermite_eval, quad_lp_norm_1d
 
@@ -169,6 +178,45 @@ def test_basis_matrix_matches_hermite_eval(d):
             assert abs(phi[i, j] - want) <= 1e-12 * (1 + abs(want))
 
 
+@pytest.mark.parametrize("d, m", [(1, 40), (2, 13)])
+def test_basis_table_is_the_basis_matrix_read_only(d, m):
+    from gausscalc.harness import _indices_up_to
+
+    grid = gauss_hermite_grid(d, m)
+    idxs = tuple(_indices_up_to(d, 6))[::-1]  # any order: the table keeps it
+    phi, bound = _basis_table(idxs, grid)
+    want = basis_matrix(idxs, grid.nodes)
+    assert np.array_equal(phi, want)
+    assert np.array_equal(bound, np.max(np.abs(want), axis=0))
+    assert not phi.flags.writeable and not bound.flags.writeable
+    assert _basis_table(idxs, grid)[0] is phi
+    # a grid with the same nodes is another grid: tables are keyed by identity
+    assert _basis_table(idxs, type(grid)(d, grid.nodes, grid.weights))[0] is not phi
+
+
+def test_table_cache_is_bounded_by_bytes(monkeypatch):
+    monkeypatch.setattr("gausscalc.hermite.TABLE_CACHE_BYTES", 1000)
+    cache = _TableCache(lambda n: (np.zeros(n), n))
+    for n in (50, 60, 50, 40):  # 400, 480, a hit on 50, then 320 bytes
+        cache(n)
+    assert list(cache._store) == [(50,), (40,)]  # 60, least recently used, went out
+    assert cache.nbytes == 720
+    cache(200)  # 1600 bytes, more than the whole budget: not kept
+    assert list(cache._store) == [(50,), (40,)] and cache.nbytes == 720
+    cache.cache_clear()
+    assert not cache._store and cache.nbytes == 0
+
+
+def test_odd_p_tables_stay_within_the_cache_budget():
+    # at degree 200 the p = 1, 3, 5 tables take 6.3, 26 and 51 MB
+    _unit_pieces.cache_clear()
+    h200 = HermiteExpansion.basis((200,))
+    for p in (1.0, 3.0, 5.0):
+        assert math.isfinite(lp_norm(h200, p))
+        assert _unit_pieces.nbytes <= TABLE_CACHE_BYTES
+    assert sorted(_unit_pieces._store) == [(200, 1), (200, 3)]
+
+
 @pytest.mark.parametrize("x", (15.0, 25.0, 30.0))
 def test_hermite_values_stay_finite_and_accurate_at_degree_200(x):
     # the raw recurrence with a 1/sqrt(2^n n!) rescale overflowed at x = 25
@@ -260,6 +308,11 @@ def test_abs_pow_matches_float_power(p):
     got = _abs_pow(v.copy(), p)
     if p.is_integer():
         assert np.max(np.abs(got - want) / want) < 1e-15
+        product = np.abs(v)  # the reference loop ((|v| |v|) |v|) ...
+        for _ in range(int(p) - 1):
+            product = product * np.abs(v)
+        assert np.array_equal(got, product)
+        assert np.array_equal(_abs_pow(v.copy(), p, np.empty_like(v)), product)
     else:
         assert np.array_equal(got, want)
 
