@@ -24,6 +24,10 @@ and hand the whole coefficient table to hermite._quadrature_norms, the kernel
 behind lp_norm_gamma too.  Every route scales each time node by a power of
 two, so the curve stays accurate at large t, where the p-th powers of its
 values would underflow, and at high degree, where they would overflow.
+Curves for several p (_norm_curves, behind _seminorms and _ak_constants)
+share one orbit table and one basis product per grid, and each keeps the
+bits of its one-p call; norm_curve, besov_seminorm and ak_constant are the
+one-p cases.
 """
 
 from __future__ import annotations
@@ -141,34 +145,59 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
     coefficient table: it walks ts in blocks of TIME_BLOCK nodes, so memory
     does not grow with ts, and scales each node again so that the p-th
     powers do not overflow at high degree.  Every route returns an array
-    shaped like ts.
+    shaped like ts.  This is the one-p case of _norm_curves.
     """
-    _check_p(p)
-    if p > MAX_P:
-        raise ValueError(f"p = {p} beyond the supported range (p <= {MAX_P})")
+    return _norm_curves(f, k, (p,), ts)[0, ...]
+
+
+def _norm_curves(f: HermiteExpansion, k: int, ps, ts) -> np.ndarray:
+    """norm_curve for every p in ps, stacked: an array shaped (len(ps),) + ts.shape."""
+    for p in ps:
+        _check_p(p)
+        if p > MAX_P:
+            raise ValueError(f"p = {p} beyond the supported range (p <= {MAX_P})")
     ts = np.asarray(ts, dtype=float)
     if not f.coeffs or (k >= 1 and f.degree == 0):
-        return np.zeros(ts.shape)
-    return _flat_curve(f, k, p, ts.ravel()).reshape(ts.shape)
+        return np.zeros((len(ps),) + ts.shape)
+    return _flat_curves(f, k, ps, ts.ravel()).reshape((len(ps),) + ts.shape)
 
 
-def _flat_curve(f: HermiteExpansion, k: int, p: float, ts: np.ndarray) -> np.ndarray:
-    """norm_curve of a nonzero expansion on a 1-d grid ts."""
+def _flat_curves(f: HermiteExpansion, k: int, ps, ts: np.ndarray) -> np.ndarray:
+    """The (len(ps), T) norm curves of a nonzero expansion on a 1-d grid ts.
+
+    The orbit table and its scaling are built once for all ps.  Each p takes
+    its route; the ps that share a default_grid share one _quadrature_norms
+    call, so one basis product and one |.| pass serve them all.
+    """
     items = sorted(f.coeffs.items())
     coef_t = _orbit_table(items, k, ts)
     expo = np.frexp(np.max(np.abs(coef_t), axis=0))[1]  # 0 for a zero column
     np.ldexp(coef_t, -expo, out=coef_t)
-    if p == 2:
-        return np.ldexp(np.sqrt(np.sum(coef_t**2, axis=0)), expo)
-    p_int = int(round(p))
-    if p == p_int and p_int % 2 == 1 and f.dimension == 1:
-        rows = np.zeros((ts.size, f.degree + 1))
-        rows[:, [nu[0] for nu, _ in items]] = coef_t.T
-        m, e = _abs_moment_exact_1d(rows, p_int)
-        return np.ldexp(m ** (1.0 / p_int), e + expo)
-    g = default_grid(f, p)
-    phi, bound = _basis_table(tuple(nu for nu, _ in items), g)
-    return np.ldexp(_quadrature_norms(phi, bound, coef_t, p, g.weights), expo)
+    curves = np.empty((len(ps), ts.size))
+    on_grid = {}  # grid -> indices of the ps that take quadrature on it
+    for i, p in enumerate(ps):
+        p_int = int(round(p))
+        if p == 2:
+            curves[i] = np.ldexp(np.sqrt(np.sum(coef_t**2, axis=0)), expo)
+        elif p == p_int and p_int % 2 == 1 and f.dimension == 1:
+            rows = np.zeros((ts.size, f.degree + 1))
+            rows[:, [nu[0] for nu, _ in items]] = coef_t.T
+            m, e = _abs_moment_exact_1d(rows, p_int)
+            curves[i] = np.ldexp(m ** (1.0 / p_int), e + expo)
+        else:
+            on_grid.setdefault(default_grid(f, p), []).append(i)
+    for g, rows in on_grid.items():
+        phi, bound = _basis_table(tuple(nu for nu, _ in items), g)
+        norms = _quadrature_norms(phi, bound, coef_t, [ps[i] for i in rows], g.weights)
+        curves[rows] = np.ldexp(norms, expo, out=norms)
+    return curves
+
+
+def _curves(f: HermiteExpansion, k: int, ps, ts) -> np.ndarray:
+    """_norm_curves, except that one p goes through norm_curve, the public function a tracer wraps."""
+    if len(ps) == 1:
+        return norm_curve(f, k, ps[0], ts)[None]
+    return _norm_curves(f, k, ps, ts)
 
 
 def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAULT_STEP) -> float:
@@ -178,17 +207,25 @@ def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAU
     exponent (k - a) q, blow-up exponent 1 (the dt/t) and log step `step`.
     Where a small (k - a) q pushes the window below t = e^(-700), the rule is
     clipped there and the dropped head, where the integrand is
-    ||u^(k)(., 0)||_p^q t^((k-a)q - 1), is added in closed form.
+    ||u^(k)(., 0)||_p^q t^((k-a)q - 1), is added in closed form.  This is
+    the one-p case of _seminorms.
     """
     if math.isinf(params.q):
         raise ValueError("use ak_constant for q = inf")
-    k, a, q = params.k, params.alpha, params.q
+    return _seminorms(f, params.alpha, (params.p,), params.q, params.k, step)[0]
+
+
+def _seminorms(f: HermiteExpansion, alpha: float, ps, q: float, k: int, step: float = DEFAULT_STEP) -> list[float]:
+    """besov_seminorm for every p in ps: the time rule does not depend on p, so all ps share it and one _curves call."""
     if not f.coeffs or f.degree == 0:
-        return 0.0
-    t, w, head_rest, _ = clipped_time_rule((k - a) * q, 1.0, step=step)
-    curve = norm_curve(f, k, params.p, t)
-    integral = float(np.dot(w, (t ** (k - a) * curve) ** q / t)) + curve[0] ** q * head_rest
-    return integral ** (1.0 / q)
+        return [0.0] * len(ps)
+    t, w, head_rest, _ = clipped_time_rule((k - alpha) * q, 1.0, step=step)
+    weight = t ** (k - alpha)
+    out = []
+    for curve in _curves(f, k, ps, t):
+        integral = float(np.dot(w, (weight * curve) ** q / t)) + curve[0] ** q * head_rest
+        out.append(integral ** (1.0 / q))
+    return out
 
 
 SUP_POINTS = 200
@@ -199,13 +236,12 @@ def sup_grid(points: int = SUP_POINTS) -> np.ndarray:
     return np.exp(np.linspace(math.log(1e-6), math.log(50.0), points))
 
 
-def _grid_sup(supremand, ts) -> float:
-    """Max of a vectorized supremand over the grid ts, polished locally.
+def _polished_sup(supremand, ts, vals) -> float:
+    """Max of a vectorized supremand whose values on the grid ts are vals, polished locally.
 
     The coarse argmax is refined on 19 log-spaced points between its two grid
     neighbours; the larger of the two maxima is returned.
     """
-    vals = supremand(ts)
     i = int(np.argmax(vals))
     lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
     local = np.exp(np.linspace(math.log(lo), math.log(hi), 19))
@@ -216,14 +252,25 @@ def ak_constant(f: HermiteExpansion, alpha: float, p: float, k: int, points: int
     """Smallest A with ||u^(k)(., t)||_p <= A t^(alpha-k): sup of t^(k-alpha) ||u^(k)||_p.
 
     Taken over sup_grid(points), then polished around the coarse argmax
-    (_grid_sup).  For expansions the supremand is smooth and decays at both
-    ends, so the grid sup is reliable.
+    (_polished_sup).  For expansions the supremand is smooth and decays at
+    both ends, so the grid sup is reliable.  This is the one-p case of
+    _ak_constants.
     """
+    return _ak_constants(f, alpha, (p,), k, points)[0]
+
+
+def _ak_constants(f: HermiteExpansion, alpha: float, ps, k: int, points: int = SUP_POINTS) -> list[float]:
+    """ak_constant for every p in ps: one sweep of sup_grid(points) serves all ps; each p polishes its own argmax."""
     if k <= alpha:
         raise ValueError("need k > alpha")
     if not f.coeffs or f.degree == 0:
-        return 0.0
-    return _grid_sup(lambda t: t ** (k - alpha) * norm_curve(f, k, p, t), sup_grid(points))
+        return [0.0] * len(ps)
+    ts = sup_grid(points)
+    weight = ts ** (k - alpha)
+    return [
+        _polished_sup(lambda t, p=p: t ** (k - alpha) * norm_curve(f, k, p, t), ts, vals)
+        for p, vals in zip(ps, weight * _curves(f, k, ps, ts))
+    ]
 
 
 def besov_norm(f: HermiteExpansion, params: BesovParams) -> BesovResult:

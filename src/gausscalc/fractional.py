@@ -105,21 +105,29 @@ def bessel_derivative(f: HermiteExpansion, beta: float) -> HermiteExpansion:
 # -- integral representations ------------------------------------------------------
 
 
-def _multiplier_integral(f, const, integrand, head, lead, blowup, tail=None, tail_lead=0.0):
-    """f with each order-n coefficient scaled by int_0^inf integrand(t, n) dt / const.
+@lru_cache(maxsize=1024)
+def _order_multiplier(derivative: bool, damping: float, beta: float, n: int) -> float:
+    """The order-n multiplier of an integral form, memoized per (form, beta, n).
 
-    The integrand behaves like lead(n) t^(head-1) at 0, through a factor
-    t^(-blowup).  A positive `tail` marks an algebraic tail tail_lead
-    t^(-tail-1); otherwise the integrand decays exponentially.  The rule is
-    sized from these exponents, and the ends it has to drop are added in
-    closed form (clipped_time_rule).
+    The orbit of order n is e^(-t root), root = damping + sqrt(n): damping
+    is 0 for the Poisson orbit (Riesz) and 1 for the damped one (Bessel).  A
+    potential integrates t^(beta-1) e^(-t root) / Gamma(beta), which behaves
+    like t^(beta-1) at 0 and decays exponentially; a derivative integrates
+    t^(-beta-1) (e^(-t root) - 1)^k / c^k_beta, k the smallest integer
+    > beta, which behaves like (-root)^k t^(k-beta-1) at 0 and has the
+    algebraic tail (-1)^k t^(-beta-1).  The rule is sized from these
+    exponents, and the ends it has to drop are added in closed form
+    (clipped_time_rule).  Family members share their orders, so the oracles
+    experiment asks for each value many times.
     """
-    t, w, head_rest, tail_rest = clipped_time_rule(head, blowup, tail)
-    mults = {
-        n: (float(np.dot(w, integrand(t, n))) + lead(n) * head_rest + tail_lead * tail_rest) / const
-        for n in f.orders()
-    }
-    return f.apply_order_multiplier(lambda n: mults[n])
+    root = damping + math.sqrt(n)
+    if not derivative:
+        t, w, head_rest, _ = clipped_time_rule(beta, 1.0 - beta)
+        return (float(np.dot(w, t ** (beta - 1.0) * np.exp(-t * root))) + head_rest) / gamma_fn(beta)
+    k = smallest_k(beta)
+    t, w, head_rest, tail_rest = clipped_time_rule(k - beta, beta + 1.0, beta)
+    integral = float(np.dot(w, t ** (-beta - 1.0) * np.expm1(-t * root) ** k))
+    return (integral + (-root) ** k * head_rest + (-1.0) ** k * tail_rest) / c_beta_k(beta, k)
 
 
 def riesz_potential_integral(f: HermiteExpansion, beta: float) -> HermiteExpansion:
@@ -130,21 +138,13 @@ def riesz_potential_integral(f: HermiteExpansion, beta: float) -> HermiteExpansi
     for riesz_potential.
     """
     _check_beta(beta)
-    return _multiplier_integral(
-        pi0(f), gamma_fn(beta),
-        lambda t, n: t ** (beta - 1.0) * np.exp(-t * math.sqrt(n)),
-        head=beta, lead=lambda n: 1.0, blowup=1.0 - beta,
-    )
+    return pi0(f).apply_order_multiplier(lambda n: _order_multiplier(False, 0.0, beta, n))
 
 
 def bessel_potential_integral(f: HermiteExpansion, beta: float) -> HermiteExpansion:
     """Bessel potential via (1/Gamma(beta)) int_0^inf t^beta e^(-t) P_t f dt/t."""
     _check_beta(beta)
-    return _multiplier_integral(
-        f, gamma_fn(beta),
-        lambda t, n: t ** (beta - 1.0) * np.exp(-t * (1.0 + math.sqrt(n))),
-        head=beta, lead=lambda n: 1.0, blowup=1.0 - beta,
-    )
+    return f.apply_order_multiplier(lambda n: _order_multiplier(False, 1.0, beta, n))
 
 
 def riesz_derivative_integral(f: HermiteExpansion, beta: float) -> HermiteExpansion:
@@ -154,12 +154,7 @@ def riesz_derivative_integral(f: HermiteExpansion, beta: float) -> HermiteExpans
     t^(-beta-1) (e^(-t sqrt(n)) - 1)^k, integrable near 0 since k > beta.
     """
     _check_beta(beta)
-    k = smallest_k(beta)
-    return _multiplier_integral(
-        pi0(f), c_beta_k(beta, k),
-        lambda t, n: t ** (-beta - 1.0) * np.expm1(-t * math.sqrt(n)) ** k,
-        head=k - beta, lead=lambda n: (-math.sqrt(n)) ** k, blowup=beta + 1.0, tail=beta, tail_lead=(-1.0) ** k,
-    )
+    return pi0(f).apply_order_multiplier(lambda n: _order_multiplier(True, 0.0, beta, n))
 
 
 def bessel_derivative_integral(f: HermiteExpansion, beta: float) -> HermiteExpansion:
@@ -170,9 +165,4 @@ def bessel_derivative_integral(f: HermiteExpansion, beta: float) -> HermiteExpan
     orbit is e^(-t)), giving multiplier 1 at n = 0 as it should.
     """
     _check_beta(beta)
-    k = smallest_k(beta)
-    return _multiplier_integral(
-        f, c_beta_k(beta, k),
-        lambda t, n: t ** (-beta - 1.0) * np.expm1(-t * (1.0 + math.sqrt(n))) ** k,
-        head=k - beta, lead=lambda n: (-1.0 - math.sqrt(n)) ** k, blowup=beta + 1.0, tail=beta, tail_lead=(-1.0) ** k,
-    )
+    return f.apply_order_multiplier(lambda n: _order_multiplier(True, 1.0, beta, n))

@@ -9,8 +9,9 @@ exp(-x^2)) normalized so that
 Finite expansions (sparse maps multi-index -> coefficient) are the single function
 representation used by the rest of the package; point samples appear only inside
 quadrature loops.  The Gauss-Hermite sum of |f|^p has one implementation,
-_quadrature_norms, which takes a whole table of coefficient columns: lp_norm_gamma
-is its one-column call and besov.norm_curve runs it over a time grid.  Both take
+_quadrature_norms, which takes a whole table of coefficient columns and several
+p: lp_norm_gamma is its one-p, one-column call and besov.norm_curve runs it over
+a time grid, for all the p that share a grid at once.  Both take
 their basis table from _basis_table, built once per support and grid.  All objects
 are immutable after construction and all operations are pure functions, so they
 are safe to share across workers.
@@ -379,6 +380,11 @@ def gauss_hermite_grid(d: int, m: int) -> GaussHermiteGrid:
     return GaussHermiteGrid(d, nodes, weights)
 
 
+def _even_integer(p: float) -> bool:
+    """p is an even integer: |v|^p = v^p, a polynomial, with no |.| to take."""
+    return float(p).is_integer() and p % 2 == 0
+
+
 def _grid_size(degree: int, p: float) -> int:
     """Nodes per axis for |f|^p with deg f = degree.
 
@@ -388,7 +394,7 @@ def _grid_size(degree: int, p: float) -> int:
     Any other p gets m = 4*degree + 8 (at least 13), a rule for a
     non-polynomial integrand, capped at MAX_NODES_PER_AXIS.
     """
-    if float(p).is_integer() and p % 2 == 0:
+    if _even_integer(p):
         m = max(int(p) * degree // 2 + 1, 2)
         if m > MAX_NODES_PER_AXIS:
             raise ValueError(
@@ -427,25 +433,30 @@ def _check_p(p: float):
         raise ValueError(f"p must be finite and >= 1, got p = {p}")
 
 
-def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None) -> np.ndarray:
-    """|v|^p in v, which the caller owns, or in scratch (v's shape); returns the one that holds it.
+def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None, absolute: bool = False) -> np.ndarray:
+    """|v|^p in scratch (v's shape, allocated if not given), or in v at p = 1; returns the one that holds it.
 
-    Integer p >= 2 forms v v = |v| |v| in scratch (allocated if not given),
-    then multiplies by |v| p - 2 more times: ((|v| |v|) |v|) ..., within
-    p - 1 roundings of the correctly rounded power, and several times faster
-    than the float power.  Any other p takes |v| and np.power in v.
+    Unless p is an even integer, v, which the caller owns, is first made |v|
+    in place; absolute=True says it already is, so several p of one v share
+    that pass.  Integer p >= 2 forms v v in scratch, then multiplies by v
+    p - 2 more times: ((v v) v) ..., within p - 1 roundings of the correctly
+    rounded power, and several times faster than the float power.  At even p
+    the signs need no |.|: rounding to nearest is symmetric in sign, so each
+    product has the bits of ((|v| |v|) |v|) ....  Any other p takes
+    np.power of |v| into scratch, which leaves |v| in v for the next p.
     """
-    if float(p).is_integer() and p >= 2:
-        power = np.multiply(v, v, out=np.empty_like(v) if scratch is None else scratch)
-        if p > 2:
-            np.abs(v, out=v)
-            for _ in range(int(p) - 2):
-                power *= v
-        return power
-    np.abs(v, out=v)
-    if p != 1:
-        np.power(v, p, out=v)
-    return v
+    if not (absolute or _even_integer(p)):
+        np.abs(v, out=v)
+    if p == 1:
+        return v
+    power = np.empty_like(v) if scratch is None else scratch
+    if float(p).is_integer():
+        np.multiply(v, v, out=power)
+        for _ in range(int(p) - 2):
+            power *= v
+    else:
+        np.power(v, p, out=power)
+    return power
 
 
 # Columns per block of _quadrature_norms: 400 KB of values at d = 2, degree 8
@@ -454,21 +465,23 @@ def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None) -> np.n
 TIME_BLOCK = 32
 
 
-def _quadrature_norms(
-    phi: np.ndarray, bound: np.ndarray, coef: np.ndarray, p: float, weights: np.ndarray
-) -> np.ndarray:
-    """(weights @ |phi @ coef[:, t]|^p)^(1/p) for every column t of an (S, T) coefficient table.
+def _quadrature_norms(phi: np.ndarray, bound: np.ndarray, coef: np.ndarray, ps, weights: np.ndarray) -> np.ndarray:
+    """(weights @ |phi @ coef[:, t]|^p)^(1/p) for every p in ps and every column t of an (S, T) coefficient table.
 
-    phi is the (nodes, S) basis table of a Gauss-Hermite grid, bound its
-    column bound max_i |phi[i, j]| (both from _basis_table) and weights are
-    the grid's weights: the one Gauss-Hermite |f|^p sum of the package.
-    Column t is scaled by 2^(-e_t), which brings the bound
-    sum_j |coef[j, t]| bound[j] on its values into [1/2, 1) without
-    rounding, and its norm is scaled back by 2^(e_t): every value is at most
-    1 in size, so neither the values nor their p-th powers overflow at high
-    degree, and tiny columns do not underflow.  The columns go in blocks of
-    TIME_BLOCK: values, |.|^p and the weighted sum, in two buffers
-    allocated once per call, so memory does not grow with T.
+    Returns a (len(ps), T) array, one row per p.  phi is the (nodes, S)
+    basis table of a Gauss-Hermite grid, bound its column bound
+    max_i |phi[i, j]| (both from _basis_table) and weights are the grid's
+    weights: the one Gauss-Hermite |f|^p sum of the package.  Column t is
+    scaled by 2^(-e_t), which brings the bound sum_j |coef[j, t]| bound[j] on
+    its values into [1/2, 1) without rounding, and its norm is scaled back
+    by 2^(e_t): every value is at most 1 in size, so neither the values nor
+    their p-th powers overflow at high degree, and tiny columns do not
+    underflow.  The columns go in blocks of TIME_BLOCK, in two buffers
+    allocated once per call, so memory does not grow with T.  Each block
+    forms its values V = phi @ coef once; the even p take their powers of V
+    first, then one pass makes V = |V| for all the other p (_abs_pow).  Each
+    p gets its own powers and weighted sum, with the bits of a call for that
+    p alone.
     """
     expo = np.frexp(bound @ np.abs(coef))[1]  # 0 for a zero column
     coef = np.ldexp(coef, -expo)
@@ -479,21 +492,27 @@ def _quadrature_norms(
     edges = [0, *range(TIME_BLOCK, cols - TIME_BLOCK + 1, TIME_BLOCK), cols]
     n = weights.size
     size = n * max(np.diff(edges))
-    flat, scratch, out = np.empty(size), np.empty(size), np.empty(cols)
+    flat, scratch, out = np.empty(size), np.empty(size), np.empty((len(ps), cols))
+    order = sorted(range(len(ps)), key=lambda i: not _even_integer(ps[i]))  # even p first
+    evens = sum(map(_even_integer, ps))
     for a, b in zip(edges, edges[1:]):
         vals = flat[: n * (b - a)].reshape(n, b - a)  # C-contiguous, unlike a column slice
         np.matmul(phi, coef[:, a:b], out=vals)
-        out[a:b] = weights @ _abs_pow(vals, p, scratch[: vals.size].reshape(vals.shape))
-    return np.ldexp(out ** (1.0 / p), expo)
+        power = scratch[: vals.size].reshape(vals.shape)
+        for j, i in enumerate(order):  # vals holds |V| after the first p that is not even
+            out[i, a:b] = weights @ _abs_pow(vals, ps[i], power, absolute=j > evens)
+    for row, p in zip(out, ps):
+        row **= 1.0 / p
+    return np.ldexp(out, expo, out=out)
 
 
 def lp_norm_gamma(f: HermiteExpansion, p: float, grid: GaussHermiteGrid) -> float:
-    """(sum_i w_i |f(x_i)|^p)^(1/p) on the supplied grid: the one-column call of _quadrature_norms."""
+    """(sum_i w_i |f(x_i)|^p)^(1/p) on the supplied grid: the one-p, one-column call of _quadrature_norms."""
     _check_p(p)
     if f.dimension != grid.dimension:
         raise ValueError("dimension mismatch between expansion and grid")
     coef = np.fromiter(f.coeffs.values(), float, len(f.coeffs)).reshape(-1, 1)
-    return float(_quadrature_norms(*_basis_table(tuple(f.coeffs), grid), coef, p, grid.weights)[0])
+    return float(_quadrature_norms(*_basis_table(tuple(f.coeffs), grid), coef, (p,), grid.weights)[0, 0])
 
 
 def _real_roots_rows(c: np.ndarray, bound: float) -> np.ndarray:

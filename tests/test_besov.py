@@ -341,6 +341,25 @@ def test_norm_curve_quadrature_memory_does_not_grow_with_t():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("ps", [(1.0, 3.0, 4.0), (4.0, 1.0, 3.0), (3.0, 4.0), (1.5, 3.0), (2.0,)])
+@pytest.mark.parametrize("d", (1, 2))
+def test_several_p_give_the_bits_of_one_p_calls(d, ps):
+    # one orbit table and one basis product per grid serve every p; each p
+    # keeps the bits of its own public call, on every route and in any order
+    from gausscalc import besov
+
+    f = gen_family(20260809, d, 3, 8)[2]
+    ts = np.exp(np.linspace(math.log(1e-3), math.log(200.0), 101))  # three blocks and a remainder
+    for k in (1, 2):
+        curves = besov._norm_curves(f, k, ps, ts)
+        assert curves.shape == (len(ps), ts.size)
+        for p, curve in zip(ps, curves):
+            assert np.array_equal(curve, norm_curve(f, k, p, ts))
+    alpha, k = 0.7, 1
+    assert besov._seminorms(f, alpha, ps, 2.0, k) == [besov_seminorm(f, besov_params(alpha, p, 2.0)) for p in ps]
+    assert besov._ak_constants(f, alpha, ps, k) == [ak_constant(f, alpha, p, k) for p in ps]
+
+
 @pytest.mark.parametrize(
     "f,p",
     [

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -216,11 +217,11 @@ def test_failing_check_flips_exit_semantics():
 def test_nan_ratios_fail_every_gate():
     # max() and "> 0" both drop a NaN: grid stability and scale invariance
     # passed with value 0 and max_ratio read 0
-    from gausscalc.harness import TheoremReport, _ratio_suite
+    from gausscalc.harness import TheoremReport, _ratio_suites
 
     rep = TheoremReport(experiment="none", statement="", config={}, provenance={})
     family = gen_family(3, 1, 3, 4)
-    _ratio_suite(rep, ExperimentConfig(), family, lambda f: math.nan * f, 0.5, 0.5, 2.0, math.inf)
+    _ratio_suites(rep, ExperimentConfig(), family, lambda f: math.nan * f, 0.5, 0.5, (2.0,), (math.inf,))
     assert not rep.passed
     assert [c["passed"] for c in rep.checks] == [False, False, False]
     assert all(math.isnan(c["value"]) for c in rep.checks[1:])
@@ -245,56 +246,101 @@ def test_dimension_two_smoke():
 
 def test_memoized_terms_leave_reports_unchanged(monkeypatch):
     # bessel-potential-bounded shares riesz-potential-bounded's denominators
-    # (alpha = 0.5): run warm it takes them from the memo, with the same bits
+    # (alpha = 0.5): run warm it takes them from the memo, with the same bits;
+    # at ps = 1, 3, 4 the memo holds p = 3 and 4 and computes only p = 1
     from gausscalc import besov, harness, hermite
 
-    cfg = ExperimentConfig(dimension=2, family_size=2, max_degree=4, ps=(3.0, 4.0))
+    cfg = ExperimentConfig(dimension=2, family_size=2, max_degree=4)
     calls = []
-    norm_curve = besov.norm_curve
-    monkeypatch.setattr(besov, "norm_curve", lambda *args: calls.append(1) or norm_curve(*args))
+    flat_curves = besov._flat_curves
+    monkeypatch.setattr(besov, "_flat_curves", lambda *args: calls.append(1) or flat_curves(*args))
 
     def cold_caches():
-        harness._smoothness_part.cache_clear()
+        harness._besov_totals.cache_clear()
         hermite._basis_table.cache_clear()
         calls.clear()
 
-    def payload(name):
-        doc = json.loads(emit_report(run_experiment(name, cfg)))
+    def payload(name, ps):
+        doc = json.loads(emit_report(run_experiment(name, replace(cfg, ps=ps))))
         del doc["meta"]
         return json.dumps(doc)
 
-    cold_caches()
-    cold = payload("bessel-potential-bounded")
-    cold_calls = len(calls)
-    cold_caches()
-    payload("riesz-potential-bounded")
-    calls.clear()
-    assert payload("bessel-potential-bounded") == cold
-    assert len(calls) < cold_calls
+    for ps in ((3.0, 4.0), (1.0, 3.0, 4.0)):
+        cold_caches()
+        cold = payload("bessel-potential-bounded", ps)
+        cold_calls = len(calls)
+        cold_caches()
+        payload("riesz-potential-bounded", (3.0, 4.0))
+        calls.clear()
+        assert payload("bessel-potential-bounded", ps) == cold
+        assert len(calls) < cold_calls
 
 
 def test_smoothness_memo_misses_on_every_key():
     from gausscalc.besov import SUP_POINTS
-    from gausscalc.harness import _smoothness_part
+    from gausscalc.harness import _besov_totals, besov_total
     from gausscalc.timequad import DEFAULT_STEP
 
     f = gen_family(5, 1, 1, 6)[0]
     base = (f, 0.5, 4.0, 2.0, DEFAULT_STEP, SUP_POINTS)
-    _smoothness_part.cache_clear()
-    value = _smoothness_part(*base)
-    for i, changed in ((1, 0.6), (3, 3.0), (3, math.inf), (4, DEFAULT_STEP / 2), (5, 2 * SUP_POINTS)):
+    _besov_totals.cache_clear()
+    value = besov_total(*base)
+    for i, changed in ((1, 0.6), (2, 3.0), (2, 4), (3, 3.0), (3, math.inf), (4, DEFAULT_STEP / 2), (5, 2 * SUP_POINTS)):
         args = base[:i] + (changed,) + base[i + 1 :]
-        misses = _smoothness_part.cache_info().misses
-        _smoothness_part(*args)
-        assert _smoothness_part.cache_info().misses == misses + 1, args[1:]
+        misses = _besov_totals.misses
+        besov_total(*args)
+        assert _besov_totals.misses == misses + 1, args[1:]
     # an equal expansion with its coefficients in another order is a hit, and
     # a cold call on it gives the same bits
     reordered = HermiteExpansion(1, dict(reversed(list(f.coeffs.items()))))
-    hits = _smoothness_part.cache_info().hits
-    assert _smoothness_part(reordered, *base[1:]) == value
-    assert _smoothness_part.cache_info().hits == hits + 1
-    _smoothness_part.cache_clear()
-    assert _smoothness_part(reordered, *base[1:]) == value
+    hits = _besov_totals.hits
+    assert besov_total(reordered, *base[1:]) == value
+    assert _besov_totals.hits == hits + 1
+    _besov_totals.cache_clear()
+    assert besov_total(reordered, *base[1:]) == value
+    # several ps: only the missing ones are computed, and each is the bits of its one-p call
+    misses = _besov_totals.misses
+    both = _besov_totals(f, 0.5, (4.0, 3.0), 2.0, DEFAULT_STEP, SUP_POINTS)
+    assert _besov_totals.misses == misses + 1
+    assert both == [value, besov_total(f, 0.5, 3.0, 2.0, DEFAULT_STEP, SUP_POINTS)]
+
+
+def test_totals_memo_keeps_the_most_recent_entries():
+    from gausscalc.harness import _TotalsMemo
+
+    f = gen_family(5, 1, 1, 6)[0]
+    memo = _TotalsMemo(maxsize=2)
+    first = memo(f, 0.5, (2.0, 4.0), 2.0, 0.02, 200)
+    memo(f, 0.5, (2.0,), 2.0, 0.02, 200)  # p = 2 is now the most recent
+    memo(f, 0.5, (3.0,), 2.0, 0.02, 200)  # evicts p = 4
+    assert (memo.hits, memo.misses) == (1, 3)
+    assert memo(f, 0.5, (2.0,), 2.0, 0.02, 200) == first[:1]
+    assert memo(f, 0.5, (4.0,), 2.0, 0.02, 200) == first[1:]
+    assert (memo.hits, memo.misses) == (2, 4)
+
+
+def test_wide_row_makes_one_basis_product_per_member_resolution_q_and_grid(monkeypatch):
+    # in d = 2, p = 1 and 3 share the m = 4 deg + 8 grid and p = 4 takes the
+    # exact m = 2 deg + 1 grid; the A_k polish (19 time nodes) is per p
+    from gausscalc import besov, harness
+
+    cfg = ExperimentConfig(dimension=2, family_size=2, max_degree=4, ps=(1.0, 3.0, 4.0))
+    products = []
+    kernel = besov._quadrature_norms
+
+    def spy(phi, bound, coef, ps, weights):
+        if coef.shape[1] > 19:
+            products.append(tuple(ps))
+        return kernel(phi, bound, coef, ps, weights)
+
+    monkeypatch.setattr(besov, "_quadrature_norms", spy)
+    harness._besov_totals.cache_clear()
+    assert run_experiment("riesz-derivative-bounded", cfg).passed
+    # per q: (2 members + the scaled one) x (image, source) at the coarse
+    # resolution and 2 members x (image, source) at the refined one, each
+    # evaluation with one call per grid
+    evaluations = (3 * 2 + 2 * 2) * 2
+    assert sorted(products) == sorted([(4.0,), (1.0, 3.0)] * evaluations)
 
 
 # -- command line ---------------------------------------------------------------------

@@ -313,8 +313,15 @@ def test_abs_pow_matches_float_power(p):
             product = product * np.abs(v)
         assert np.array_equal(got, product)
         assert np.array_equal(_abs_pow(v.copy(), p, np.empty_like(v)), product)
+        if p % 2 == 0:
+            # no |.| at even p: negative inputs give the bits of |v|, and v is left as it was
+            negative = -np.abs(v)
+            assert np.array_equal(_abs_pow(negative, p), product)
+            assert np.array_equal(negative, -np.abs(v))
     else:
         assert np.array_equal(got, want)
+    # a v that already holds |v| skips the pass, and gives the same bits
+    assert np.array_equal(_abs_pow(np.abs(v), p, np.empty_like(v), absolute=True), got)
 
 
 def test_lp_norm_rejects_p_below_one(grid1d):
