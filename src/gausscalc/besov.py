@@ -24,10 +24,10 @@ and hand the whole coefficient table to hermite._quadrature_norms, the kernel
 behind lp_norm_gamma too.  Every route scales each time node by a power of
 two, so the curve stays accurate at large t, where the p-th powers of its
 values would underflow, and at high degree, where they would overflow.
-Curves for several p (_norm_curves, behind _seminorms and _ak_constants)
+Every curve comes from _norm_curves, which takes any number of p: the ps
 share one orbit table and one basis product per grid, and each keeps the
-bits of its one-p call; norm_curve, besov_seminorm and ak_constant are the
-one-p cases.
+bits of its one-p call.  _seminorms and _ak_constants build on it, and
+norm_curve, besov_seminorm and ak_constant are their one-p calls.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .hermite import (
     _abs_moment_exact_1d,
     _basis_table,
     _check_p,
+    _odd_exact,
     _quadrature_norms,
     default_grid,
     lp_norm,
@@ -151,53 +152,40 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
 
 
 def _norm_curves(f: HermiteExpansion, k: int, ps, ts) -> np.ndarray:
-    """norm_curve for every p in ps, stacked: an array shaped (len(ps),) + ts.shape."""
-    for p in ps:
-        _check_p(p)
-        if p > MAX_P:
-            raise ValueError(f"p = {p} beyond the supported range (p <= {MAX_P})")
-    ts = np.asarray(ts, dtype=float)
-    if not f.coeffs or (k >= 1 and f.degree == 0):
-        return np.zeros((len(ps),) + ts.shape)
-    return _flat_curves(f, k, ps, ts.ravel()).reshape((len(ps),) + ts.shape)
-
-
-def _flat_curves(f: HermiteExpansion, k: int, ps, ts: np.ndarray) -> np.ndarray:
-    """The (len(ps), T) norm curves of a nonzero expansion on a 1-d grid ts.
+    """norm_curve for every p in ps, stacked: an array shaped (len(ps),) + ts.shape.
 
     The orbit table and its scaling are built once for all ps.  Each p takes
     its route; the ps that share a default_grid share one _quadrature_norms
     call, so one basis product and one |.| pass serve them all.
     """
+    for p in ps:
+        _check_p(p)
+        if p > MAX_P:
+            raise ValueError(f"p = {p} beyond the supported range (p <= {MAX_P})")
+    ts = np.asarray(ts, dtype=float)
+    curves = np.zeros((len(ps), ts.size))
+    if not f.coeffs or (k >= 1 and f.degree == 0):
+        return curves.reshape((len(ps),) + ts.shape)
     items = sorted(f.coeffs.items())
-    coef_t = _orbit_table(items, k, ts)
+    coef_t = _orbit_table(items, k, ts.ravel())
     expo = np.frexp(np.max(np.abs(coef_t), axis=0))[1]  # 0 for a zero column
     np.ldexp(coef_t, -expo, out=coef_t)
-    curves = np.empty((len(ps), ts.size))
     on_grid = {}  # grid -> indices of the ps that take quadrature on it
     for i, p in enumerate(ps):
-        p_int = int(round(p))
         if p == 2:
             curves[i] = np.ldexp(np.sqrt(np.sum(coef_t**2, axis=0)), expo)
-        elif p == p_int and p_int % 2 == 1 and f.dimension == 1:
+        elif _odd_exact(p, f.dimension):
             rows = np.zeros((ts.size, f.degree + 1))
             rows[:, [nu[0] for nu, _ in items]] = coef_t.T
-            m, e = _abs_moment_exact_1d(rows, p_int)
-            curves[i] = np.ldexp(m ** (1.0 / p_int), e + expo)
+            m, e = _abs_moment_exact_1d(rows, int(p))
+            curves[i] = np.ldexp(m ** (1.0 / int(p)), e + expo)
         else:
             on_grid.setdefault(default_grid(f, p), []).append(i)
     for g, rows in on_grid.items():
         phi, bound = _basis_table(tuple(nu for nu, _ in items), g)
         norms = _quadrature_norms(phi, bound, coef_t, [ps[i] for i in rows], g.weights)
         curves[rows] = np.ldexp(norms, expo, out=norms)
-    return curves
-
-
-def _curves(f: HermiteExpansion, k: int, ps, ts) -> np.ndarray:
-    """_norm_curves, except that one p goes through norm_curve, the public function a tracer wraps."""
-    if len(ps) == 1:
-        return norm_curve(f, k, ps[0], ts)[None]
-    return _norm_curves(f, k, ps, ts)
+    return curves.reshape((len(ps),) + ts.shape)
 
 
 def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAULT_STEP) -> float:
@@ -216,13 +204,13 @@ def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAU
 
 
 def _seminorms(f: HermiteExpansion, alpha: float, ps, q: float, k: int, step: float = DEFAULT_STEP) -> list[float]:
-    """besov_seminorm for every p in ps: the time rule does not depend on p, so all ps share it and one _curves call."""
-    if not f.coeffs or f.degree == 0:
-        return [0.0] * len(ps)
+    """besov_seminorm for every p in ps: the time rule does not depend on p, so all ps share it and one _norm_curves call."""
+    if not q >= 1:
+        raise ValueError(f"q must be >= 1 (or inf), got q = {q}")
     t, w, head_rest, _ = clipped_time_rule((k - alpha) * q, 1.0, step=step)
     weight = t ** (k - alpha)
     out = []
-    for curve in _curves(f, k, ps, t):
+    for curve in _norm_curves(f, k, ps, t):
         integral = float(np.dot(w, (weight * curve) ** q / t)) + curve[0] ** q * head_rest
         out.append(integral ** (1.0 / q))
     return out
@@ -263,13 +251,11 @@ def _ak_constants(f: HermiteExpansion, alpha: float, ps, k: int, points: int = S
     """ak_constant for every p in ps: one sweep of sup_grid(points) serves all ps; each p polishes its own argmax."""
     if k <= alpha:
         raise ValueError("need k > alpha")
-    if not f.coeffs or f.degree == 0:
-        return [0.0] * len(ps)
     ts = sup_grid(points)
     weight = ts ** (k - alpha)
     return [
         _polished_sup(lambda t, p=p: t ** (k - alpha) * norm_curve(f, k, p, t), ts, vals)
-        for p, vals in zip(ps, weight * _curves(f, k, ps, ts))
+        for p, vals in zip(ps, weight * _norm_curves(f, k, ps, ts))
     ]
 
 

@@ -45,22 +45,30 @@ __all__ = [
 ]
 
 
+def _derivative_integral(beta: float, k: int, root: float) -> float:
+    """int_0^inf t^(-beta-1) (e^(-t root) - 1)^k dt, for k > beta > 0 and root > 0.
+
+    Head behaves like (-root)^k t^(k-beta-1), tail like (-1)^k t^(-beta-1);
+    the window is sized from these exponents, and the ends it has to drop
+    are added in closed form (clipped_time_rule).
+    """
+    t, w, head_rest, tail_rest = clipped_time_rule(k - beta, beta + 1.0, beta)
+    integral = float(np.dot(w, t ** (-beta - 1.0) * np.expm1(-t * root) ** k))
+    return integral + (-root) ** k * head_rest + (-1.0) ** k * tail_rest
+
+
 @lru_cache(maxsize=None)
 def c_beta_k(beta: float, k: int) -> float:
     """c^k_beta = int_0^inf u^(-beta-1) (e^(-u) - 1)^k du, for k > beta > 0.
 
-    Head behaves like (-1)^k u^(k-beta-1), tail like (-1)^k u^(-beta-1); the
-    window is sized for both (clipped_time_rule), and the ends it has to drop
-    are added in closed form.  Values are cached per (beta, k); the integrand
-    sign makes sign(c^k_beta) = (-1)^k.
+    The derivative integral at root 1 (_derivative_integral), cached per
+    (beta, k); the integrand sign makes sign(c^k_beta) = (-1)^k.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
     if k <= beta:
         raise ValueError(f"need k > beta (k = {k}, beta = {beta}); the integral diverges otherwise")
-    u, w, head_rest, tail_rest = clipped_time_rule(k - beta, beta + 1.0, beta)
-    sign = (-1.0) ** k
-    return float(np.dot(w, u ** (-beta - 1.0) * np.expm1(-u) ** k)) + sign * head_rest + sign * tail_rest
+    return _derivative_integral(beta, k, 1.0)
 
 
 def c_beta(beta: float) -> float:
@@ -112,22 +120,19 @@ def _order_multiplier(derivative: bool, damping: float, beta: float, n: int) -> 
     The orbit of order n is e^(-t root), root = damping + sqrt(n): damping
     is 0 for the Poisson orbit (Riesz) and 1 for the damped one (Bessel).  A
     potential integrates t^(beta-1) e^(-t root) / Gamma(beta), which behaves
-    like t^(beta-1) at 0 and decays exponentially; a derivative integrates
-    t^(-beta-1) (e^(-t root) - 1)^k / c^k_beta, k the smallest integer
-    > beta, which behaves like (-root)^k t^(k-beta-1) at 0 and has the
-    algebraic tail (-1)^k t^(-beta-1).  The rule is sized from these
-    exponents, and the ends it has to drop are added in closed form
-    (clipped_time_rule).  Family members share their orders, so the oracles
-    experiment asks for each value many times.
+    like t^(beta-1) at 0 and decays exponentially, on a rule sized from that
+    exponent with the dropped head added in closed form (clipped_time_rule);
+    a derivative is _derivative_integral(beta, k, root) / c^k_beta, k the
+    smallest integer > beta, the same integral as c^k_beta at root 1, so
+    root = 1 gives exactly 1.  Family members share their orders, so the
+    oracles experiment asks for each value many times.
     """
     root = damping + math.sqrt(n)
     if not derivative:
         t, w, head_rest, _ = clipped_time_rule(beta, 1.0 - beta)
         return (float(np.dot(w, t ** (beta - 1.0) * np.exp(-t * root))) + head_rest) / gamma_fn(beta)
     k = smallest_k(beta)
-    t, w, head_rest, tail_rest = clipped_time_rule(k - beta, beta + 1.0, beta)
-    integral = float(np.dot(w, t ** (-beta - 1.0) * np.expm1(-t * root) ** k))
-    return (integral + (-root) ** k * head_rest + (-1.0) ** k * tail_rest) / c_beta_k(beta, k)
+    return _derivative_integral(beta, k, root) / c_beta_k(beta, k)
 
 
 def riesz_potential_integral(f: HermiteExpansion, beta: float) -> HermiteExpansion:

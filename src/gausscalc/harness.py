@@ -11,12 +11,12 @@ as a regression baseline.
 Determinism contract: families come from a counter-based generator (Philox),
 so identical configs produce byte-identical reports; wall-clock metadata is
 kept in a separate block that comparisons can drop.  A boundedness row
-evaluates the smoothness terms of all its ps at once for each (alpha, beta, q):
-norm curves for several p share one orbit table and one basis product per
-Gauss-Hermite grid.  Only denominators, the Besov norm totals of the source
-functions, are memoized per process (_besov_totals); a memoized total is the
-same bits as a cold call, so a report does not depend on which experiments
-ran before it.
+evaluates the smoothness terms of all its ps at once for each (alpha, beta, q),
+through besov's multi-p functions whatever the number of ps: norm curves for
+several p share one orbit table and one basis product per Gauss-Hermite grid.
+Only denominators, the Besov norm totals of the source functions, are
+memoized per process (_besov_totals); a memoized total is the same bits as a
+cold call, so a report does not depend on which experiments ran before it.
 """
 
 from __future__ import annotations
@@ -233,20 +233,10 @@ def _fmt_float(x) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(format(obj, ".17g"))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def emit_report(report: TheoremReport, fmt: str = "json", path: str | None = None) -> str:
     """Serialize a report (stable field order, lossless float formatting)."""
     if fmt == "json":
-        doc = _round_floats(report.payload())
+        doc = report.payload()
         doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "runtime_s": report.runtime_s}
         text = json.dumps(doc, indent=2) + "\n"
     elif fmt == "csv":
@@ -289,23 +279,13 @@ def emit_report(report: TheoremReport, fmt: str = "json", path: str | None = Non
 def _smoothness_terms(f, alpha, ps, q, step, sup_points) -> list[float]:
     """The seminorm (q < inf) or A_k (q = inf) term of the Besov norm, for every p in ps.
 
-    Several ps share one time rule, one orbit table and one basis product
-    per grid (besov._seminorms, besov._ak_constants); one p goes through the
-    public besov_seminorm and ak_constant.
+    All ps share one time rule, one orbit table and one basis product per
+    grid (besov._seminorms, besov._ak_constants).
     """
     k = bz.smallest_k(alpha)
-    if len(ps) > 1:
-        if math.isinf(q):
-            return bz._ak_constants(f, alpha, ps, k, sup_points)
-        return bz._seminorms(f, alpha, ps, q, k, step)
     if math.isinf(q):
-        return [bz.ak_constant(f, alpha, ps[0], k, points=sup_points)]
-    return [bz.besov_seminorm(f, bz.besov_params(alpha, ps[0], q, k), step=step)]
-
-
-def _totals(f, alpha, ps, q, step, sup_points) -> list[float]:
-    """Besov norm totals ||f||_p + smoothness term, for every p in ps."""
-    return [bz.lp_norm(f, p) + s for p, s in zip(ps, _smoothness_terms(f, alpha, ps, q, step, sup_points))]
+        return bz._ak_constants(f, alpha, ps, k, sup_points)
+    return bz._seminorms(f, alpha, ps, q, k, step)
 
 
 class _TotalsMemo:
@@ -334,7 +314,8 @@ class _TotalsMemo:
         self.hits += len(keys) - len(new)
         self.misses += len(new)
         if new:
-            self._store.update(zip(new, _totals(f, alpha, tuple(new.values()), q, step, sup_points)))
+            terms = _smoothness_terms(f, alpha, tuple(new.values()), q, step, sup_points)
+            self._store.update((key, bz.lp_norm(f, p) + term) for (key, p), term in zip(new.items(), terms))
         for key in keys:
             self._store.move_to_end(key)
         values = [self._store[key] for key in keys]
@@ -653,14 +634,14 @@ def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
     rep.add_check("decay-constant-grid-stable", worst_drift < 0.01, worst_drift, 0.01)
 
     # ||Delta_s^k(u^(n), t)||_p <= s^k ||u^(k+n)(., t)||_p
-    # (the right-hand norm does not depend on s: one norm_curve call serves all three steps)
+    # (the right-hand norms do not depend on s: one curve call serves all ps and all three steps)
     worst_excess = 0.0
+    ps = (1.0, 2.0, 4.0)
     for f in sample[:5]:
         for t in (0.0, 0.3):
             for k in (1, 2, 3):
                 for n in (0, 1):
-                    for p in (1.0, 2.0, 4.0):
-                        derivative_norm = bz.norm_curve(f, k + n, p, np.array([t]))[0]
+                    for p, derivative_norm in zip(ps, bz._norm_curves(f, k + n, ps, [t])[:, 0]):
                         for s in (0.1, 0.5, 1.0):
                             lhs = bz.lp_norm(sg.orbit_difference(f, s, k, t, n), p)
                             rhs = s**k * derivative_norm

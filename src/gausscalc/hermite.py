@@ -238,10 +238,6 @@ class HermiteExpansion:
         """Integral against gamma_d, i.e. the nu = 0 coefficient."""
         return self._coeffs.get(MultiIndex((0,) * self.dimension), 0.0)
 
-    def orders(self):
-        """Sorted chaos orders |nu| present with a nonzero coefficient."""
-        return sorted({nu.order for nu in self._coeffs})
-
     def __len__(self):
         return len(self._coeffs)
 
@@ -383,6 +379,11 @@ def gauss_hermite_grid(d: int, m: int) -> GaussHermiteGrid:
 def _even_integer(p: float) -> bool:
     """p is an even integer: |v|^p = v^p, a polynomial, with no |.| to take."""
     return float(p).is_integer() and p % 2 == 0
+
+
+def _odd_exact(p: float, dimension: int) -> bool:
+    """p is an odd integer in dimension 1: the route of _abs_moment_exact_1d, pieces between the real roots."""
+    return float(p).is_integer() and p % 2 == 1 and dimension == 1
 
 
 def _grid_size(degree: int, p: float) -> int:
@@ -676,12 +677,11 @@ def lp_norm(f: HermiteExpansion, p: float) -> float:
         return l2_norm_coeffs(f)
     if not f.coeffs:
         return 0.0
-    p_int = int(round(p))
-    if p == p_int and p_int % 2 == 0:
+    if _even_integer(p):
         return lp_norm_gamma(f, p, gauss_hermite_grid(f.dimension, _grid_size(f.degree, p)))
-    if p == p_int and f.dimension == 1:
-        m, e = _abs_moment_exact_1d(np.bincount([nu[0] for nu in f.coeffs], list(f.coeffs.values())), p_int)
-        return float(np.ldexp(m[0] ** (1.0 / p_int), e[0]))
+    if _odd_exact(p, f.dimension):
+        m, e = _abs_moment_exact_1d(np.bincount([nu[0] for nu in f.coeffs], list(f.coeffs.values())), int(p))
+        return float(np.ldexp(m[0] ** (1.0 / int(p)), e[0]))
     return lp_norm_gamma(f, p, default_grid(f, p))
 
 

@@ -97,6 +97,16 @@ def test_c_beta_k_rejects_k_not_above_beta():
         c_beta(1.2)
 
 
+def test_derivative_multiplier_is_one_at_root_one():
+    # the Riesz order-1 and the Bessel order-0 orbits both decay like e^(-t):
+    # their multiplier integral is c^k_beta's own, so the ratio is exactly 1
+    from gausscalc.fractional import _order_multiplier
+
+    for beta in [i / 40 for i in range(1, 160)]:
+        assert _order_multiplier(True, 0.0, beta, 1) == 1.0, beta
+        assert _order_multiplier(True, 1.0, beta, 0) == 1.0, beta
+
+
 # -- spectral multipliers ---------------------------------------------------------------
 
 

@@ -252,8 +252,8 @@ def test_memoized_terms_leave_reports_unchanged(monkeypatch):
 
     cfg = ExperimentConfig(dimension=2, family_size=2, max_degree=4)
     calls = []
-    flat_curves = besov._flat_curves
-    monkeypatch.setattr(besov, "_flat_curves", lambda *args: calls.append(1) or flat_curves(*args))
+    norm_curves = besov._norm_curves
+    monkeypatch.setattr(besov, "_norm_curves", lambda *args: calls.append(1) or norm_curves(*args))
 
     def cold_caches():
         harness._besov_totals.cache_clear()
@@ -303,6 +303,18 @@ def test_smoothness_memo_misses_on_every_key():
     both = _besov_totals(f, 0.5, (4.0, 3.0), 2.0, DEFAULT_STEP, SUP_POINTS)
     assert _besov_totals.misses == misses + 1
     assert both == [value, besov_total(f, 0.5, 3.0, 2.0, DEFAULT_STEP, SUP_POINTS)]
+
+
+@pytest.mark.parametrize("q", (0.5, math.nan))
+def test_totals_reject_q_below_one(q):
+    from gausscalc.besov import SUP_POINTS
+    from gausscalc.harness import _besov_totals
+    from gausscalc.timequad import DEFAULT_STEP
+
+    f = gen_family(5, 1, 1, 6)[0]
+    for ps in ((2.0,), (1.0, 3.0)):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            _besov_totals(f, 0.5, ps, q, DEFAULT_STEP, SUP_POINTS)
 
 
 def test_totals_memo_keeps_the_most_recent_entries():
