@@ -10,24 +10,12 @@ with ||d^k/dt^k P_t f||_p,gamma <= A t^(alpha-k) for all t > 0.
 
 On finite expansions the time derivative of the Poisson orbit is exact, so the
 only approximations are the t-integral (log-trapezoid, window sized from the
-endpoint exponents) and, for p not 2, the spatial norm.  The spatial norm uses
-the coefficient norm at p = 2, exact polynomial quadrature at even integer p,
-positive-weight Gauss-Legendre pieces between the real roots at odd integer p
-in dimension 1, and plain Gauss-Hermite quadrature otherwise.  A norm curve
-over a time grid is one batched evaluation per route: at odd p in dimension 1
-the piece integrals of all nodes are computed together
-(hermite._abs_moment_exact_1d), with relative errors of about 1e-15 at every
-odd p (see hermite.lp_norm); the quadrature routes (even p, on the same
-exact grid that lp_norm uses, and the rest) take the basis table of the
-support and grid from hermite._basis_table, which builds it once per process,
-and hand the whole coefficient table to hermite._quadrature_norms, the kernel
-behind lp_norm_gamma too.  Every route scales each time node by a power of
-two, so the curve stays accurate at large t, where the p-th powers of its
-values would underflow, and at high degree, where they would overflow.
-Every curve comes from _norm_curves, which takes any number of p: the ps
-share one orbit table and one basis product per grid, and each keeps the
-bits of its one-p call.  _seminorms and _ak_constants build on it, and
-norm_curve, besov_seminorm and ak_constant are their one-p calls.
+endpoint exponents) and, for p not 2, the spatial norm.  Every curve comes
+from _norm_curves, which takes any number of p: it builds the orbit table of
+a time grid once and hands it to hermite._lp_norms, whose docstring lists
+the spatial routes; each p keeps the bits of its one-p call.  _seminorms and
+_ak_constants build on it, and norm_curve, besov_seminorm and ak_constant
+are their one-p calls.
 """
 
 from __future__ import annotations
@@ -37,16 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import (
-    HermiteExpansion,
-    _abs_moment_exact_1d,
-    _basis_table,
-    _check_p,
-    _odd_exact,
-    _quadrature_norms,
-    default_grid,
-    lp_norm,
-)
+from .hermite import HermiteExpansion, _abs_moment_exact_1d, _check_p, _lp_norms, default_grid, lp_norm
 from .timequad import DEFAULT_STEP, TimeQuadrature, clipped_time_rule
 
 __all__ = [
@@ -129,24 +108,13 @@ def _orbit_table(items, k: int, ts) -> np.ndarray:
 
 
 def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
-    """||u^(k)(., t)||_p,gamma for every t in ts, vectorized over the t-grid.
+    """||u^(k)(., t)||_p,gamma for every t in ts, an array shaped like ts: the one-p case of _norm_curves.
 
-    The orbit derivative has coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)), so
-    the whole curve is a table of exponentials applied to the basis values.
-    Each time node's coefficients are first scaled by 2^(-e), which brings
-    the largest into [1/2, 1) without rounding, and its norm is scaled back
-    by 2^e, so that large t neither underflows nor returns NaN on any route.
-    At odd integer p in d = 1 the (T, degree+1) coefficient table goes to
-    hermite._abs_moment_exact_1d in one call: positive-weight pieces between
-    the real roots, for all nodes at once.  The other routes are the coefficient
-    norm at p = 2 and quadrature on default_grid(f, p) otherwise: the exact
-    m = p*degree/2 + 1 grid of lp_norm at even p, m = 4*degree + 8 at odd p
-    in d = 2 and at non-integer p.  Quadrature is one call of
-    hermite._quadrature_norms, the kernel of lp_norm_gamma, on the whole
-    coefficient table: it walks ts in blocks of TIME_BLOCK nodes, so memory
-    does not grow with ts, and scales each node again so that the p-th
-    powers do not overflow at high degree.  Every route returns an array
-    shaped like ts.  This is the one-p case of _norm_curves.
+    The orbit derivative has coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)),
+    one column of a table per time node; hermite._lp_norms takes the norms
+    of all columns at once, on the route of p, and scales each node by a
+    power of two, so large t does not underflow and high degree does not
+    overflow.
     """
     return _norm_curves(f, k, (p,), ts)[0, ...]
 
@@ -154,37 +122,20 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
 def _norm_curves(f: HermiteExpansion, k: int, ps, ts) -> np.ndarray:
     """norm_curve for every p in ps, stacked: an array shaped (len(ps),) + ts.shape.
 
-    The orbit table and its scaling are built once for all ps.  Each p takes
-    its route; the ps that share a default_grid share one _quadrature_norms
-    call, so one basis product and one |.| pass serve them all.
+    The orbit table is built once for all ps and goes to hermite._lp_norms
+    as one table, a column per time node, in sorted support order.  The
+    default_grid and _abs_moment_exact_1d handed in are hermite's own; they
+    are passed through besov's bindings so that a spy on those sees the
+    route of a curve.
     """
     for p in ps:
         _check_p(p)
         if p > MAX_P:
             raise ValueError(f"p = {p} beyond the supported range (p <= {MAX_P})")
     ts = np.asarray(ts, dtype=float)
-    curves = np.zeros((len(ps), ts.size))
-    if not f.coeffs or (k >= 1 and f.degree == 0):
-        return curves.reshape((len(ps),) + ts.shape)
     items = sorted(f.coeffs.items())
     coef_t = _orbit_table(items, k, ts.ravel())
-    expo = np.frexp(np.max(np.abs(coef_t), axis=0))[1]  # 0 for a zero column
-    np.ldexp(coef_t, -expo, out=coef_t)
-    on_grid = {}  # grid -> indices of the ps that take quadrature on it
-    for i, p in enumerate(ps):
-        if p == 2:
-            curves[i] = np.ldexp(np.sqrt(np.sum(coef_t**2, axis=0)), expo)
-        elif _odd_exact(p, f.dimension):
-            rows = np.zeros((ts.size, f.degree + 1))
-            rows[:, [nu[0] for nu, _ in items]] = coef_t.T
-            m, e = _abs_moment_exact_1d(rows, int(p))
-            curves[i] = np.ldexp(m ** (1.0 / int(p)), e + expo)
-        else:
-            on_grid.setdefault(default_grid(f, p), []).append(i)
-    for g, rows in on_grid.items():
-        phi, bound = _basis_table(tuple(nu for nu, _ in items), g)
-        norms = _quadrature_norms(phi, bound, coef_t, [ps[i] for i in rows], g.weights)
-        curves[rows] = np.ldexp(norms, expo, out=norms)
+    curves = _lp_norms(f, [nu for nu, _ in items], coef_t, ps, grid=default_grid, moments=_abs_moment_exact_1d)
     return curves.reshape((len(ps),) + ts.shape)
 
 

@@ -27,7 +27,6 @@ import io
 import json
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
@@ -36,7 +35,7 @@ import numpy as np
 from . import besov as bz
 from . import fractional as fr
 from . import semigroups as sg
-from .hermite import HermiteExpansion, gauss_hermite_grid, l2_norm_coeffs, pi0
+from .hermite import HermiteExpansion, _LRUCache, _lp_norms, gauss_hermite_grid, l2_norm_coeffs, pi0
 from .timequad import DEFAULT_STEP
 
 __all__ = [
@@ -288,52 +287,34 @@ def _smoothness_terms(f, alpha, ps, q, step, sup_points) -> list[float]:
     return bz._seminorms(f, alpha, ps, q, k, step)
 
 
-class _TotalsMemo:
-    """Besov norm totals memoized per (f, alpha, p, q, step, sup_points), one entry per p.
-
-    A call computes only the ps it holds no entry for, in one evaluation.
-    Keys are typed, like lru_cache(typed=True), so an int and a float
-    argument never share an entry and a hit is always the bits a cold call
-    gives.  A key holds f's exact coefficients, sorted, as bytes: equal
-    expansions share entries whatever their coefficient order (a total does
-    not depend on it, since norm curves sort the support), and the memo
-    keeps no expansion alive.  At most maxsize entries are kept, least
-    recently used out.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._store: OrderedDict = OrderedDict()
-        self.hits = self.misses = 0
-
-    def __call__(self, f, alpha, ps, q, step, sup_points) -> list[float]:
-        coeffs = np.array([(*nu, c) for nu, c in sorted(f.coeffs.items())]).tobytes()
-        keys = [(f.dimension, coeffs, alpha, p, q, step, sup_points) for p in ps]
-        keys = [key + tuple(map(type, key[2:])) for key in keys]
-        new = {key: p for key, p in zip(keys, ps) if key not in self._store}
-        self.hits += len(keys) - len(new)
-        self.misses += len(new)
-        if new:
-            terms = _smoothness_terms(f, alpha, tuple(new.values()), q, step, sup_points)
-            self._store.update((key, bz.lp_norm(f, p) + term) for (key, p), term in zip(new.items(), terms))
-        for key in keys:
-            self._store.move_to_end(key)
-        values = [self._store[key] for key in keys]
-        while len(self._store) > self.maxsize:
-            self._store.popitem(last=False)
-        return values
-
-    def cache_clear(self):
-        self._store.clear()
-        self.hits = self.misses = 0
-
-
 # Only source totals repeat: rows that share a source smoothness (the two
 # potentials at alpha = 0.5, the two derivatives at 0.7 and at 1.6) share
 # every denominator, and lemmas reuses a few.  Numerators never repeat.  A
 # default verify-all pass needs 3 alphas x 2 q x 2 resolutions x 50 members
 # = 600 denominator entries, 6 for the scaled source and about 90 for lemmas.
-_besov_totals = _TotalsMemo(maxsize=1024)
+_TOTALS = _LRUCache(1024)
+
+
+def _besov_totals(f, alpha, ps, q, step, sup_points) -> list[float]:
+    """Besov norm totals memoized in _TOTALS per (f, alpha, p, q, step, sup_points), one entry per p.
+
+    A call computes only the ps it holds no entry for, in one evaluation.
+    Keys are typed, like lru_cache(typed=True), so an int and a float
+    argument never share an entry.  A key holds f's exact coefficients as
+    bytes, in f's own order, the order lp_norm sums them in: a hit is always
+    the bits a cold call gives, and the memo keeps no expansion alive.
+    """
+    coeffs = np.array([(*nu, c) for nu, c in f.coeffs.items()]).tobytes()
+    keys = [(f.dimension, coeffs, alpha, p, q, step, sup_points) for p in ps]
+    keys = [key + tuple(map(type, key[2:])) for key in keys]
+    values = [_TOTALS.get(key) for key in keys]
+    new = [i for i, value in enumerate(values) if value is None]
+    if new:
+        terms = _smoothness_terms(f, alpha, tuple(ps[i] for i in new), q, step, sup_points)
+        for i, term in zip(new, terms):
+            values[i] = bz.lp_norm(f, ps[i]) + term
+            _TOTALS.put(keys[i], values[i])
+    return values
 
 
 def besov_total(f, alpha, p, q, step=DEFAULT_STEP, sup_points=bz.SUP_POINTS) -> float:
@@ -633,20 +614,24 @@ def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
     rep.add_check("derivative-norm-decay-monotone", all_monotone)
     rep.add_check("decay-constant-grid-stable", worst_drift < 0.01, worst_drift, 0.01)
 
-    # ||Delta_s^k(u^(n), t)||_p <= s^k ||u^(k+n)(., t)||_p
-    # (the right-hand norms do not depend on s: one curve call serves all ps and all three steps)
+    # ||Delta_s^k(u^(n), t)||_p <= s^k ||u^(k+n)(., t)||_p: per (member, t), the 18
+    # differences and the 4 distinct derivatives go to _lp_norms as one table
     worst_excess = 0.0
-    ps = (1.0, 2.0, 4.0)
+    ps, steps = (1.0, 2.0, 4.0), (0.1, 0.5, 1.0)
+    pairs = [(k, n) for k in (1, 2, 3) for n in (0, 1)]
+    orders = sorted({k + n for k, n in pairs})
     for f in sample[:5]:
+        support = sorted(f.coeffs)
         for t in (0.0, 0.3):
-            for k in (1, 2, 3):
-                for n in (0, 1):
-                    for p, derivative_norm in zip(ps, bz._norm_curves(f, k + n, ps, [t])[:, 0]):
-                        for s in (0.1, 0.5, 1.0):
-                            lhs = bz.lp_norm(sg.orbit_difference(f, s, k, t, n), p)
-                            rhs = s**k * derivative_norm
-                            if rhs > 0:
-                                worst_excess = max(worst_excess, lhs / rhs - 1.0)
+            columns = [sg.orbit_difference(f, s, k, t, n) for k, n in pairs for s in steps]
+            columns += [sg.time_derivative(f, t, j) for j in orders]
+            table = np.array([[g.coefficient(nu) for g in columns] for nu in support])
+            norms = _lp_norms(f, support, table, ps)
+            derivatives = dict(zip(orders, norms[:, -len(orders) :].T))
+            for col, ((k, n), s) in enumerate(product(pairs, steps)):
+                for lhs, rhs in zip(norms[:, col], s**k * derivatives[k + n]):
+                    if rhs > 0:
+                        worst_excess = max(worst_excess, lhs / rhs - 1.0)
     rep.add_check("difference-bounded-by-derivative", worst_excess <= 1e-9, worst_excess, 1e-9)
 
     # d/ds Delta_s^k(g, t) = k Delta_s^(k-1)(g', t+s), checked by central differences

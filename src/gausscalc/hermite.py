@@ -8,12 +8,10 @@ exp(-x^2)) normalized so that
 
 Finite expansions (sparse maps multi-index -> coefficient) are the single function
 representation used by the rest of the package; point samples appear only inside
-quadrature loops.  The Gauss-Hermite sum of |f|^p has one implementation,
-_quadrature_norms, which takes a whole table of coefficient columns and several
-p: lp_norm_gamma is its one-p, one-column call and besov.norm_curve runs it over
-a time grid, for all the p that share a grid at once.  Both take
-their basis table from _basis_table, built once per support and grid.  All objects
-are immutable after construction and all operations are pure functions, so they
+quadrature loops.  _lp_norms is the one place that picks an L^p route, for a
+whole table of coefficient columns and several p; lp_norm is its one-column
+call and besov's norm curves run it over a time grid.  All objects are
+immutable after construction and all operations are pure functions, so they
 are safe to share across workers.
 """
 
@@ -24,7 +22,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, update_wrapper
+from functools import lru_cache, partial, update_wrapper
 from itertools import product
 
 import numpy as np
@@ -51,7 +49,7 @@ __all__ = [
 # then NaN).
 MAX_NODES_PER_AXIS = 370
 
-# Bytes of tables that each _TableCache keeps alive.  Every table of the
+# Bytes of tables that each table cache keeps alive.  Every table of the
 # default and wide configs fits many times over (the largest, d = 2 at
 # degree 8, is about 0.6 MB); a larger result, such as the 51 MB odd-p table
 # of degree 200 at p = 5, is built for its call alone.
@@ -62,41 +60,59 @@ def _nbytes(value: tuple) -> int:
     return sum(a.nbytes for a in value if isinstance(a, np.ndarray))
 
 
-class _TableCache:
-    """Memoize a pure function of hashable arguments that returns a tuple of read-only arrays.
+class _LRUCache:
+    """Least-recently-used store of hashable keys, bounded by a size function.
 
-    Results are kept, least recently used first out, while their arrays
-    total at most TABLE_CACHE_BYTES; a result larger than that is returned
-    uncached.  nbytes is the total held now.
+    Values are kept, least recently used first out, while size(value) sums
+    to at most budget; a value larger than budget is not kept.  held is the
+    size held now, hits and misses count lookups, and a lock guards the
+    store.  None is never a value: get returns it for a missing key.  Given
+    fn, a pure function of hashable arguments, the cache is its memo, and fn
+    runs outside the lock.
     """
 
-    def __init__(self, fn):
-        update_wrapper(self, fn)
-        self._fn = fn
+    def __init__(self, budget, size=lambda value: 1, fn=None):
+        if fn is not None:
+            update_wrapper(self, fn)
+        self._fn, self.budget, self.size = fn, budget, size
         self._store: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
-        self.nbytes = 0
+        self.held = self.hits = self.misses = 0
 
     def __call__(self, *args):
-        with self._lock:
-            value = self._store.get(args)
-            if value is not None:
-                self._store.move_to_end(args)
-                return value
-        value = self._fn(*args)
-        size = _nbytes(value)
-        with self._lock:
-            if size <= TABLE_CACHE_BYTES and args not in self._store:
-                self._store[args] = value
-                self.nbytes += size
-                while self.nbytes > TABLE_CACHE_BYTES:
-                    self.nbytes -= _nbytes(self._store.popitem(last=False)[1])
+        value = self.get(args)
+        if value is None:
+            value = self._fn(*args)
+            self.put(args, value)
         return value
+
+    def get(self, key):
+        with self._lock:
+            value = self._store.get(key)
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self._store.move_to_end(key)
+            return value
+
+    def put(self, key, value):
+        size = self.size(value)
+        with self._lock:
+            if size <= self.budget and key not in self._store:
+                self._store[key] = value
+                self.held += size
+                while self.held > self.budget:
+                    self.held -= self.size(self._store.popitem(last=False)[1])
 
     def cache_clear(self):
         with self._lock:
             self._store.clear()
-            self.nbytes = 0
+            self.held = self.hits = self.misses = 0
+
+
+# memoizes a function that returns a tuple of read-only arrays
+_table_cache = partial(_LRUCache, TABLE_CACHE_BYTES, _nbytes)
 
 
 class MultiIndex(tuple):
@@ -165,7 +181,7 @@ def basis_matrix(indices, points) -> np.ndarray:
     return phi
 
 
-@_TableCache
+@_table_cache
 def _basis_table(indices: tuple, grid: GaussHermiteGrid) -> tuple[np.ndarray, np.ndarray]:
     """basis_matrix(indices, grid.nodes) and its column bound max_i |phi[i, j]|, both read-only.
 
@@ -587,7 +603,7 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x[: m // 2], x[::-1]]), np.concatenate([w[: m // 2], w[::-1]])
 
 
-@_TableCache
+@_table_cache
 def _unit_pieces(n: int, p: int):
     """Gauss-Legendre rule on the unit pieces of [-L, L] for g^p dgamma_1, deg g = n.
 
@@ -654,35 +670,78 @@ def _abs_moment_exact_1d(coeffs, p: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(np.abs(np.diff(cuts, axis=1)), axis=1)[:, -1], expo + scale
 
 
-def lp_norm(f: HermiteExpansion, p: float) -> float:
-    """L^p(gamma_d) norm with the most accurate available route.
+def _lp_norms(f: HermiteExpansion, indices, coef: np.ndarray, ps, grid=None, moments=None) -> np.ndarray:
+    """L^p(gamma_d) norms of the columns of an (S, T) coefficient table, for every p in ps: a (len(ps), T) array.
 
-    p = 2 uses the coefficient norm (exact).  Even integer p uses quadrature on
-    the m = p*degree/2 + 1 grid, exact for |f|^p = f^p, which norm_curve
-    shares through the same size rule (_grid_size).  Odd integer p in d = 1
-    integrates between the real roots of f with positive-weight
-    Gauss-Legendre pieces (Gauss-Hermite converges poorly across the kinks of
-    |f|^p): the one-row case of the batched _abs_moment_exact_1d, which
-    norm_curve runs over a whole time grid.  No sum there cancels, so the
-    error does not grow with p or degree: a search for the worst input of
-    degree <= 8 found at most 1.6e-15 relative for p = 1, 3, 5, 7, and
-    degrees 16 to 40 stay within 1e-14.  Everything else (odd p in d = 2,
-    non-integer p) falls back to plain quadrature on default_grid(f, p),
-    m = 4*degree + 8.  Both quadrature routes go through lp_norm_gamma, the
-    one-column call of _quadrature_norms, which scales by a power of two so
-    that high degree does not overflow and tiny expansions do not underflow.
+    Column t holds the coefficients over indices (S multi-indices in any
+    order) of an expansion in f's dimension of degree at most f.degree: f
+    itself, or an operator applied to it, such as a Poisson orbit derivative
+    at one time node per column.  This is the one place that picks a p's
+    route; lp_norm and besov's norm curves both call it.
+
+    * p = 2: the coefficient norm, exact by orthonormality.
+    * Odd integer p in d = 1 (_odd_exact): int |g|^p dgamma_1 between the
+      real roots of each column, with positive-weight Gauss-Legendre pieces
+      (_abs_moment_exact_1d), where Gauss-Hermite converges poorly across
+      the kinks of |g|^p.  No sum cancels, so the error does not grow with p
+      or degree: a search for the worst input of degree <= 8 found at most
+      1.6e-15 relative for p = 1, 3, 5, 7, and degrees 16 to 40 stay within
+      1e-14.  A column's value depends on f.degree, which sizes the pieces,
+      and not on the other columns.
+    * Every other p: Gauss-Hermite quadrature (_quadrature_norms) on the
+      grid of _grid_size(f.degree, p): exact for |g|^p = g^p at even p
+      (m = p*degree/2 + 1 nodes per axis, ValueError beyond
+      MAX_NODES_PER_AXIS), m = 4*degree + 8 otherwise (odd p in d = 2,
+      non-integer p).  The ps that share a grid share one call, so one basis
+      product and one |.| pass serve them all.  BLAS may round a one-column
+      product differently from a wider one, so lp_norm passes its expansion
+      as one column, in its own coefficient order.
+
+    Each column is first scaled, in place, by the power of two that brings
+    its largest |coefficient| into [1/2, 1), and its norms are scaled back:
+    large t on a norm curve does not underflow, and high degree does not
+    overflow.  A zero column, or an empty support, has norm 0.
+
+    grid(f, p) and moments(rows, p), when given, are called in place of the
+    quadrature grid lookup and of _abs_moment_exact_1d.  besov hands in its
+    bindings of default_grid and _abs_moment_exact_1d, which give the same
+    grids and values, so that a spy on them (perfbench's route tests) sees
+    a norm curve's route.  Without them, even p take the exact grid from
+    gauss_hermite_grid and the other quadrature ps default_grid(f, p).
+    """
+    expo = np.frexp(np.max(np.abs(coef), axis=0, initial=0.0))[1]  # 0 for a zero column
+    np.ldexp(coef, -expo, out=coef)
+    norms = np.empty((len(ps), coef.shape[1]))
+    on_grid = {}  # grid -> indices of the ps that take quadrature on it
+    for i, p in enumerate(ps):
+        if p == 2:
+            norms[i] = np.sqrt(np.sum(coef**2, axis=0))
+        elif _odd_exact(p, f.dimension):
+            rows = np.zeros((coef.shape[1], f.degree + 1))
+            rows[:, [nu[0] for nu in indices]] = coef.T
+            m, e = (moments or _abs_moment_exact_1d)(rows, int(p))
+            norms[i] = np.ldexp(m ** (1.0 / int(p)), e)
+        elif grid is not None:
+            on_grid.setdefault(grid(f, p), []).append(i)
+        elif _even_integer(p):
+            on_grid.setdefault(gauss_hermite_grid(f.dimension, _grid_size(f.degree, p)), []).append(i)
+        else:
+            on_grid.setdefault(default_grid(f, p), []).append(i)
+    for g, rows in on_grid.items():
+        norms[rows] = _quadrature_norms(*_basis_table(tuple(indices), g), coef, [ps[i] for i in rows], g.weights)
+    return np.ldexp(norms, expo, out=norms)
+
+
+def lp_norm(f: HermiteExpansion, p: float) -> float:
+    """L^p(gamma_d) norm on the most accurate route: the one-column call of _lp_norms, whose docstring lists the routes.
+
+    p = 2 takes l2_norm_coeffs directly, without building a table.
     """
     _check_p(p)
     if p == 2:
         return l2_norm_coeffs(f)
-    if not f.coeffs:
-        return 0.0
-    if _even_integer(p):
-        return lp_norm_gamma(f, p, gauss_hermite_grid(f.dimension, _grid_size(f.degree, p)))
-    if _odd_exact(p, f.dimension):
-        m, e = _abs_moment_exact_1d(np.bincount([nu[0] for nu in f.coeffs], list(f.coeffs.values())), int(p))
-        return float(np.ldexp(m[0] ** (1.0 / int(p)), e[0]))
-    return lp_norm_gamma(f, p, default_grid(f, p))
+    coef = np.fromiter(f.coeffs.values(), float, len(f.coeffs)).reshape(-1, 1)
+    return float(_lp_norms(f, tuple(f.coeffs), coef, (p,))[0, 0])
 
 
 def chaos_project(f: HermiteExpansion, n: int) -> HermiteExpansion:

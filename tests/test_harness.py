@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -256,7 +257,7 @@ def test_memoized_terms_leave_reports_unchanged(monkeypatch):
     monkeypatch.setattr(besov, "_norm_curves", lambda *args: calls.append(1) or norm_curves(*args))
 
     def cold_caches():
-        harness._besov_totals.cache_clear()
+        harness._TOTALS.cache_clear()
         hermite._basis_table.cache_clear()
         calls.clear()
 
@@ -278,30 +279,39 @@ def test_memoized_terms_leave_reports_unchanged(monkeypatch):
 
 def test_smoothness_memo_misses_on_every_key():
     from gausscalc.besov import SUP_POINTS
-    from gausscalc.harness import _besov_totals, besov_total
+    from gausscalc.harness import _TOTALS, _besov_totals
     from gausscalc.timequad import DEFAULT_STEP
 
     f = gen_family(5, 1, 1, 6)[0]
     base = (f, 0.5, 4.0, 2.0, DEFAULT_STEP, SUP_POINTS)
-    _besov_totals.cache_clear()
+    _TOTALS.cache_clear()
     value = besov_total(*base)
     for i, changed in ((1, 0.6), (2, 3.0), (2, 4), (3, 3.0), (3, math.inf), (4, DEFAULT_STEP / 2), (5, 2 * SUP_POINTS)):
         args = base[:i] + (changed,) + base[i + 1 :]
-        misses = _besov_totals.misses
+        misses = _TOTALS.misses
         besov_total(*args)
-        assert _besov_totals.misses == misses + 1, args[1:]
-    # an equal expansion with its coefficients in another order is a hit, and
-    # a cold call on it gives the same bits
-    reordered = HermiteExpansion(1, dict(reversed(list(f.coeffs.items()))))
-    hits = _besov_totals.hits
-    assert besov_total(reordered, *base[1:]) == value
-    assert _besov_totals.hits == hits + 1
-    _besov_totals.cache_clear()
-    assert besov_total(reordered, *base[1:]) == value
+        assert _TOTALS.misses == misses + 1, args[1:]
+    # an equal expansion with its coefficients in another order: lp_norm sums
+    # them in that order, so a warm value must be the bits of a cold call
+    rng = random.Random(0)
+    family = gen_family(7, 1, 40, 8)
+    shuffled = []
+    for g in family:
+        items = list(g.coeffs.items())
+        rng.shuffle(items)
+        shuffled.append(HermiteExpansion(1, dict(items)))
+    rest = (0.5, (2.0, 4.0), 2.0, DEFAULT_STEP, SUP_POINTS)
+    _TOTALS.cache_clear()
+    for g in family:
+        _besov_totals(g, *rest)
+    warm = [_besov_totals(g, *rest) for g in shuffled]
+    _TOTALS.cache_clear()
+    assert warm == [_besov_totals(g, *rest) for g in shuffled]
     # several ps: only the missing ones are computed, and each is the bits of its one-p call
-    misses = _besov_totals.misses
+    besov_total(*base)
+    misses = _TOTALS.misses
     both = _besov_totals(f, 0.5, (4.0, 3.0), 2.0, DEFAULT_STEP, SUP_POINTS)
-    assert _besov_totals.misses == misses + 1
+    assert _TOTALS.misses == misses + 1
     assert both == [value, besov_total(f, 0.5, 3.0, 2.0, DEFAULT_STEP, SUP_POINTS)]
 
 
@@ -317,36 +327,38 @@ def test_totals_reject_q_below_one(q):
             _besov_totals(f, 0.5, ps, q, DEFAULT_STEP, SUP_POINTS)
 
 
-def test_totals_memo_keeps_the_most_recent_entries():
-    from gausscalc.harness import _TotalsMemo
+def test_totals_memo_keeps_the_most_recent_entries(monkeypatch):
+    from gausscalc import harness
+    from gausscalc.hermite import _LRUCache
 
     f = gen_family(5, 1, 1, 6)[0]
-    memo = _TotalsMemo(maxsize=2)
-    first = memo(f, 0.5, (2.0, 4.0), 2.0, 0.02, 200)
-    memo(f, 0.5, (2.0,), 2.0, 0.02, 200)  # p = 2 is now the most recent
-    memo(f, 0.5, (3.0,), 2.0, 0.02, 200)  # evicts p = 4
+    memo = _LRUCache(2)
+    monkeypatch.setattr(harness, "_TOTALS", memo)
+    first = harness._besov_totals(f, 0.5, (2.0, 4.0), 2.0, 0.02, 200)
+    harness._besov_totals(f, 0.5, (2.0,), 2.0, 0.02, 200)  # p = 2 is now the most recent
+    harness._besov_totals(f, 0.5, (3.0,), 2.0, 0.02, 200)  # evicts p = 4
     assert (memo.hits, memo.misses) == (1, 3)
-    assert memo(f, 0.5, (2.0,), 2.0, 0.02, 200) == first[:1]
-    assert memo(f, 0.5, (4.0,), 2.0, 0.02, 200) == first[1:]
+    assert harness._besov_totals(f, 0.5, (2.0,), 2.0, 0.02, 200) == first[:1]
+    assert harness._besov_totals(f, 0.5, (4.0,), 2.0, 0.02, 200) == first[1:]
     assert (memo.hits, memo.misses) == (2, 4)
 
 
 def test_wide_row_makes_one_basis_product_per_member_resolution_q_and_grid(monkeypatch):
     # in d = 2, p = 1 and 3 share the m = 4 deg + 8 grid and p = 4 takes the
     # exact m = 2 deg + 1 grid; the A_k polish (19 time nodes) is per p
-    from gausscalc import besov, harness
+    from gausscalc import harness, hermite
 
     cfg = ExperimentConfig(dimension=2, family_size=2, max_degree=4, ps=(1.0, 3.0, 4.0))
     products = []
-    kernel = besov._quadrature_norms
+    kernel = hermite._quadrature_norms
 
     def spy(phi, bound, coef, ps, weights):
         if coef.shape[1] > 19:
             products.append(tuple(ps))
         return kernel(phi, bound, coef, ps, weights)
 
-    monkeypatch.setattr(besov, "_quadrature_norms", spy)
-    harness._besov_totals.cache_clear()
+    monkeypatch.setattr(hermite, "_quadrature_norms", spy)
+    harness._TOTALS.cache_clear()
     assert run_experiment("riesz-derivative-bounded", cfg).passed
     # per q: (2 members + the scaled one) x (image, source) at the coarse
     # resolution and 2 members x (image, source) at the refined one, each

@@ -30,7 +30,9 @@ from gausscalc.hermite import (
     _abs_pow,
     _basis_table,
     _gauss_legendre,
-    _TableCache,
+    _LRUCache,
+    _lp_norms,
+    _nbytes,
     _unit_pieces,
 )
 
@@ -194,17 +196,16 @@ def test_basis_table_is_the_basis_matrix_read_only(d, m):
     assert _basis_table(idxs, type(grid)(d, grid.nodes, grid.weights))[0] is not phi
 
 
-def test_table_cache_is_bounded_by_bytes(monkeypatch):
-    monkeypatch.setattr("gausscalc.hermite.TABLE_CACHE_BYTES", 1000)
-    cache = _TableCache(lambda n: (np.zeros(n), n))
+def test_table_cache_is_bounded_by_bytes():
+    cache = _LRUCache(1000, _nbytes, lambda n: (np.zeros(n), n))
     for n in (50, 60, 50, 40):  # 400, 480, a hit on 50, then 320 bytes
         cache(n)
     assert list(cache._store) == [(50,), (40,)]  # 60, least recently used, went out
-    assert cache.nbytes == 720
+    assert cache.held == 720
     cache(200)  # 1600 bytes, more than the whole budget: not kept
-    assert list(cache._store) == [(50,), (40,)] and cache.nbytes == 720
+    assert list(cache._store) == [(50,), (40,)] and cache.held == 720
     cache.cache_clear()
-    assert not cache._store and cache.nbytes == 0
+    assert not cache._store and cache.held == 0
 
 
 def test_odd_p_tables_stay_within_the_cache_budget():
@@ -213,7 +214,7 @@ def test_odd_p_tables_stay_within_the_cache_budget():
     h200 = HermiteExpansion.basis((200,))
     for p in (1.0, 3.0, 5.0):
         assert math.isfinite(lp_norm(h200, p))
-        assert _unit_pieces.nbytes <= TABLE_CACHE_BYTES
+        assert _unit_pieces.held <= TABLE_CACHE_BYTES
     assert sorted(_unit_pieces._store) == [(200, 1), (200, 3)]
 
 
@@ -322,6 +323,36 @@ def test_abs_pow_matches_float_power(p):
         assert np.array_equal(got, want)
     # a v that already holds |v| skips the pass, and gives the same bits
     assert np.array_equal(_abs_pow(np.abs(v), p, np.empty_like(v), absolute=True), got)
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_lp_norms_of_unrelated_columns_match_lp_norm(d):
+    # five unrelated expansions of degree 6, on supports and scales of their
+    # own, and a zero column: each column's norms are lp_norm's of its own
+    # expansion, to the bit on the odd-p pieces (d = 1, p = 1 and 3)
+    rng = np.random.default_rng(16)
+    degree = 6
+    lower = [nu for nu in np.ndindex(*(degree + 1,) * d) if sum(nu) < degree]
+    top = [nu for nu in np.ndindex(*(degree + 1,) * d) if sum(nu) == degree]
+    expansions = []
+    for scale in (1e-3, 0.5, 1.0, 7.0, 1e4):
+        support = [top[rng.integers(len(top))]] + [lower[i] for i in rng.permutation(len(lower))[:4]]
+        expansions.append(HermiteExpansion(d, {nu: scale * rng.normal() for nu in support}))
+    expansions.append(HermiteExpansion.zero(d))
+    support = sorted(set().union(*(g.coeffs for g in expansions)))
+    table = np.array([[g.coefficient(nu) for g in expansions] for nu in support])
+    f = HermiteExpansion(d, dict.fromkeys(support, 1.0))
+    ps = (1.0, 1.5, 2.0, 3.0, 4.0)
+    norms = _lp_norms(f, support, table, ps)
+    assert norms.shape == (len(ps), len(expansions))
+    for p, row in zip(ps, norms):
+        for value, g in zip(row, expansions):
+            want = lp_norm(g, p)
+            if d == 1 and p in (1.0, 3.0):
+                assert value == want
+            else:
+                assert abs(value - want) <= 1e-14 * want
+    assert not norms[:, -1].any()
 
 
 def test_lp_norm_rejects_p_below_one(grid1d):

@@ -90,3 +90,31 @@ print(" ".join(m for m in %r if m in sys.modules))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == ""
+
+
+ROUTE_INTERNALS = ("_abs_moment_exact_1d", "_quadrature_norms", "_basis_table", "_odd_exact", "default_grid")
+# perfbench's route test spies on besov's bindings of these two to see a norm
+# curve's route, so besov keeps them, but only as arguments of _lp_norms
+ROUTE_SPIES = ("_abs_moment_exact_1d", "default_grid")
+
+
+def test_besov_leaves_the_lp_route_to_hermite():
+    # hermite._lp_norms alone picks an L^p route: besov neither imports the
+    # route internals nor uses them, by name or as attributes, except that it
+    # hands the spied two to _lp_norms
+    tree = ast.parse((ROOT / "src" / "gausscalc" / "besov.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & set(ROUTE_INTERNALS) <= set(ROUTE_SPIES)
+    handed = {
+        id(arg)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_lp_norms"
+        for arg in [*node.args, *(keyword.value for keyword in node.keywords)]
+    }
+    uses = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in ROUTE_INTERNALS and id(node) not in handed)
+        or (isinstance(node, ast.Attribute) and node.attr in ROUTE_INTERNALS)
+    ]
+    assert uses == []
