@@ -697,25 +697,28 @@ def _lp_norms(f: HermiteExpansion, indices, coef: np.ndarray, ps, grid=None, mom
       product differently from a wider one, so lp_norm passes its expansion
       as one column, in its own coefficient order.
 
-    Each column is first scaled, in place, by the power of two that brings
-    its largest |coefficient| into [1/2, 1), and its norms are scaled back:
-    large t on a norm curve does not underflow, and high degree does not
-    overflow.  A zero column, or an empty support, has norm 0.
+    Every route scales each column by a power of two and its norms back, so
+    large t does not underflow and high degree does not overflow: p = 2
+    brings a column's largest |coefficient| into [1/2, 1), the other routes
+    scale in their kernels.  coef is not written.  A zero column, or an
+    empty support, has norm 0.
 
-    grid(f, p) and moments(rows, p), when given, are called in place of the
-    quadrature grid lookup and of _abs_moment_exact_1d.  besov hands in its
-    bindings of default_grid and _abs_moment_exact_1d, which give the same
-    grids and values, so that a spy on them (perfbench's route tests) sees
-    a norm curve's route.  Without them, even p take the exact grid from
-    gauss_hermite_grid and the other quadrature ps default_grid(f, p).
+    grid(f, p) and moments(rows, p), when given, replace the quadrature grid
+    lookup and _abs_moment_exact_1d.  besov hands in its own bindings of
+    default_grid and _abs_moment_exact_1d so that perfbench's route tests,
+    which spy on those, see a norm curve's route; without them even p take
+    gauss_hermite_grid's exact grid and the other quadrature ps
+    default_grid(f, p), the calls by which those tests tell lp_norm's
+    routes apart.  Both knobs and the even-p lookup serve only those spies.
     """
-    expo = np.frexp(np.max(np.abs(coef), axis=0, initial=0.0))[1]  # 0 for a zero column
-    np.ldexp(coef, -expo, out=coef)
     norms = np.empty((len(ps), coef.shape[1]))
     on_grid = {}  # grid -> indices of the ps that take quadrature on it
     for i, p in enumerate(ps):
         if p == 2:
-            norms[i] = np.sqrt(np.sum(coef**2, axis=0))
+            expo = np.frexp(np.max(np.abs(coef), axis=0, initial=0.0))[1]  # 0 for a zero column
+            squares = np.ldexp(coef, -expo)
+            squares *= squares
+            norms[i] = np.ldexp(np.sqrt(np.sum(squares, axis=0)), expo)
         elif _odd_exact(p, f.dimension):
             rows = np.zeros((coef.shape[1], f.degree + 1))
             rows[:, [nu[0] for nu in indices]] = coef.T
@@ -729,7 +732,7 @@ def _lp_norms(f: HermiteExpansion, indices, coef: np.ndarray, ps, grid=None, mom
             on_grid.setdefault(default_grid(f, p), []).append(i)
     for g, rows in on_grid.items():
         norms[rows] = _quadrature_norms(*_basis_table(tuple(indices), g), coef, [ps[i] for i in rows], g.weights)
-    return np.ldexp(norms, expo, out=norms)
+    return norms
 
 
 def lp_norm(f: HermiteExpansion, p: float) -> float:

@@ -483,6 +483,29 @@ def test_odd_p_rows_do_not_depend_on_each_other():
             assert (mi[0], ei[0]) == (m[i], e[i])
 
 
+# lp_norm at p = 1, 3, 5, 7 as it was when it took the p-th root of its one
+# moment as a numpy scalar; it now takes numpy's array power, as a norm curve
+# does, which differs from the scalar power by 1 ulp in about 4 values in 100
+ODD_P_VALUES = [
+    ({(2,): -0.54, (4,): 0.36, (3,): 1.3, (6,): 0.95, (7,): -0.7},
+     (0.752616468543153, 6.652718099197481, 60.02988089978772, 228.34106052531519)),
+    ({(2,): 1.37, (0,): -0.13}, (0.98916395709703, 1.95821120091707, 3.3657423264433493, 4.801976644689956)),
+    ({(1,): 0.4, (0,): 0.43, (2,): 0.7}, (0.5057097576898162, 1.3322220736455102, 2.1532285319097757, 2.960638855587763)),
+    ({(3,): -0.01, (0,): 0.77, (1,): -0.61, (2,): -0.19, (6,): -1.42},
+     (1.1546098423548015, 6.452884664965517, 43.864175924591144, 139.79857641293617)),
+    ({(2,): -0.22, (1,): -1.25, (3,): -0.73, (5,): -0.54},
+     (0.8862636789171194, 3.404214293193683, 11.922148904674964, 27.909751994447983)),
+    ({(4,): -0.46, (3,): -0.74, (2,): -0.92}, (0.623332747650529, 2.804308907379633, 7.815237261558824, 14.957168902575834)),
+]
+
+
+@pytest.mark.parametrize("coeffs, values", ODD_P_VALUES)
+def test_odd_p_lp_norm_keeps_its_values_to_one_ulp(coeffs, values):
+    f = HermiteExpansion(1, coeffs)
+    for p, value in zip((1.0, 3.0, 5.0, 7.0), values):
+        assert abs(lp_norm(f, p) - value) <= np.spacing(value)
+
+
 @pytest.mark.parametrize("p", (math.inf, math.nan))
 def test_norms_reject_non_finite_p(grid1d, p):
     f = HermiteExpansion.basis((1,))
