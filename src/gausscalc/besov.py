@@ -14,8 +14,9 @@ endpoint exponents) and, for p not 2, the spatial norm.  Every curve comes
 from _norm_curves, which takes any number of p: it builds the orbit table of
 a time grid once and hands it to hermite._lp_norms, whose docstring lists
 the spatial routes; each p keeps the bits of its one-p call.  _seminorms and
-_ak_constants build on it, and norm_curve, besov_seminorm and ak_constant
-are their one-p calls.
+_ak_constants build on it, at one time resolution or at two, the finer of
+which nests the coarser so that one curve serves both; norm_curve,
+besov_seminorm and ak_constant are their one-p, one-resolution calls.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import HermiteExpansion, _abs_moment_exact_1d, _check_p, _lp_norms, default_grid, lp_norm
-from .timequad import DEFAULT_STEP, TimeQuadrature, clipped_time_rule
+from .timequad import DEFAULT_STEP, TimeQuadrature, _clipped_rule, _split_steps
 
 __all__ = [
     "BesovParams",
@@ -147,32 +148,54 @@ def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAU
     Where a small (k - a) q pushes the window below t = e^(-700), the rule is
     clipped there and the dropped head, where the integrand is
     ||u^(k)(., 0)||_p^q t^((k-a)q - 1), is added in closed form.  This is
-    the one-p case of _seminorms.
+    the one-p, refine = 1 case of _seminorms.
     """
     if math.isinf(params.q):
         raise ValueError("use ak_constant for q = inf")
-    return _seminorms(f, params.alpha, (params.p,), params.q, params.k, step)[0]
+    return _seminorms(f, params.alpha, (params.p,), params.q, params.k, step, 1)[0][0]
 
 
-def _seminorms(f: HermiteExpansion, alpha: float, ps, q: float, k: int, step: float = DEFAULT_STEP) -> list[float]:
-    """besov_seminorm for every p in ps: the time rule does not depend on p, so all ps share it and one _norm_curves call."""
+def _levels(refine: int) -> tuple[int, ...]:
+    """The time resolutions of a refine-fold evaluation, coarse first: (1,) at refine = 1, (1, refine) otherwise."""
+    return (1, refine) if refine > 1 else (1,)
+
+
+def _seminorms(f: HermiteExpansion, alpha: float, ps, q: float, k: int, step: float, refine: int) -> list[list[float]]:
+    """besov_seminorm for every p in ps, at the rule of step and at its refine-fold refinement.
+
+    Returns one list per resolution, coarse first (_levels), each one value
+    per p.  The refined rule keeps the coarse window and splits each of its
+    n - 1 log steps into refine (timequad._clipped_rule): it has
+    refine (n - 1) + 1 nodes, and every refine-th is a coarse node, bit for
+    bit.  So one _norm_curves call on the refined nodes serves every p and
+    both resolutions, and the coarse values, read from every refine-th node,
+    are the bits of a refine = 1 call.
+    """
     if not q >= 1:
         raise ValueError(f"q must be >= 1 (or inf), got q = {q}")
-    t, w, head_rest, _ = clipped_time_rule((k - alpha) * q, 1.0, step=step)
-    weight = t ** (k - alpha)
+    rules = [_clipped_rule((k - alpha) * q, 1.0, None, step, r) for r in _levels(refine)]
+    curves = _norm_curves(f, k, ps, rules[-1][0])
     out = []
-    for curve in _norm_curves(f, k, ps, t):
-        integral = float(np.dot(w, (weight * curve) ** q / t)) + curve[0] ** q * head_rest
-        out.append(integral ** (1.0 / q))
+    for r, (t, w, head_rest, _) in zip(_levels(refine), rules):
+        weight = t ** (k - alpha)
+        terms = []
+        for curve in curves[:, :: refine // r]:
+            integral = float(np.dot(w, (weight * curve) ** q / t)) + curve[0] ** q * head_rest
+            terms.append(integral ** (1.0 / q))
+        out.append(terms)
     return out
 
 
 SUP_POINTS = 200
 
 
-def sup_grid(points: int = SUP_POINTS) -> np.ndarray:
-    """points log-spaced times in [1e-6, 50], the grid of every time sup."""
-    return np.exp(np.linspace(math.log(1e-6), math.log(50.0), points))
+def sup_grid(points: int, refine: int) -> np.ndarray:
+    """The grid of every time sup: points log-spaced times in [1e-6, 50], each log step split into refine.
+
+    It has refine (points - 1) + 1 nodes (timequad._split_steps), and every
+    refine-th is a node of sup_grid(points, 1), bit for bit.
+    """
+    return np.exp(_split_steps(np.linspace(math.log(1e-6), math.log(50.0), points), refine))
 
 
 def _polished_sup(supremand, ts, vals) -> float:
@@ -190,24 +213,35 @@ def _polished_sup(supremand, ts, vals) -> float:
 def ak_constant(f: HermiteExpansion, alpha: float, p: float, k: int, points: int = SUP_POINTS) -> float:
     """Smallest A with ||u^(k)(., t)||_p <= A t^(alpha-k): sup of t^(k-alpha) ||u^(k)||_p.
 
-    Taken over sup_grid(points), then polished around the coarse argmax
+    Taken over sup_grid(points, 1), then polished around the coarse argmax
     (_polished_sup).  For expansions the supremand is smooth and decays at
-    both ends, so the grid sup is reliable.  This is the one-p case of
-    _ak_constants.
+    both ends, so the grid sup is reliable.  This is the one-p, refine = 1
+    case of _ak_constants.
     """
-    return _ak_constants(f, alpha, (p,), k, points)[0]
+    return _ak_constants(f, alpha, (p,), k, points, 1)[0][0]
 
 
-def _ak_constants(f: HermiteExpansion, alpha: float, ps, k: int, points: int = SUP_POINTS) -> list[float]:
-    """ak_constant for every p in ps: one sweep of sup_grid(points) serves all ps; each p polishes its own argmax."""
+def _ak_constants(f: HermiteExpansion, alpha: float, ps, k: int, points: int, refine: int) -> list[list[float]]:
+    """ak_constant for every p in ps, on sup_grid(points, 1) and on sup_grid(points, refine).
+
+    Returns one list per resolution, coarse first (_levels), each one value
+    per p.  The refined grid has refine (points - 1) + 1 nodes and nests the
+    coarse one bit for bit, so one _norm_curves call on it serves every p and
+    both resolutions; each p and resolution polishes its own argmax, and the
+    coarse values are the bits of a refine = 1 call.
+    """
     if k <= alpha:
         raise ValueError("need k > alpha")
-    ts = sup_grid(points)
-    weight = ts ** (k - alpha)
-    return [
-        _polished_sup(lambda t, p=p: t ** (k - alpha) * norm_curve(f, k, p, t), ts, vals)
-        for p, vals in zip(ps, weight * _norm_curves(f, k, ps, ts))
-    ]
+    grids = [sup_grid(points, r) for r in _levels(refine)]
+    curves = _norm_curves(f, k, ps, grids[-1])
+    out = []
+    for r, ts in zip(_levels(refine), grids):
+        weight = ts ** (k - alpha)
+        out.append([
+            _polished_sup(lambda t, p=p: t ** (k - alpha) * norm_curve(f, k, p, t), ts, vals)
+            for p, vals in zip(ps, weight * curves[:, :: refine // r])
+        ])
+    return out
 
 
 def besov_norm(f: HermiteExpansion, params: BesovParams) -> BesovResult:
@@ -338,8 +372,11 @@ def kdecay_report(f: HermiteExpansion, p: float, k: int, ts=None) -> KDecayRepor
     if k < 1:
         raise ValueError("k must be >= 1")
     ts = np.asarray(ts, dtype=float) if ts is not None else decay_grid()
-    values = norm_curve(f, k, p, ts)
+    return _decay_report(ts, norm_curve(f, k, p, ts), k, lp_norm(f, p))
+
+
+def _decay_report(ts: np.ndarray, values: np.ndarray, k: int, fnorm: float) -> KDecayReport:
+    """kdecay_report from the curve values ||u^(k)(., t)||_p on ts and fnorm = ||f||_p."""
     non_increasing = bool(np.all(np.diff(values) <= 1e-12 * values[:-1] + 1e-300))
-    fnorm = lp_norm(f, p)
     fitted_c = float(np.max(ts**k * values) / fnorm) if fnorm > 0 else 0.0
     return KDecayReport(ts, values, non_increasing, fitted_c)

@@ -5,7 +5,10 @@ identity, or an oracle-agreement suite) on a deterministic family of random
 Hermite expansions.  Boundedness statements come with no explicit constants,
 so they are verified as bounded-ratio-with-grid-stability: every norm ratio
 must be finite, the max ratio must be stable under refinement of the time
-grid, and scaling f must leave ratios unchanged.  Reported max ratios double
+grid, and scaling f must leave ratios unchanged.  The refined time rule and
+sup grid nest the coarse ones: each coarse step in log t is split into
+cfg.refine, so n coarse nodes become cfg.refine (n - 1) + 1, and one norm
+curve on them gives the terms of both resolutions.  Reported max ratios double
 as a regression baseline.
 
 Determinism contract: families come from a counter-based generator (Philox),
@@ -275,16 +278,19 @@ def emit_report(report: TheoremReport, fmt: str = "json", path: str | None = Non
 # -- shared machinery ----------------------------------------------------------------
 
 
-def _smoothness_terms(f, alpha, ps, q, step, sup_points) -> list[float]:
-    """The seminorm (q < inf) or A_k (q = inf) term of the Besov norm, for every p in ps.
+def _smoothness_terms(f, alpha, ps, q, step, sup_points, refine) -> list[list[float]]:
+    """The seminorm (q < inf) or A_k (q = inf) term of the Besov norm, for every p in ps, at each resolution.
 
-    All ps share one time rule, one orbit table and one basis product per
-    grid (besov._seminorms, besov._ak_constants).
+    Returns one list per time resolution, coarse first: [coarse] at
+    refine = 1, [coarse, refined] otherwise.  The refined time rule and sup
+    grid nest the coarse ones, so all ps and both resolutions share one time
+    grid, one orbit table and one basis product per Gauss-Hermite grid
+    (besov._seminorms, besov._ak_constants).
     """
     k = bz.smallest_k(alpha)
     if math.isinf(q):
-        return bz._ak_constants(f, alpha, ps, k, sup_points)
-    return bz._seminorms(f, alpha, ps, q, k, step)
+        return bz._ak_constants(f, alpha, ps, k, sup_points, refine)
+    return bz._seminorms(f, alpha, ps, q, k, step, refine)
 
 
 # Only source totals repeat: rows that share a source smoothness (the two
@@ -295,31 +301,37 @@ def _smoothness_terms(f, alpha, ps, q, step, sup_points) -> list[float]:
 _TOTALS = _LRUCache(1024)
 
 
-def _besov_totals(f, alpha, ps, q, step, sup_points) -> list[float]:
-    """Besov norm totals memoized in _TOTALS per (f, alpha, p, q, step, sup_points), one entry per p.
+def _besov_totals(f, alpha, ps, q, step, sup_points, refine) -> list[list[float]]:
+    """Besov norm totals memoized in _TOTALS, one list per resolution as in _smoothness_terms, one total per p.
 
-    A call computes only the ps it holds no entry for, in one evaluation.
-    Keys are typed, like lru_cache(typed=True), so an int and a float
-    argument never share an entry.  A key holds f's exact coefficients as
-    bytes, in f's own order, the order lp_norm sums them in: a hit is always
-    the bits a cold call gives, and the memo keeps no expansion alive.
+    A coarse total is keyed by (f, alpha, p, q, step, sup_points), the key
+    besov_total looks up; a refined one by that and refine.  A call
+    computes only the ps that miss an entry at some resolution, in one
+    evaluation, and stores them at every resolution.  Keys are typed, like
+    lru_cache(typed=True), so an int and a float argument never share an
+    entry.  A key holds f's exact coefficients as bytes, in f's own order,
+    the order lp_norm sums them in: a hit is always the bits a cold call
+    gives, and the memo keeps no expansion alive.
     """
     coeffs = np.array([(*nu, c) for nu, c in f.coeffs.items()]).tobytes()
-    keys = [(f.dimension, coeffs, alpha, p, q, step, sup_points) for p in ps]
-    keys = [key + tuple(map(type, key[2:])) for key in keys]
-    values = [_TOTALS.get(key) for key in keys]
-    new = [i for i, value in enumerate(values) if value is None]
+    base = [(f.dimension, coeffs, alpha, p, q, step, sup_points) for p in ps]
+    keys = [[key if r == 1 else (*key, r) for key in base] for r in bz._levels(refine)]
+    keys = [[key + tuple(map(type, key[2:])) for key in row] for row in keys]
+    values = [[_TOTALS.get(key) for key in row] for row in keys]
+    new = [i for i in range(len(ps)) if any(row[i] is None for row in values)]
     if new:
-        terms = _smoothness_terms(f, alpha, tuple(ps[i] for i in new), q, step, sup_points)
-        for i, term in zip(new, terms):
-            values[i] = bz.lp_norm(f, ps[i]) + term
-            _TOTALS.put(keys[i], values[i])
+        lps = [bz.lp_norm(f, ps[i]) for i in new]
+        terms = _smoothness_terms(f, alpha, tuple(ps[i] for i in new), q, step, sup_points, refine)
+        for row_keys, row_values, row_terms in zip(keys, values, terms):
+            for i, lp, term in zip(new, lps, row_terms):
+                row_values[i] = lp + term
+                _TOTALS.put(row_keys[i], row_values[i])
     return values
 
 
 def besov_total(f, alpha, p, q, step=DEFAULT_STEP, sup_points=bz.SUP_POINTS) -> float:
-    """Besov norm total with explicit resolution knobs (for stability checks): the one-p call of the memo."""
-    return _besov_totals(f, alpha, (p,), q, step, sup_points)[0]
+    """Besov norm total with explicit resolution knobs (for stability checks): the one-p, coarse call of the memo."""
+    return _besov_totals(f, alpha, (p,), q, step, sup_points, 1)[0][0]
 
 
 def _q_label(q) -> str:
@@ -330,25 +342,29 @@ def _ratio_suites(report, cfg, family, operator, source_alpha, target_alpha, ps,
     """Norm ratios target/source for one operator, one suite per (p, q), p-major.
 
     Each member's image and its L^p norms are computed once.  At each q one
-    evaluation gives the smoothness terms of every p, at both time
-    resolutions; denominators, the members' and the scaled source's, come
-    from the memo (_besov_totals).
+    evaluation per member, of its image and of its source, gives the
+    smoothness terms of every p at both time resolutions: the refined time
+    rule and sup grid nest the coarse ones (cfg.refine (n - 1) + 1 nodes
+    where the coarse have n), so the coarse terms are read from every
+    refine-th node.  The scaled source is evaluated at the coarse resolution
+    only.  Denominators come from the memo (_besov_totals).
     """
-    resolutions = ((cfg.t_step, cfg.sup_points), (cfg.t_step / cfg.refine, cfg.sup_points * cfg.refine))
     f0 = 10.0 * family[0]  # absolute homogeneity: scaling f must leave the ratio untouched
     sources = [*family, f0]
     images = [operator(f) for f in sources]
     lp_images = [[bz.lp_norm(g, p) for p in ps] for g in images]
 
-    def ratios(i, q, step, sup_points):
-        terms = _smoothness_terms(images[i], target_alpha, ps, q, step, sup_points)
-        dens = _besov_totals(sources[i], source_alpha, ps, q, step, sup_points)
-        return [(lp + term) / den for lp, term, den in zip(lp_images[i], terms, dens)]
+    def ratios(i, q, refine):
+        """Member i's ratios, one list per resolution (coarse first), one ratio per p."""
+        args = (q, cfg.t_step, cfg.sup_points, refine)
+        terms = _smoothness_terms(images[i], target_alpha, ps, *args)
+        dens = _besov_totals(sources[i], source_alpha, ps, *args)
+        return [[(lp + term) / den for lp, term, den in zip(lp_images[i], *level)] for level in zip(terms, dens)]
 
     suites = {}
     for q in qs:
-        coarse, refined = ([ratios(i, q, *res) for i in range(len(family))] for res in resolutions)
-        scaled = ratios(len(family), q, *resolutions[0])
+        coarse, refined = zip(*(ratios(i, q, cfg.refine) for i in range(len(family))))
+        (scaled,) = ratios(len(family), q, 1)
         for j in range(len(ps)):
             suites[j, q] = [row[j] for row in coarse], [row[j] for row in refined], scaled[j]
     for j, p in enumerate(ps):
@@ -594,22 +610,28 @@ def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
     family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
     rep = _new_report("lemmas", cfg, family)
     sample = family[: min(10, len(family))]
-    ts60, ts120 = bz.decay_grid(), bz.decay_grid(120)
 
     # decay of t -> ||u^(k)(., t)||_p: monotone, with a finite grid-stable
-    # constant; one fitted constant is recorded per (k, p) across the sample
+    # constant; one fitted constant is recorded per (k, p) across the sample.
+    # decay_grid(119) nests decay_grid(60) as its even nodes, so one curve per
+    # (member, k) for all ps gives both records, the bits of kdecay_report
+    ps, ks = (1.0, 2.0, 4.0), (1, 2, 3)
+    ts119 = bz.decay_grid(119)
+    lps = [[bz.lp_norm(f, p) for p in ps] for f in sample]
+    curves = [[bz._norm_curves(f, k, ps, ts119) for k in ks] for f in sample]
     all_monotone = True
     worst_drift = 0.0
-    for p in (1.0, 2.0, 4.0):
-        for k in (1, 2, 3):
+    for j, p in enumerate(ps):
+        for m, k in enumerate(ks):
             fitted = 0.0
-            for f in sample:
-                r60 = bz.kdecay_report(f, p, k, ts60)
-                r120 = bz.kdecay_report(f, p, k, ts120)
+            for f_lps, f_curves in zip(lps, curves):
+                curve = f_curves[m][j]
+                r60 = bz._decay_report(ts119[::2], curve[::2], k, f_lps[j])
+                r119 = bz._decay_report(ts119, curve, k, f_lps[j])
                 all_monotone = all_monotone and r60.non_increasing and math.isfinite(r60.fitted_c)
                 fitted = max(fitted, r60.fitted_c)
                 if r60.fitted_c > 0:
-                    worst_drift = max(worst_drift, abs(r120.fitted_c - r60.fitted_c) / r60.fitted_c)
+                    worst_drift = max(worst_drift, abs(r119.fitted_c - r60.fitted_c) / r60.fitted_c)
             rep.ratios.append({"label": f"decay-constant[k={k},p={p:g}]", "ratio": fitted})
     rep.add_check("derivative-norm-decay-monotone", all_monotone)
     rep.add_check("decay-constant-grid-stable", worst_drift < 0.01, worst_drift, 0.01)
@@ -617,7 +639,7 @@ def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
     # ||Delta_s^k(u^(n), t)||_p <= s^k ||u^(k+n)(., t)||_p: per (member, t), the 18
     # differences and the 4 distinct derivatives go to _lp_norms as one table
     worst_excess = 0.0
-    ps, steps = (1.0, 2.0, 4.0), (0.1, 0.5, 1.0)
+    steps = (0.1, 0.5, 1.0)
     pairs = [(k, n) for k in (1, 2, 3) for n in (0, 1)]
     orders = sorted({k + n for k, n in pairs})
     for f in sample[:5]:

@@ -44,18 +44,39 @@ class TimeQuadrature:
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """(t_j, w_j) with  int_0^inf g(t) dt  ~=  sum w_j g(t_j); cached and shared, so read-only."""
-        return _log_uniform_rule(self.v_min, self.v_max, self.n_points)
+        return _log_uniform_rule(self.v_min, self.v_max, self.n_points, 1)
 
     def integrate(self, fn) -> float:
         t, w = self.nodes_weights()
         return float(np.dot(w, fn(t)))
 
 
+def _split_steps(v: np.ndarray, refine: int) -> np.ndarray:
+    """The points v with each step split into refine equal ones: refine (v.size - 1) + 1 points.
+
+    Point refine i is v[i] itself, bit for bit, so a grid refined this way
+    nests the grid it came from; a linspace with that many points nests it
+    only at refine a power of two.  At refine = 1 this is v.
+    """
+    if refine == 1:
+        return v
+    fine = np.empty(refine * (v.size - 1) + 1)
+    fine[::refine] = v
+    for s in range(1, refine):
+        fine[s::refine] = v[:-1] + np.diff(v) * (s / refine)
+    return fine
+
+
 @lru_cache(maxsize=64)  # the default verify-all pass uses 30 windows
-def _log_uniform_rule(v_min: float, v_max: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t = e^v and trapezoid weights t dv of TimeQuadrature(v_min, v_max, n_points), read-only."""
-    v = np.linspace(v_min, v_max, n_points)
-    dv = np.full(n_points, v[1] - v[0])
+def _log_uniform_rule(v_min: float, v_max: float, n_points: int, refine: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t = e^v and trapezoid weights t dv of TimeQuadrature(v_min, v_max, n_points), read-only.
+
+    With refine > 1, each log step is split into refine equal ones
+    (_split_steps): the rule keeps its window and has refine (n_points - 1) + 1
+    nodes, and node refine i is node i of the refine = 1 rule, bit for bit.
+    """
+    v = _split_steps(np.linspace(v_min, v_max, n_points), refine)
+    dv = np.full(v.size, (v[refine] - v[0]) / refine)
     dv[0] *= 0.5
     dv[-1] *= 0.5
     t = np.exp(v)
@@ -68,7 +89,7 @@ def _log_uniform_rule(v_min: float, v_max: float, n_points: int) -> tuple[np.nda
 @lru_cache(maxsize=8)
 def _stable_atoms(v_min: float, v_max: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u and the t-independent masses exp(-u) u^(-1/2) w / sqrt(pi) of SubordinationRule, read-only."""
-    u, w = _log_uniform_rule(v_min, v_max, n_points)
+    u, w = _log_uniform_rule(v_min, v_max, n_points, 1)
     masses = np.exp(-u) / np.sqrt(u) / math.sqrt(math.pi) * w
     masses.setflags(write=False)
     return u, masses
@@ -108,6 +129,16 @@ def clipped_time_rule(head: float, blowup: float, tail: float | None = None, ste
     caller scales by its leading coefficients.  Each is 0.0 unless its clip
     binds, and with neither binding the rule is log_time_rule's own.
     """
+    return _clipped_rule(head, blowup, tail, step, 1)
+
+
+def _clipped_rule(head: float, blowup: float, tail: float | None, step: float, refine: int):
+    """clipped_time_rule with each log step split into refine equal ones (_log_uniform_rule).
+
+    The window and the dropped ends are clipped_time_rule's.  Where it has n
+    nodes, this rule has refine (n - 1) + 1, and every refine-th of them is
+    one of clipped_time_rule's, bit for bit.
+    """
     wide = log_time_rule(head_exponent=head, tail_exponent=tail, step=step)
     v_min = max(wide.v_min, -700.0 / blowup) if blowup > 0 else wide.v_min
     v_max = min(wide.v_max, 700.0)
@@ -116,7 +147,7 @@ def clipped_time_rule(head: float, blowup: float, tail: float | None = None, ste
     rule = wide
     if (v_min, v_max) != (wide.v_min, wide.v_max):
         rule = TimeQuadrature(v_min, v_max, int(math.ceil((v_max - v_min) / step)) + 1)
-    return (*rule.nodes_weights(), head_rest, tail_rest)
+    return (*_log_uniform_rule(rule.v_min, rule.v_max, rule.n_points, refine), head_rest, tail_rest)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from gausscalc import (
     orbit_difference,
     smallest_k,
 )
-from gausscalc.besov import _cumulative_simpson
+from gausscalc.besov import SUP_POINTS, _cumulative_simpson
 from gausscalc.hermite import TIME_BLOCK
-from gausscalc.timequad import TimeQuadrature
+from gausscalc.timequad import DEFAULT_STEP, TimeQuadrature
 
 from reference import quad_lp_norm_1d
 
@@ -356,8 +356,31 @@ def test_several_p_give_the_bits_of_one_p_calls(d, ps):
         for p, curve in zip(ps, curves):
             assert np.array_equal(curve, norm_curve(f, k, p, ts))
     alpha, k = 0.7, 1
-    assert besov._seminorms(f, alpha, ps, 2.0, k) == [besov_seminorm(f, besov_params(alpha, p, 2.0)) for p in ps]
-    assert besov._ak_constants(f, alpha, ps, k) == [ak_constant(f, alpha, p, k) for p in ps]
+    assert besov._seminorms(f, alpha, ps, 2.0, k, DEFAULT_STEP, 1) == [
+        [besov_seminorm(f, besov_params(alpha, p, 2.0)) for p in ps]
+    ]
+    assert besov._ak_constants(f, alpha, ps, k, SUP_POINTS, 1) == [[ak_constant(f, alpha, p, k) for p in ps]]
+
+
+@pytest.mark.parametrize("q", (1.0, 2.0, math.inf))
+@pytest.mark.parametrize("d", (1, 2))
+def test_paired_evaluation_gives_the_coarse_bits_of_a_coarse_call(d, q):
+    # the refined grid nests the coarse one, so the coarse terms of one
+    # evaluation at both resolutions are the bits of a coarse-only call
+    from gausscalc import besov
+
+    ps = (1.0, 1.5, 2.0, 3.0, 4.0)
+    f = gen_family(20260809, d, 3, 6)[2]
+    alpha, k = 0.7, 1
+    for refine in (2, 3):
+        if math.isinf(q):
+            coarse, fine = besov._ak_constants(f, alpha, ps, k, SUP_POINTS, refine)
+            (alone,) = besov._ak_constants(f, alpha, ps, k, SUP_POINTS, 1)
+        else:
+            coarse, fine = besov._seminorms(f, alpha, ps, q, k, DEFAULT_STEP, refine)
+            (alone,) = besov._seminorms(f, alpha, ps, q, k, DEFAULT_STEP, 1)
+        assert coarse == alone
+        assert np.allclose(fine, coarse, rtol=1e-5, atol=0.0)
 
 
 @pytest.mark.parametrize(

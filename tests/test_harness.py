@@ -300,7 +300,7 @@ def test_smoothness_memo_misses_on_every_key():
         items = list(g.coeffs.items())
         rng.shuffle(items)
         shuffled.append(HermiteExpansion(1, dict(items)))
-    rest = (0.5, (2.0, 4.0), 2.0, DEFAULT_STEP, SUP_POINTS)
+    rest = (0.5, (2.0, 4.0), 2.0, DEFAULT_STEP, SUP_POINTS, 1)
     _TOTALS.cache_clear()
     for g in family:
         _besov_totals(g, *rest)
@@ -310,9 +310,42 @@ def test_smoothness_memo_misses_on_every_key():
     # several ps: only the missing ones are computed, and each is the bits of its one-p call
     besov_total(*base)
     misses = _TOTALS.misses
-    both = _besov_totals(f, 0.5, (4.0, 3.0), 2.0, DEFAULT_STEP, SUP_POINTS)
+    (both,) = _besov_totals(f, 0.5, (4.0, 3.0), 2.0, DEFAULT_STEP, SUP_POINTS, 1)
     assert _TOTALS.misses == misses + 1
     assert both == [value, besov_total(f, 0.5, 3.0, 2.0, DEFAULT_STEP, SUP_POINTS)]
+
+
+def test_paired_totals_serve_besov_total_with_the_bits_of_a_cold_call():
+    # a boundedness row stores each coarse total of a paired evaluation under
+    # besov_total's key, and each refined one under a key with refine
+    from gausscalc import harness
+
+    cfg = ExperimentConfig(family_size=3, max_degree=6, ps=(1.0, 2.0, 3.0))
+    family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
+    qs = (2.0, math.inf)
+    args = [(f, 0.7, p, q, cfg.t_step, cfg.sup_points) for f in family for q in qs for p in cfg.ps]
+    harness._TOTALS.cache_clear()
+    assert run_experiment("riesz-derivative-bounded-lt1", cfg).passed
+    hits = harness._TOTALS.hits
+    warm = [besov_total(*a) for a in args]
+    paired = [harness._besov_totals(f, 0.7, cfg.ps, q, cfg.t_step, cfg.sup_points, cfg.refine) for f in family for q in qs]
+    assert harness._TOTALS.hits == hits + 3 * len(args)  # every coarse and every refined total
+    assert [total for coarse, _ in paired for total in coarse] == warm
+    harness._TOTALS.cache_clear()
+    assert warm == [besov_total(*a) for a in args]
+
+
+def test_lemmas_decay_records_are_kdecay_report_bits():
+    # one curve per (member, k) on decay_grid(119) gives the 60-node records as its even nodes
+    from gausscalc.besov import decay_grid, kdecay_report
+
+    cfg = ExperimentConfig(family_size=4, max_degree=5)
+    family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
+    ratios = {r["label"]: r["ratio"] for r in run_experiment("lemmas", cfg).ratios}
+    for p in (1.0, 2.0, 4.0):
+        for k in (1, 2, 3):
+            fitted = max(kdecay_report(f, p, k, decay_grid()).fitted_c for f in family)
+            assert ratios[f"decay-constant[k={k},p={p:g}]"] == fitted
 
 
 @pytest.mark.parametrize("q", (0.5, math.nan))
@@ -324,7 +357,7 @@ def test_totals_reject_q_below_one(q):
     f = gen_family(5, 1, 1, 6)[0]
     for ps in ((2.0,), (1.0, 3.0)):
         with pytest.raises(ValueError, match="q must be >= 1"):
-            _besov_totals(f, 0.5, ps, q, DEFAULT_STEP, SUP_POINTS)
+            _besov_totals(f, 0.5, ps, q, DEFAULT_STEP, SUP_POINTS, 1)
 
 
 def test_totals_memo_keeps_the_most_recent_entries(monkeypatch):
@@ -334,12 +367,12 @@ def test_totals_memo_keeps_the_most_recent_entries(monkeypatch):
     f = gen_family(5, 1, 1, 6)[0]
     memo = _LRUCache(2)
     monkeypatch.setattr(harness, "_TOTALS", memo)
-    first = harness._besov_totals(f, 0.5, (2.0, 4.0), 2.0, 0.02, 200)
-    harness._besov_totals(f, 0.5, (2.0,), 2.0, 0.02, 200)  # p = 2 is now the most recent
-    harness._besov_totals(f, 0.5, (3.0,), 2.0, 0.02, 200)  # evicts p = 4
+    (first,) = harness._besov_totals(f, 0.5, (2.0, 4.0), 2.0, 0.02, 200, 1)
+    harness._besov_totals(f, 0.5, (2.0,), 2.0, 0.02, 200, 1)  # p = 2 is now the most recent
+    harness._besov_totals(f, 0.5, (3.0,), 2.0, 0.02, 200, 1)  # evicts p = 4
     assert (memo.hits, memo.misses) == (1, 3)
-    assert harness._besov_totals(f, 0.5, (2.0,), 2.0, 0.02, 200) == first[:1]
-    assert harness._besov_totals(f, 0.5, (4.0,), 2.0, 0.02, 200) == first[1:]
+    assert harness._besov_totals(f, 0.5, (2.0,), 2.0, 0.02, 200, 1) == [first[:1]]
+    assert harness._besov_totals(f, 0.5, (4.0,), 2.0, 0.02, 200, 1) == [first[1:]]
     assert (memo.hits, memo.misses) == (2, 4)
 
 
@@ -360,10 +393,10 @@ def test_wide_row_makes_one_basis_product_per_member_resolution_q_and_grid(monke
     monkeypatch.setattr(hermite, "_quadrature_norms", spy)
     harness._TOTALS.cache_clear()
     assert run_experiment("riesz-derivative-bounded", cfg).passed
-    # per q: (2 members + the scaled one) x (image, source) at the coarse
-    # resolution and 2 members x (image, source) at the refined one, each
-    # evaluation with one call per grid
-    evaluations = (3 * 2 + 2 * 2) * 2
+    # per q: the scaled one x (image, source) at the coarse resolution and
+    # 2 members x (image, source) at both resolutions at once, since the
+    # refined grid nests the coarse one; each evaluation with one call per grid
+    evaluations = (1 * 2 + 2 * 2) * 2
     assert sorted(products) == sorted([(4.0,), (1.0, 3.0)] * evaluations)
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gausscalc import SubordinationRule, TimeQuadrature, log_time_rule
-from gausscalc.timequad import clipped_time_rule
+from gausscalc.besov import decay_grid, smallest_k, sup_grid
+from gausscalc.harness import BOUNDEDNESS
+from gausscalc.timequad import DEFAULT_STEP, _clipped_rule, clipped_time_rule
 
 
 def test_validation():
@@ -76,6 +78,30 @@ def test_clipped_rule_adds_the_dropped_ends():
     assert t[-1] == math.exp(700.0)
     val = float(np.dot(w, t ** (-b) / (1.0 + t))) + tail_rest
     assert abs(val - math.pi / math.sin(math.pi * (1.0 - b))) < 1e-9 * val
+
+
+def _seminorm_heads():
+    """Every head exponent (k - alpha) q of a boundedness row's seminorm at q = 1 and 2, and alpha = 0.99 at q = 2."""
+    alphas = {x for row in BOUNDEDNESS for a in row.alphas for b in row.betas for x in (a, a + row.shift * b)}
+    return sorted({(smallest_k(a) - a) * q for a in alphas for q in (1.0, 2.0)} | {(1.0 - 0.99) * 2.0})
+
+
+@pytest.mark.parametrize("refine", (2, 3))
+def test_refined_rules_nest_the_coarse_ones_bit_for_bit(refine):
+    heads = _seminorm_heads()
+    assert len(heads) == 12 and heads[0] < 0.033  # the smallest window is clipped at t = e^(-700)
+    for h in heads:
+        t, w, head_rest, tail_rest = clipped_time_rule(h, 1.0)
+        fine, fine_w, fine_head, fine_tail = _clipped_rule(h, 1.0, None, DEFAULT_STEP, refine)
+        assert fine.size == refine * (t.size - 1) + 1
+        assert np.array_equal(fine[::refine], t), h
+        assert (fine_head, fine_tail) == (head_rest, tail_rest)
+        # the trapezoid on the finer grid: at a coarse node, the weight t dv over refine
+        assert np.allclose(refine * fine_w[::refine], w, rtol=1e-13, atol=0.0)
+    assert clipped_time_rule(heads[0], 1.0)[0][0] == math.exp(-700.0)
+    assert np.array_equal(sup_grid(200, refine)[::refine], sup_grid(200, 1))
+    assert sup_grid(200, refine).size == refine * 199 + 1
+    assert np.array_equal(decay_grid(119)[::2], decay_grid(60))
 
 
 def test_log_rule_rejects_nonpositive_exponents():
