@@ -13,10 +13,11 @@ only approximations are the t-integral (log-trapezoid, window sized from the
 endpoint exponents) and, for p not 2, the spatial norm.  Every curve comes
 from _norm_curves, which takes any number of p: it builds the orbit table of
 a time grid once and hands it to hermite._lp_norms, whose docstring lists
-the spatial routes; each p keeps the bits of its one-p call.  _seminorms and
-_ak_constants build on it, at one time resolution or at two, the finer of
-which nests the coarser so that one curve serves both; norm_curve,
-besov_seminorm and ak_constant are their one-p, one-resolution calls.
+the spatial routes; each p keeps the bits of its one-p call, norm_curve.
+_besov_terms alone evaluates the second term of the norm, the seminorm or
+A_k by q, at one time resolution or at two, the finer of which nests the
+coarser so that one curve serves both; besov_seminorm and ak_constant are
+its one-p, one-resolution calls.
 """
 
 from __future__ import annotations
@@ -115,8 +116,11 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
     one column of a table per time node; hermite._lp_norms takes the norms
     of all columns at once, on the route of p, and scales each node by a
     power of two, so large t does not underflow and high degree does not
-    overflow.
+    overflow.  Every t must be finite and >= 0.
     """
+    ts = np.asarray(ts, dtype=float)
+    if ts.size and not 0 <= ts.min() <= ts.max() < math.inf:  # NaN fails it too
+        raise ValueError("times must be finite and >= 0")
     return _norm_curves(f, k, (p,), ts)[0, ...]
 
 
@@ -129,6 +133,8 @@ def _norm_curves(f: HermiteExpansion, k: int, ps, ts) -> np.ndarray:
     are passed through besov's bindings so that a spy on those sees the
     route of a curve.
     """
+    if not (isinstance(k, (int, np.integer)) and k >= 0):
+        raise ValueError(f"k must be an integer >= 0, got k = {k!r}")
     for p in ps:
         _check_p(p)
         if p > MAX_P:
@@ -148,42 +154,11 @@ def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAU
     Where a small (k - a) q pushes the window below t = e^(-700), the rule is
     clipped there and the dropped head, where the integrand is
     ||u^(k)(., 0)||_p^q t^((k-a)q - 1), is added in closed form.  This is
-    the one-p, refine = 1 case of _seminorms.
+    the one-p, refine = 1 case of _besov_terms.
     """
     if math.isinf(params.q):
         raise ValueError("use ak_constant for q = inf")
-    return _seminorms(f, params.alpha, (params.p,), params.q, params.k, step, 1)[0][0]
-
-
-def _levels(refine: int) -> tuple[int, ...]:
-    """The time resolutions of a refine-fold evaluation, coarse first: (1,) at refine = 1, (1, refine) otherwise."""
-    return (1, refine) if refine > 1 else (1,)
-
-
-def _seminorms(f: HermiteExpansion, alpha: float, ps, q: float, k: int, step: float, refine: int) -> list[list[float]]:
-    """besov_seminorm for every p in ps, at the rule of step and at its refine-fold refinement.
-
-    Returns one list per resolution, coarse first (_levels), each one value
-    per p.  The refined rule keeps the coarse window and splits each of its
-    n - 1 log steps into refine (timequad._clipped_rule): it has
-    refine (n - 1) + 1 nodes, and every refine-th is a coarse node, bit for
-    bit.  So one _norm_curves call on the refined nodes serves every p and
-    both resolutions, and the coarse values, read from every refine-th node,
-    are the bits of a refine = 1 call.
-    """
-    if not q >= 1:
-        raise ValueError(f"q must be >= 1 (or inf), got q = {q}")
-    rules = [_clipped_rule((k - alpha) * q, 1.0, None, step, r) for r in _levels(refine)]
-    curves = _norm_curves(f, k, ps, rules[-1][0])
-    out = []
-    for r, (t, w, head_rest, _) in zip(_levels(refine), rules):
-        weight = t ** (k - alpha)
-        terms = []
-        for curve in curves[:, :: refine // r]:
-            integral = float(np.dot(w, (weight * curve) ** q / t)) + curve[0] ** q * head_rest
-            terms.append(integral ** (1.0 / q))
-        out.append(terms)
-    return out
+    return _besov_terms(f, params.alpha, (params.p,), params.q, params.k, step, SUP_POINTS, 1)[0][0]
 
 
 SUP_POINTS = 200
@@ -216,31 +191,52 @@ def ak_constant(f: HermiteExpansion, alpha: float, p: float, k: int, points: int
     Taken over sup_grid(points, 1), then polished around the coarse argmax
     (_polished_sup).  For expansions the supremand is smooth and decays at
     both ends, so the grid sup is reliable.  This is the one-p, refine = 1
-    case of _ak_constants.
+    case of _besov_terms.
     """
-    return _ak_constants(f, alpha, (p,), k, points, 1)[0][0]
+    return _besov_terms(f, alpha, (p,), math.inf, k, DEFAULT_STEP, points, 1)[0][0]
 
 
-def _ak_constants(f: HermiteExpansion, alpha: float, ps, k: int, points: int, refine: int) -> list[list[float]]:
-    """ak_constant for every p in ps, on sup_grid(points, 1) and on sup_grid(points, refine).
+def _besov_terms(f: HermiteExpansion, alpha: float, ps, q: float, k: int, step: float, points: int, refine: int):
+    """The second term of the Besov norm for every p in ps: the seminorm at q < inf, A_k at q = inf.
 
-    Returns one list per resolution, coarse first (_levels), each one value
-    per p.  The refined grid has refine (points - 1) + 1 nodes and nests the
-    coarse one bit for bit, so one _norm_curves call on it serves every p and
-    both resolutions; each p and resolution polishes its own argmax, and the
-    coarse values are the bits of a refine = 1 call.
+    Returns one list per time resolution, coarse first, each one value per
+    p: [coarse] at refine = 1, [coarse, refined] otherwise.  The coarse grid
+    is the rule of besov_seminorm at step (q < inf) or sup_grid(points, 1)
+    (q = inf).  The refined grid splits each coarse log step into refine
+    (timequad._clipped_rule, sup_grid), so it has refine (n - 1) + 1 nodes
+    where the coarse has n, and every refine-th is a coarse node, bit for
+    bit.  One _norm_curves call on the finest grid thus serves every p and
+    both resolutions, and the coarse values, read from every refine-th node,
+    are the bits of a refine = 1 call.  Each resolution is reduced on its
+    own: by the trapezoid plus the closed-form head, or by the grid sup
+    polished around its own argmax.
     """
-    if k <= alpha:
-        raise ValueError("need k > alpha")
-    grids = [sup_grid(points, r) for r in _levels(refine)]
-    curves = _norm_curves(f, k, ps, grids[-1])
+    if not q >= 1:
+        raise ValueError(f"q must be >= 1 (or inf), got q = {q}")
+    if not 0 <= alpha < k:
+        raise ValueError(f"need 0 <= alpha < k, got alpha = {alpha}, k = {k}")
+    levels = (1, refine) if refine > 1 else (1,)
+    if math.isinf(q):
+        rules = [(sup_grid(points, r),) for r in levels]
+    else:
+        rules = [_clipped_rule((k - alpha) * q, 1.0, None, step, r) for r in levels]
+    curves = _norm_curves(f, k, ps, rules[-1][0])
     out = []
-    for r, ts in zip(_levels(refine), grids):
+    for r, (ts, *rule) in zip(levels, rules):
         weight = ts ** (k - alpha)
-        out.append([
-            _polished_sup(lambda t, p=p: t ** (k - alpha) * norm_curve(f, k, p, t), ts, vals)
-            for p, vals in zip(ps, weight * curves[:, :: refine // r])
-        ])
+        level = curves[:, :: refine // r]
+        if math.isinf(q):
+            terms = [
+                _polished_sup(lambda t, p=p: t ** (k - alpha) * norm_curve(f, k, p, t), ts, vals)
+                for p, vals in zip(ps, weight * level)
+            ]
+        else:
+            w, head_rest, _ = rule
+            terms = [
+                (float(np.dot(w, (weight * curve) ** q / ts)) + curve[0] ** q * head_rest) ** (1.0 / q)
+                for curve in level
+            ]
+        out.append(terms)
     return out
 
 
@@ -367,7 +363,8 @@ def kdecay_report(f: HermiteExpansion, p: float, k: int, ts=None) -> KDecayRepor
     """Decay table for t -> ||u^(k)(., t)||_p with the monotonicity verdict.
 
     Also fits the smallest C with t^k ||u^(k)(., t)||_p <= C ||f||_p on the
-    grid (the k-th derivative decay rate of the Poisson orbit).
+    grid (the k-th derivative decay rate of the Poisson orbit).  Every t
+    must be finite and >= 0 (norm_curve).
     """
     if k < 1:
         raise ValueError("k must be >= 1")

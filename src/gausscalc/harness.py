@@ -6,20 +6,20 @@ Hermite expansions.  Boundedness statements come with no explicit constants,
 so they are verified as bounded-ratio-with-grid-stability: every norm ratio
 must be finite, the max ratio must be stable under refinement of the time
 grid, and scaling f must leave ratios unchanged.  The refined time rule and
-sup grid nest the coarse ones: each coarse step in log t is split into
-cfg.refine, so n coarse nodes become cfg.refine (n - 1) + 1, and one norm
-curve on them gives the terms of both resolutions.  Reported max ratios double
-as a regression baseline.
+sup grid nest the coarse ones, so one norm curve gives the terms of both
+resolutions.  Reported max ratios double as a regression baseline.
 
 Determinism contract: families come from a counter-based generator (Philox),
 so identical configs produce byte-identical reports; wall-clock metadata is
-kept in a separate block that comparisons can drop.  A boundedness row
-evaluates the smoothness terms of all its ps at once for each (alpha, beta, q),
-through besov's multi-p functions whatever the number of ps: norm curves for
-several p share one orbit table and one basis product per Gauss-Hermite grid.
-Only denominators, the Besov norm totals of the source functions, are
-memoized per process (_besov_totals); a memoized total is the same bits as a
-cold call, so a report does not depend on which experiments ran before it.
+kept in a separate block that comparisons can drop.  Every Besov term comes
+from besov._besov_terms, which picks the seminorm or A_k by q and builds the
+grids of both resolutions; the harness only names k = smallest_k(alpha).  A
+boundedness row evaluates the terms of all its ps at once for each
+(alpha, beta, q): norm curves for several p share one orbit table and one
+basis product per Gauss-Hermite grid.  Only denominators, the Besov norm
+totals of the source functions, are memoized per process (_besov_totals); a
+memoized total is the same bits as a cold call, so a report does not depend
+on which experiments ran before it.
 """
 
 from __future__ import annotations
@@ -278,21 +278,6 @@ def emit_report(report: TheoremReport, fmt: str = "json", path: str | None = Non
 # -- shared machinery ----------------------------------------------------------------
 
 
-def _smoothness_terms(f, alpha, ps, q, step, sup_points, refine) -> list[list[float]]:
-    """The seminorm (q < inf) or A_k (q = inf) term of the Besov norm, for every p in ps, at each resolution.
-
-    Returns one list per time resolution, coarse first: [coarse] at
-    refine = 1, [coarse, refined] otherwise.  The refined time rule and sup
-    grid nest the coarse ones, so all ps and both resolutions share one time
-    grid, one orbit table and one basis product per Gauss-Hermite grid
-    (besov._seminorms, besov._ak_constants).
-    """
-    k = bz.smallest_k(alpha)
-    if math.isinf(q):
-        return bz._ak_constants(f, alpha, ps, k, sup_points, refine)
-    return bz._seminorms(f, alpha, ps, q, k, step, refine)
-
-
 # Only source totals repeat: rows that share a source smoothness (the two
 # potentials at alpha = 0.5, the two derivatives at 0.7 and at 1.6) share
 # every denominator, and lemmas reuses a few.  Numerators never repeat.  A
@@ -302,26 +287,25 @@ _TOTALS = _LRUCache(1024)
 
 
 def _besov_totals(f, alpha, ps, q, step, sup_points, refine) -> list[list[float]]:
-    """Besov norm totals memoized in _TOTALS, one list per resolution as in _smoothness_terms, one total per p.
+    """Besov norm totals memoized in _TOTALS, one list per resolution as in besov._besov_terms, one total per p.
 
-    A coarse total is keyed by (f, alpha, p, q, step, sup_points), the key
-    besov_total looks up; a refined one by that and refine.  A call
-    computes only the ps that miss an entry at some resolution, in one
-    evaluation, and stores them at every resolution.  Keys are typed, like
-    lru_cache(typed=True), so an int and a float argument never share an
-    entry.  A key holds f's exact coefficients as bytes, in f's own order,
-    the order lp_norm sums them in: a hit is always the bits a cold call
-    gives, and the memo keeps no expansion alive.
+    A total is keyed by (f, alpha, p, q, step, sup_points, r), with r = 1
+    at the coarse resolution, the one besov_total looks up, and r = refine
+    at the refined one.  A call computes only the ps that miss an entry at
+    some resolution, in one evaluation, and stores them at every resolution.
+    Keys are typed, like lru_cache(typed=True), so an int and a float
+    argument never share an entry.  A key holds f's exact coefficients as
+    bytes, in f's own order, the order lp_norm sums them in: a hit is always
+    the bits a cold call gives, and the memo keeps no expansion alive.
     """
     coeffs = np.array([(*nu, c) for nu, c in f.coeffs.items()]).tobytes()
-    base = [(f.dimension, coeffs, alpha, p, q, step, sup_points) for p in ps]
-    keys = [[key if r == 1 else (*key, r) for key in base] for r in bz._levels(refine)]
+    keys = [[(f.dimension, coeffs, alpha, p, q, step, sup_points, r) for p in ps] for r in sorted({1, refine})]
     keys = [[key + tuple(map(type, key[2:])) for key in row] for row in keys]
     values = [[_TOTALS.get(key) for key in row] for row in keys]
     new = [i for i in range(len(ps)) if any(row[i] is None for row in values)]
     if new:
         lps = [bz.lp_norm(f, ps[i]) for i in new]
-        terms = _smoothness_terms(f, alpha, tuple(ps[i] for i in new), q, step, sup_points, refine)
+        terms = bz._besov_terms(f, alpha, tuple(ps[i] for i in new), q, bz.smallest_k(alpha), step, sup_points, refine)
         for row_keys, row_values, row_terms in zip(keys, values, terms):
             for i, lp, term in zip(new, lps, row_terms):
                 row_values[i] = lp + term
@@ -342,23 +326,21 @@ def _ratio_suites(report, cfg, family, operator, source_alpha, target_alpha, ps,
     """Norm ratios target/source for one operator, one suite per (p, q), p-major.
 
     Each member's image and its L^p norms are computed once.  At each q one
-    evaluation per member, of its image and of its source, gives the
-    smoothness terms of every p at both time resolutions: the refined time
-    rule and sup grid nest the coarse ones (cfg.refine (n - 1) + 1 nodes
-    where the coarse have n), so the coarse terms are read from every
-    refine-th node.  The scaled source is evaluated at the coarse resolution
-    only.  Denominators come from the memo (_besov_totals).
+    besov._besov_terms evaluation per member, of its image and of its
+    source, gives the Besov terms of every p at both time resolutions.  The
+    scaled source is evaluated at the coarse resolution only.  Denominators
+    come from the memo (_besov_totals).
     """
     f0 = 10.0 * family[0]  # absolute homogeneity: scaling f must leave the ratio untouched
     sources = [*family, f0]
     images = [operator(f) for f in sources]
     lp_images = [[bz.lp_norm(g, p) for p in ps] for g in images]
+    k = bz.smallest_k(target_alpha)
 
     def ratios(i, q, refine):
         """Member i's ratios, one list per resolution (coarse first), one ratio per p."""
-        args = (q, cfg.t_step, cfg.sup_points, refine)
-        terms = _smoothness_terms(images[i], target_alpha, ps, *args)
-        dens = _besov_totals(sources[i], source_alpha, ps, *args)
+        terms = bz._besov_terms(images[i], target_alpha, ps, q, k, cfg.t_step, cfg.sup_points, refine)
+        dens = _besov_totals(sources[i], source_alpha, ps, q, cfg.t_step, cfg.sup_points, refine)
         return [[(lp + term) / den for lp, term, den in zip(lp_images[i], *level)] for level in zip(terms, dens)]
 
     suites = {}
@@ -711,8 +693,8 @@ def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
         k = bz.smallest_k(a)
         ratios = []
         for f in sample:
-            with_k = bz.lp_norm(f, p) + bz.besov_seminorm(f, bz.besov_params(a, p, q, k))
-            with_k1 = bz.lp_norm(f, p) + bz.besov_seminorm(f, bz.besov_params(a, p, q, k + 1))
+            with_k = bz.lp_norm(f, p) + bz.besov_seminorm(f, bz.besov_params(a, p, q, k), cfg.t_step)
+            with_k1 = bz.lp_norm(f, p) + bz.besov_seminorm(f, bz.besov_params(a, p, q, k + 1), cfg.t_step)
             ratios.append(with_k1 / with_k)
         spread = max(ratios) / min(ratios)
         worst_spread = max(worst_spread, spread)

@@ -105,7 +105,10 @@ def log_time_rule(
     it stays below HEAD_TOL (never above the shared baseline -16).  A positive
     tail_exponent b marks an algebraic tail t^(-b) dt/t, which needs
     v_max ~ -log(HEAD_TOL)/b instead of the default exp-decay window v_max = 7.
+    The log step must be finite and > 0.
     """
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got step = {step}")
     if head_exponent <= 0:
         raise ValueError("head_exponent must be positive (divergent integral otherwise)")
     v_min = min(-16.0, math.log(HEAD_TOL) / head_exponent - 1.0)

@@ -356,10 +356,12 @@ def test_several_p_give_the_bits_of_one_p_calls(d, ps):
         for p, curve in zip(ps, curves):
             assert np.array_equal(curve, norm_curve(f, k, p, ts))
     alpha, k = 0.7, 1
-    assert besov._seminorms(f, alpha, ps, 2.0, k, DEFAULT_STEP, 1) == [
+    assert besov._besov_terms(f, alpha, ps, 2.0, k, DEFAULT_STEP, SUP_POINTS, 1) == [
         [besov_seminorm(f, besov_params(alpha, p, 2.0)) for p in ps]
     ]
-    assert besov._ak_constants(f, alpha, ps, k, SUP_POINTS, 1) == [[ak_constant(f, alpha, p, k) for p in ps]]
+    assert besov._besov_terms(f, alpha, ps, math.inf, k, DEFAULT_STEP, SUP_POINTS, 1) == [
+        [ak_constant(f, alpha, p, k) for p in ps]
+    ]
 
 
 @pytest.mark.parametrize("q", (1.0, 2.0, math.inf))
@@ -373,12 +375,8 @@ def test_paired_evaluation_gives_the_coarse_bits_of_a_coarse_call(d, q):
     f = gen_family(20260809, d, 3, 6)[2]
     alpha, k = 0.7, 1
     for refine in (2, 3):
-        if math.isinf(q):
-            coarse, fine = besov._ak_constants(f, alpha, ps, k, SUP_POINTS, refine)
-            (alone,) = besov._ak_constants(f, alpha, ps, k, SUP_POINTS, 1)
-        else:
-            coarse, fine = besov._seminorms(f, alpha, ps, q, k, DEFAULT_STEP, refine)
-            (alone,) = besov._seminorms(f, alpha, ps, q, k, DEFAULT_STEP, 1)
+        coarse, fine = besov._besov_terms(f, alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)
+        (alone,) = besov._besov_terms(f, alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, 1)
         assert coarse == alone
         assert np.allclose(fine, coarse, rtol=1e-5, atol=0.0)
 
@@ -408,6 +406,38 @@ def test_norm_curve_returns_the_shape_of_ts(f, p):
 def test_norm_curve_rejects_large_p():
     with pytest.raises(ValueError):
         norm_curve(MIX, 1, 9.0, np.array([1.0]))
+
+
+@pytest.mark.parametrize("k", (1.5, -1, 2.0, None))
+def test_norm_curve_rejects_a_k_that_is_not_an_integer_at_least_0(k):
+    # a fractional k used to give NaN with a RuntimeWarning, a negative one numbers
+    with pytest.raises(ValueError, match="k must be an integer >= 0"):
+        norm_curve(MIX, k, 2.0, [0.1, 1.0])
+
+
+def test_kdecay_report_rejects_a_fractional_k():
+    with pytest.raises(ValueError, match="k must be an integer >= 0"):
+        kdecay_report(MIX, 2.0, 2.5)
+
+
+@pytest.mark.parametrize("ts", ([-0.1, 1.0], [0.1, math.nan], [math.inf], [[0.5], [-1e-300]]))
+def test_curves_reject_times_that_are_not_finite_and_at_least_0(ts):
+    with pytest.raises(ValueError, match="times must be finite and >= 0"):
+        norm_curve(MIX, 1, 2.0, ts)
+    with pytest.raises(ValueError, match="times must be finite and >= 0"):
+        kdecay_report(MIX, 2.0, 1, np.array(ts))
+
+
+@pytest.mark.parametrize("alpha", (math.nan, -0.5, 1.0, 1.5))
+def test_besov_terms_reject_alpha_outside_0_to_k(alpha):
+    # besov_params refuses alpha < 0; ak_constant used to return 0.4278 there and NaN at NaN
+    from gausscalc import besov
+
+    with pytest.raises(ValueError, match="need 0 <= alpha < k"):
+        ak_constant(MIX, alpha, 2.0, 1)
+    for q in (2.0, math.inf):
+        with pytest.raises(ValueError, match="need 0 <= alpha < k"):
+            besov._besov_terms(MIX, alpha, (2.0, 3.0), q, 1, DEFAULT_STEP, SUP_POINTS, 2)
 
 
 # -- decay report ----------------------------------------------------------------------

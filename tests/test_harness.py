@@ -348,6 +348,23 @@ def test_lemmas_decay_records_are_kdecay_report_bits():
             assert ratios[f"decay-constant[k={k},p={p:g}]"] == fitted
 
 
+def test_lemmas_k_independence_records_follow_t_step():
+    # like the inclusion records, the k-independence records use cfg.t_step
+    from gausscalc.besov import besov_params, besov_seminorm, lp_norm, smallest_k
+
+    cfg = ExperimentConfig(family_size=3, max_degree=5, t_step=0.04)
+    family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
+    ratios = {r["label"]: r["ratio"] for r in run_experiment("lemmas", cfg).ratios}
+    for a, p, q in ((0.5, 2.0, 2.0), (0.5, 2.0, 1.0), (1.3, 2.0, 2.0)):
+        k = smallest_k(a)
+        totals = [
+            [lp_norm(f, p) + besov_seminorm(f, besov_params(a, p, q, j), cfg.t_step) for j in (k, k + 1)]
+            for f in family
+        ]
+        spread = [with_k1 / with_k for with_k, with_k1 in totals]
+        assert ratios[f"k-independence[alpha={a:g},q={q:g}]"] == max(max(spread), 1.0 / min(spread))
+
+
 @pytest.mark.parametrize("q", (0.5, math.nan))
 def test_totals_reject_q_below_one(q):
     from gausscalc.besov import SUP_POINTS

@@ -8,7 +8,9 @@ gausscalc module resolves, and the package re-exports only names that are in
 their module's `__all__`.  The package runs on numpy and scipy.special
 alone: a fresh interpreter that imports the command line and runs the odd-p
 norm, the averaging inequality and the oracles experiment never loads
-scipy.integrate, scipy.optimize or scipy.linalg.
+scipy.integrate, scipy.optimize or scipy.linalg.  The harness reaches into
+besov's private names only for the Besov terms, the norm curves and the
+decay report.
 """
 
 import ast
@@ -118,3 +120,22 @@ def test_besov_leaves_the_lp_route_to_hermite():
         or (isinstance(node, ast.Attribute) and node.attr in ROUTE_INTERNALS)
     ]
     assert uses == []
+
+
+HARNESS_BESOV_INTERNALS = {"_besov_terms", "_norm_curves", "_decay_report"}
+
+
+def test_harness_uses_only_the_besov_term_internals():
+    # which Besov term to take, on which grids and at which resolutions, is
+    # besov's decision: harness names no other private besov function
+    tree = ast.parse((ROOT / "src" / "gausscalc" / "harness.py").read_text())
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "bz"
+        and node.attr.startswith("_")
+    }
+    assert used
+    assert used <= HARNESS_BESOV_INTERNALS, sorted(used - HARNESS_BESOV_INTERNALS)

@@ -111,6 +111,23 @@ def test_log_rule_rejects_nonpositive_exponents():
         log_time_rule(head_exponent=1.0, tail_exponent=-1.0)
 
 
+@pytest.mark.parametrize("step", (-0.1, 0.0, math.nan, math.inf))
+def test_rules_reject_a_step_that_is_not_finite_and_positive(step):
+    # a negative step used to give a 16-node rule, 0 a ZeroDivisionError and
+    # NaN a failed int conversion; log_time_rule refuses them for every caller
+    from gausscalc import HermiteExpansion, besov_params, besov_seminorm
+
+    f = HermiteExpansion(1, {(1,): 1.0, (3,): -0.5})
+    calls = (
+        lambda: log_time_rule(1.0, step=step),
+        lambda: clipped_time_rule(1.0, 1.0, step=step),
+        lambda: _clipped_rule(1.0, 1.0, None, step, 2),
+        lambda: besov_seminorm(f, besov_params(0.5, 2, 2), step=step),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            call()
+
 @pytest.mark.parametrize("t", [1e-2, 0.1, 1.0, 10.0])
 def test_stable_measure_mass_is_one(t):
     rule = SubordinationRule()
