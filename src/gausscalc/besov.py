@@ -11,19 +11,23 @@ with ||d^k/dt^k P_t f||_p,gamma <= A t^(alpha-k) for all t > 0.
 On finite expansions the time derivative of the Poisson orbit is exact, so the
 only approximations are the t-integral (log-trapezoid, window sized from the
 endpoint exponents) and, for p not 2, the spatial norm.  Every curve comes
-from _norm_curves, which takes any number of p: it builds the orbit table of
+from _orbit_norms, which takes any number of p: it builds the orbit table of
 a time grid once and hands it to hermite._lp_norms, whose docstring lists
 the spatial routes; each p keeps the bits of its one-p call, norm_curve.
 _besov_terms alone evaluates the second term of the norm, the seminorm or
-A_k by q, at one time resolution or at two, the finer of which nests the
-coarser so that one curve serves both; besov_seminorm and ak_constant are
-its one-p, one-resolution calls.
+A_k by q, for a family of expansions, at one time resolution or at two, the
+finer of which nests the coarser so that one curve per member serves both.
+The grids, their weights and the Poisson factors e^(-t sqrt(n)) are made
+once per call and shared by the members, whose terms keep the bits of
+one-member calls; besov_seminorm and ak_constant are its one-member, one-p,
+one-resolution calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,8 +68,12 @@ class BesovParams:
     k: int
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
+        if not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got k = {self.k!r}")
         _check_p(self.p)
         if self.q < 1:
             raise ValueError("q must be >= 1 (or inf)")
@@ -74,7 +82,10 @@ class BesovParams:
 
 
 def besov_params(alpha: float, p: float, q: float, k: int | None = None) -> BesovParams:
-    return BesovParams(float(alpha), float(p), float(q), smallest_k(alpha) if k is None else int(k))
+    """BesovParams with float alpha, p and q; k defaults to smallest_k(alpha), and a given k must be an integer (2.0 too is refused)."""
+    if k is None:
+        k = smallest_k(alpha)
+    return BesovParams(float(alpha), float(p), float(q), int(k) if isinstance(k, np.integer) else k)
 
 
 @dataclass(frozen=True)
@@ -101,12 +112,22 @@ class BesovResult:
         }
 
 
-def _orbit_table(items, k: int, ts) -> np.ndarray:
-    """(S, T) coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)) of u^(k)(., t), one row per item."""
+def _decay_rows(orders, ts) -> np.ndarray:
+    """(len(orders), T) Poisson factors e^(-t sqrt(n)), one row per order n, one column per t in ts, made in one buffer."""
+    rows = np.outer(np.sqrt(np.asarray(orders, dtype=float)), ts)
+    return np.exp(np.negative(rows, out=rows), out=rows)
+
+
+def _orbit_table(items, k: int, decay: np.ndarray) -> np.ndarray:
+    """(S, T) coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)) of u^(k)(., t), one row per item.
+
+    decay, the items' rows e^(-t sqrt(n)) in their order (_decay_rows), is
+    scaled in place into the table, so a curve holds one (S, T) buffer.
+    """
     orders = np.array([nu.order for nu, _ in items], dtype=float)
     base = np.array([c for _, c in items])
-    roots = np.sqrt(orders)
-    return (base * (-roots) ** k)[:, None] * np.exp(-np.outer(roots, ts))
+    decay *= (base * (-np.sqrt(orders)) ** k)[:, None]
+    return decay
 
 
 def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
@@ -125,13 +146,21 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
 
 
 def _norm_curves(f: HermiteExpansion, k: int, ps, ts) -> np.ndarray:
-    """norm_curve for every p in ps, stacked: an array shaped (len(ps),) + ts.shape.
+    """norm_curve for every p in ps, stacked: an array shaped (len(ps),) + ts.shape, from f's own decay rows."""
+    ts = np.asarray(ts, dtype=float)
+    items = sorted(f.coeffs.items())
+    decay = _decay_rows([nu.order for nu, _ in items], ts.ravel())
+    return _orbit_norms(f, items, k, ps, decay).reshape((len(ps),) + ts.shape)
 
-    The orbit table is built once for all ps and goes to hermite._lp_norms
-    as one table, a column per time node, in sorted support order.  The
-    default_grid and _abs_moment_exact_1d handed in are hermite's own; they
-    are passed through besov's bindings so that a spy on those sees the
-    route of a curve.
+
+def _orbit_norms(f: HermiteExpansion, items, k: int, ps, decay: np.ndarray) -> np.ndarray:
+    """(len(ps), T) norms of u^(k)(., t) at the T time nodes of decay, f's rows e^(-t sqrt(n)).
+
+    items is f's support in sorted order, decay has one row per item.  The
+    orbit table goes to hermite._lp_norms as one table, a column per time
+    node.  The default_grid and _abs_moment_exact_1d handed in are hermite's
+    own; they are passed through besov's bindings so that a spy on those
+    sees the route of a curve.
     """
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise ValueError(f"k must be an integer >= 0, got k = {k!r}")
@@ -139,11 +168,8 @@ def _norm_curves(f: HermiteExpansion, k: int, ps, ts) -> np.ndarray:
         _check_p(p)
         if p > MAX_P:
             raise ValueError(f"p = {p} beyond the supported range (p <= {MAX_P})")
-    ts = np.asarray(ts, dtype=float)
-    items = sorted(f.coeffs.items())
-    coef_t = _orbit_table(items, k, ts.ravel())
-    curves = _lp_norms(f, [nu for nu, _ in items], coef_t, ps, grid=default_grid, moments=_abs_moment_exact_1d)
-    return curves.reshape((len(ps),) + ts.shape)
+    coef_t = _orbit_table(items, k, decay)
+    return _lp_norms(f, [nu for nu, _ in items], coef_t, ps, grid=default_grid, moments=_abs_moment_exact_1d)
 
 
 def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAULT_STEP) -> float:
@@ -154,62 +180,85 @@ def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAU
     Where a small (k - a) q pushes the window below t = e^(-700), the rule is
     clipped there and the dropped head, where the integrand is
     ||u^(k)(., 0)||_p^q t^((k-a)q - 1), is added in closed form.  This is
-    the one-p, refine = 1 case of _besov_terms.
+    the one-member, one-p, refine = 1 case of _besov_terms.
     """
     if math.isinf(params.q):
         raise ValueError("use ak_constant for q = inf")
-    return _besov_terms(f, params.alpha, (params.p,), params.q, params.k, step, SUP_POINTS, 1)[0][0]
+    return _besov_terms([f], params.alpha, (params.p,), params.q, params.k, step, SUP_POINTS, 1)[0][0][0]
 
 
 SUP_POINTS = 200
 
 
+@lru_cache(maxsize=8)  # the default verify-all pass uses 2 grids
 def sup_grid(points: int, refine: int) -> np.ndarray:
     """The grid of every time sup: points log-spaced times in [1e-6, 50], each log step split into refine.
 
     It has refine (points - 1) + 1 nodes (timequad._split_steps), and every
-    refine-th is a node of sup_grid(points, 1), bit for bit.
+    refine-th is a node of sup_grid(points, 1), bit for bit.  Cached and
+    shared, so read-only.
     """
-    return np.exp(_split_steps(np.linspace(math.log(1e-6), math.log(50.0), points), refine))
+    ts = np.exp(_split_steps(np.linspace(math.log(1e-6), math.log(50.0), points), refine))
+    ts.setflags(write=False)
+    return ts
 
 
-def _polished_sup(supremand, ts, vals) -> float:
-    """Max of a vectorized supremand whose values on the grid ts are vals, polished locally.
-
-    The coarse argmax is refined on 19 log-spaced points between its two grid
-    neighbours; the larger of the two maxima is returned.
-    """
+def _polish_nodes(ts, vals) -> np.ndarray:
+    """19 log-spaced times between the two grid neighbours of the argmax of vals, the sup's values on ts."""
     i = int(np.argmax(vals))
     lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
-    local = np.exp(np.linspace(math.log(lo), math.log(hi), 19))
-    return float(max(vals.max(), supremand(local).max()))
+    return np.exp(np.linspace(math.log(lo), math.log(hi), 19))
+
+
+def _polished_sups(f: HermiteExpansion, alpha: float, k: int, ps, grids, sups):
+    """A_k of f for every p on every grid: each grid sup in sups, (len(ps), n) per grid, polished at its argmax.
+
+    The larger of the grid max and the max on the argmax's _polish_nodes is
+    kept.  One norm_curve call per p takes the polish nodes of all grids; a
+    column's norm does not depend on the others, so each value keeps the
+    bits of a one-grid polish.
+    """
+    out = [[] for _ in grids]
+    for j, p in enumerate(ps):
+        nodes = np.concatenate([_polish_nodes(ts, sup[j]) for ts, sup in zip(grids, sups)])
+        local = (nodes ** (k - alpha) * norm_curve(f, k, p, nodes)).reshape(len(grids), -1)
+        for terms, sup, polish in zip(out, sups, local):
+            terms.append(float(max(sup[j].max(), polish.max())))
+    return out
 
 
 def ak_constant(f: HermiteExpansion, alpha: float, p: float, k: int, points: int = SUP_POINTS) -> float:
     """Smallest A with ||u^(k)(., t)||_p <= A t^(alpha-k): sup of t^(k-alpha) ||u^(k)||_p.
 
     Taken over sup_grid(points, 1), then polished around the coarse argmax
-    (_polished_sup).  For expansions the supremand is smooth and decays at
-    both ends, so the grid sup is reliable.  This is the one-p, refine = 1
-    case of _besov_terms.
+    (_polished_sups).  For expansions the supremand is smooth and decays at
+    both ends, so the grid sup is reliable.  This is the one-member, one-p,
+    refine = 1 case of _besov_terms.
     """
-    return _besov_terms(f, alpha, (p,), math.inf, k, DEFAULT_STEP, points, 1)[0][0]
+    return _besov_terms([f], alpha, (p,), math.inf, k, DEFAULT_STEP, points, 1)[0][0][0]
 
 
-def _besov_terms(f: HermiteExpansion, alpha: float, ps, q: float, k: int, step: float, points: int, refine: int):
-    """The second term of the Besov norm for every p in ps: the seminorm at q < inf, A_k at q = inf.
+def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: int, refine: int):
+    """The second term of the Besov norm of each member of fs, for every p in ps: the seminorm at q < inf, A_k at q = inf.
 
-    Returns one list per time resolution, coarse first, each one value per
-    p: [coarse] at refine = 1, [coarse, refined] otherwise.  The coarse grid
-    is the rule of besov_seminorm at step (q < inf) or sup_grid(points, 1)
-    (q = inf).  The refined grid splits each coarse log step into refine
-    (timequad._clipped_rule, sup_grid), so it has refine (n - 1) + 1 nodes
-    where the coarse has n, and every refine-th is a coarse node, bit for
-    bit.  One _norm_curves call on the finest grid thus serves every p and
-    both resolutions, and the coarse values, read from every refine-th node,
-    are the bits of a refine = 1 call.  Each resolution is reduced on its
-    own: by the trapezoid plus the closed-form head, or by the grid sup
-    polished around its own argmax.
+    Returns one list per member, and in it one list per time resolution,
+    coarse first, each one value per p: [coarse] at refine = 1, [coarse,
+    refined] otherwise.  The coarse grid is the rule of besov_seminorm at
+    step (q < inf) or sup_grid(points, 1) (q = inf).  The refined grid
+    splits each coarse log step into refine (timequad._clipped_rule,
+    sup_grid), so it has refine (n - 1) + 1 nodes where the coarse has n,
+    and every refine-th is a coarse node, bit for bit.  One curve per member
+    on the finest grid thus serves every p and both resolutions, and the
+    coarse values, read from every refine-th node, are the bits of a
+    refine = 1 call.  Each resolution is reduced on its own: by the
+    trapezoid plus the closed-form head, or by the grid sup polished around
+    its own argmax (_polished_sups).
+
+    The grids, their weights t^(k-alpha) and, for a family, the decay rows
+    e^(-t sqrt(n)) of every order in its supports are made once per call;
+    a member's orbit table takes its rows from them, the same products, so
+    each member's terms are the bits of a call for it alone.  A one-member
+    call takes its own rows, and no second table.
     """
     if not q >= 1:
         raise ValueError(f"q must be >= 1 (or inf), got q = {q}")
@@ -220,21 +269,25 @@ def _besov_terms(f: HermiteExpansion, alpha: float, ps, q: float, k: int, step: 
         rules = [(sup_grid(points, r),) for r in levels]
     else:
         rules = [_clipped_rule((k - alpha) * q, 1.0, None, step, r) for r in levels]
-    curves = _norm_curves(f, k, ps, rules[-1][0])
+    grids = [rule[0] for rule in rules]
+    weights = [ts ** (k - alpha) for ts in grids]
+    supports = [sorted(f.coeffs.items()) for f in fs]
+    if len(fs) > 1:
+        orders = sorted({nu.order for items in supports for nu, _ in items})
+        table, row = _decay_rows(orders, grids[-1]), {n: i for i, n in enumerate(orders)}
+        decays = (table[[row[nu.order] for nu, _ in items]] for items in supports)
+    else:
+        decays = (_decay_rows([nu.order for nu, _ in items], grids[-1]) for items in supports)
     out = []
-    for r, (ts, *rule) in zip(levels, rules):
-        weight = ts ** (k - alpha)
-        level = curves[:, :: refine // r]
+    for f, items, decay in zip(fs, supports, decays):
+        curves = _orbit_norms(f, items, k, ps, decay)
+        level_curves = [curves[:, :: refine // r] for r in levels]
         if math.isinf(q):
-            terms = [
-                _polished_sup(lambda t, p=p: t ** (k - alpha) * norm_curve(f, k, p, t), ts, vals)
-                for p, vals in zip(ps, weight * level)
-            ]
+            terms = _polished_sups(f, alpha, k, ps, grids, [w * c for w, c in zip(weights, level_curves)])
         else:
-            w, head_rest, _ = rule
             terms = [
-                (float(np.dot(w, (weight * curve) ** q / ts)) + curve[0] ** q * head_rest) ** (1.0 / q)
-                for curve in level
+                [(float(np.dot(w, (weight * c) ** q / ts)) + c[0] ** q * head_rest) ** (1.0 / q) for c in level]
+                for (ts, w, head_rest, _), weight, level in zip(rules, weights, level_curves)
             ]
         out.append(terms)
     return out
@@ -299,12 +352,24 @@ def hardy_check(f, p: float, r: float, kind: str):
     (lhs, rhs); a side whose endpoint behavior is non-integrable is reported
     as math.inf.  At p = 1 the head inequality is an exact interchange of the
     two integrals, so lhs = rhs up to quadrature error.  Both sides use one
-    log-trapezoid rule on [e^-40, e^12] with 5201 nodes.
+    log-trapezoid rule on [e^-40, e^12] with 5201 nodes.  This is the
+    one-pair call of _hardy_sides.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if r <= 0:
-        raise ValueError("r must be > 0")
+    return _hardy_sides(f, ((p, r),), kind)[0]
+
+
+def _hardy_sides(f, pairs, kind: str) -> list:
+    """hardy_check's (lhs, rhs) for every (p, r) in pairs, each the bits of its one-pair call.
+
+    f's samples, its end slopes and its running integral do not depend on
+    (p, r), so they are taken once; the running integral only if some pair
+    converges.
+    """
+    for p, r in pairs:
+        if p < 1:
+            raise ValueError("p must be >= 1")
+        if r <= 0:
+            raise ValueError("r must be > 0")
     if kind not in ("head", "tail"):
         raise ValueError("kind must be 'head' or 'tail'")
     y, wy = TimeQuadrature(-40.0, 12.0, 5201).nodes_weights()
@@ -314,33 +379,39 @@ def hardy_check(f, p: float, r: float, kind: str):
     fv = np.maximum(fv, 0.0)
     m0 = _log_slope(y[0], y[1], fv[0], fv[1])
     m_inf = -_log_slope(y[-2], y[-1], fv[-2], fv[-1])  # f ~ y^(-m_inf) at infinity
+    head = kind == "head"
+
+    def diverges(p, r):
+        if head:  # the lhs integrand's exponent at 0, or f decaying too slowly: both tails blow up
+            return ((not math.isinf(m0)) and p * (m0 + 1.0) - r <= 1e-9) or (
+                (not math.isinf(m_inf)) and p * (1.0 - m_inf) - r >= -1e-9
+            )
+        return (not math.isinf(m_inf)) and p * (1.0 - m_inf) + r >= -1e-9  # both sides share the heavy-tail exponent
 
     # cumulative integrals of f along the log grid, F from 0 for "head" and G
     # to inf for "tail" (Simpson: the trapezoid's O(h^2) endpoint bias on
     # exponential integrands is visible at 1e-6)
     inner = fv * y  # integrand of int f dy in the log variable
     v = np.log(y)
-    if kind == "head":
-        lhs_exp = p * (m0 + 1.0) - r  # local exponent of the lhs integrand at 0
-        if (not math.isinf(m0)) and lhs_exp <= 1e-9:
-            return math.inf, math.inf
-        if (not math.isinf(m_inf)) and p * (1.0 - m_inf) - r >= -1e-9:
-            return math.inf, math.inf  # f decays too slowly: both tails blow up
-        head_piece = 0.0 if math.isinf(m0) else fv[0] * y[0] / (m0 + 1.0)
-        F = head_piece + _cumulative_simpson(inner, v)
-        lhs = float(np.dot(wy, F**p * y ** (-r - 1.0)))
-        # the lhs integrand decays only like x^(-r-1) once the inner integral
-        # saturates, so the truncated tail must be added in closed form
-        lhs += F[-1] ** p * y[-1] ** (-r) / r
-        rhs = (p / r) ** p * float(np.dot(wy, (y * fv) ** p * y ** (-r - 1.0)))
-        return lhs, rhs
-    if (not math.isinf(m_inf)) and p * (1.0 - m_inf) + r >= -1e-9:
-        return math.inf, math.inf  # both sides share the heavy-tail exponent
-    G = _cumulative_simpson(inner[::-1], -v[::-1])[::-1]
-    lhs = float(np.dot(wy, G**p * y ** (r - 1.0)))
-    lhs += G[0] ** p * y[0] ** r / r  # same saturation effect at the x -> 0 end
-    rhs = (p / r) ** p * float(np.dot(wy, (y * fv) ** p * y ** (r - 1.0)))
-    return lhs, rhs
+    running = None
+    out = []
+    for p, r in pairs:
+        if diverges(p, r):
+            out.append((math.inf, math.inf))
+            continue
+        if running is None and head:
+            running = (0.0 if math.isinf(m0) else fv[0] * y[0] / (m0 + 1.0)) + _cumulative_simpson(inner, v)
+        elif running is None:
+            running = _cumulative_simpson(inner[::-1], -v[::-1])[::-1]
+        # the lhs integrand decays only like x^(-r-1) (head) or x^(r-1) (tail)
+        # once the inner integral saturates, so the truncated end is added in
+        # closed form
+        s, end = (-r, -1) if head else (r, 0)
+        lhs = float(np.dot(wy, running**p * y ** (s - 1.0)))
+        lhs += running[end] ** p * y[end] ** s / r
+        rhs = (p / r) ** p * float(np.dot(wy, (y * fv) ** p * y ** (s - 1.0)))
+        out.append((lhs, rhs))
+    return out
 
 
 @dataclass(frozen=True)

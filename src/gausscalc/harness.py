@@ -14,12 +14,13 @@ so identical configs produce byte-identical reports; wall-clock metadata is
 kept in a separate block that comparisons can drop.  Every Besov term comes
 from besov._besov_terms, which picks the seminorm or A_k by q and builds the
 grids of both resolutions; the harness only names k = smallest_k(alpha).  A
-boundedness row evaluates the terms of all its ps at once for each
-(alpha, beta, q): norm curves for several p share one orbit table and one
-basis product per Gauss-Hermite grid.  Only denominators, the Besov norm
-totals of the source functions, are memoized per process (_besov_totals); a
-memoized total is the same bits as a cold call, so a report does not depend
-on which experiments ran before it.
+boundedness row evaluates the terms of all its members and ps at once for
+each (alpha, beta, q): one _besov_terms call for the images and one for the
+sources make the time grids and Poisson factors once, and norm curves for
+several p share one orbit table and one basis product per Gauss-Hermite
+grid.  Only denominators, the Besov norm totals of the source functions, are
+memoized per process (_besov_totals); a memoized total is the same bits as a
+cold call, so a report does not depend on which experiments ran before it.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class ExperimentConfig:
             (all(math.isfinite(b) for b in self.betas), "finite betas"),
             (self.refine >= 2, "refine >= 2"),
             (self.sup_points >= 16, "sup_points >= 16"),
-            (self.t_step > 0, "t_step > 0"),
+            (0 < self.t_step < math.inf, "finite t_step > 0"),
             (self.fmt in ("", "json", "csv", "text"), "fmt in {json, csv, text}"),
         ):
             if not ok:
@@ -286,36 +287,46 @@ def emit_report(report: TheoremReport, fmt: str = "json", path: str | None = Non
 _TOTALS = _LRUCache(1024)
 
 
-def _besov_totals(f, alpha, ps, q, step, sup_points, refine) -> list[list[float]]:
-    """Besov norm totals memoized in _TOTALS, one list per resolution as in besov._besov_terms, one total per p.
+def _besov_totals(fs, alpha, ps, q, step, sup_points, refine) -> list[list[list[float]]]:
+    """Besov norm totals memoized in _TOTALS: per member of fs, one list per resolution as in besov._besov_terms, one total per p.
 
     A total is keyed by (f, alpha, p, q, step, sup_points, r), with r = 1
     at the coarse resolution, the one besov_total looks up, and r = refine
-    at the refined one.  A call computes only the ps that miss an entry at
-    some resolution, in one evaluation, and stores them at every resolution.
-    Keys are typed, like lru_cache(typed=True), so an int and a float
-    argument never share an entry.  A key holds f's exact coefficients as
-    bytes, in f's own order, the order lp_norm sums them in: a hit is always
-    the bits a cold call gives, and the memo keeps no expansion alive.
+    at the refined one.  A call computes, for each member, only the ps that
+    miss an entry at some resolution, and stores them at every resolution;
+    the members that miss the same ps share one evaluation, so the members
+    of a boundedness row make at most one per q.  Keys are typed, like
+    lru_cache(typed=True), so an int and a float argument never share an
+    entry.  A key holds f's exact coefficients as bytes, in f's own order,
+    the order lp_norm sums them in: a hit is always the bits a cold call
+    gives, and the memo keeps no expansion alive.
     """
-    coeffs = np.array([(*nu, c) for nu, c in f.coeffs.items()]).tobytes()
-    keys = [[(f.dimension, coeffs, alpha, p, q, step, sup_points, r) for p in ps] for r in sorted({1, refine})]
-    keys = [[key + tuple(map(type, key[2:])) for key in row] for row in keys]
-    values = [[_TOTALS.get(key) for key in row] for row in keys]
-    new = [i for i in range(len(ps)) if any(row[i] is None for row in values)]
-    if new:
-        lps = [bz.lp_norm(f, ps[i]) for i in new]
-        terms = bz._besov_terms(f, alpha, tuple(ps[i] for i in new), q, bz.smallest_k(alpha), step, sup_points, refine)
-        for row_keys, row_values, row_terms in zip(keys, values, terms):
-            for i, lp, term in zip(new, lps, row_terms):
-                row_values[i] = lp + term
-                _TOTALS.put(row_keys[i], row_values[i])
+    levels = sorted({1, refine})
+    values, misses = [], {}  # misses: the indices of the ps to compute -> [(member, its keys)]
+    for m, f in enumerate(fs):
+        coeffs = np.array([(*nu, c) for nu, c in f.coeffs.items()]).tobytes()
+        keys = [[(f.dimension, coeffs, alpha, p, q, step, sup_points, r) for p in ps] for r in levels]
+        keys = [[key + tuple(map(type, key[2:])) for key in row] for row in keys]
+        values.append([[_TOTALS.get(key) for key in row] for row in keys])
+        new = tuple(i for i in range(len(ps)) if any(row[i] is None for row in values[m]))
+        if new:
+            misses.setdefault(new, []).append((m, keys))
+    k = bz.smallest_k(alpha)
+    for new, members in misses.items():
+        new_ps = tuple(ps[i] for i in new)
+        terms = bz._besov_terms([fs[m] for m, _ in members], alpha, new_ps, q, k, step, sup_points, refine)
+        for (m, keys), member_terms in zip(members, terms):
+            lps = [bz.lp_norm(fs[m], p) for p in new_ps]
+            for row_keys, row_values, row_terms in zip(keys, values[m], member_terms):
+                for i, lp, term in zip(new, lps, row_terms):
+                    row_values[i] = lp + term
+                    _TOTALS.put(row_keys[i], row_values[i])
     return values
 
 
 def besov_total(f, alpha, p, q, step=DEFAULT_STEP, sup_points=bz.SUP_POINTS) -> float:
-    """Besov norm total with explicit resolution knobs (for stability checks): the one-p, coarse call of the memo."""
-    return _besov_totals(f, alpha, (p,), q, step, sup_points, 1)[0][0]
+    """Besov norm total with explicit resolution knobs (for stability checks): the one-member, one-p, coarse call of the memo."""
+    return _besov_totals([f], alpha, (p,), q, step, sup_points, 1)[0][0][0]
 
 
 def _q_label(q) -> str:
@@ -326,27 +337,30 @@ def _ratio_suites(report, cfg, family, operator, source_alpha, target_alpha, ps,
     """Norm ratios target/source for one operator, one suite per (p, q), p-major.
 
     Each member's image and its L^p norms are computed once.  At each q one
-    besov._besov_terms evaluation per member, of its image and of its
-    source, gives the Besov terms of every p at both time resolutions.  The
-    scaled source is evaluated at the coarse resolution only.  Denominators
-    come from the memo (_besov_totals).
+    besov._besov_terms call for the members' images, and one memo call for
+    their sources (_besov_totals), give the Besov terms of every member and
+    every p at both time resolutions.  The scaled source and its image are
+    coarse-only calls of their own: in a small family, a refined curve for
+    them would be a large share of the work.
     """
     f0 = 10.0 * family[0]  # absolute homogeneity: scaling f must leave the ratio untouched
-    sources = [*family, f0]
-    images = [operator(f) for f in sources]
+    images = [operator(f) for f in (*family, f0)]
     lp_images = [[bz.lp_norm(g, p) for p in ps] for g in images]
     k = bz.smallest_k(target_alpha)
-
-    def ratios(i, q, refine):
-        """Member i's ratios, one list per resolution (coarse first), one ratio per p."""
-        terms = bz._besov_terms(images[i], target_alpha, ps, q, k, cfg.t_step, cfg.sup_points, refine)
-        dens = _besov_totals(sources[i], source_alpha, ps, q, cfg.t_step, cfg.sup_points, refine)
-        return [[(lp + term) / den for lp, term, den in zip(lp_images[i], *level)] for level in zip(terms, dens)]
-
+    step, points = cfg.t_step, cfg.sup_points
     suites = {}
     for q in qs:
-        coarse, refined = zip(*(ratios(i, q, cfg.refine) for i in range(len(family))))
-        (scaled,) = ratios(len(family), q, 1)
+        terms = bz._besov_terms(images[:-1], target_alpha, ps, q, k, step, points, cfg.refine)
+        terms += bz._besov_terms(images[-1:], target_alpha, ps, q, k, step, points, 1)
+        dens = _besov_totals(family, source_alpha, ps, q, step, points, cfg.refine)
+        dens += _besov_totals([f0], source_alpha, ps, q, step, points, 1)
+        # per member, one list per resolution (coarse first; the scaled source's coarse only), one ratio per p
+        ratios = [
+            [[(lp + term) / den for lp, term, den in zip(lps, *level)] for level in zip(member_terms, member_dens)]
+            for lps, member_terms, member_dens in zip(lp_images, terms, dens)
+        ]
+        coarse, refined = zip(*ratios[:-1])
+        (scaled,) = ratios[-1]
         for j in range(len(ps)):
             suites[j, q] = [row[j] for row in coarse], [row[j] for row in refined], scaled[j]
     for j, p in enumerate(ps):
@@ -654,16 +668,15 @@ def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
 
     worst_rel = 0.0
     eq_dev = 0.0
+    pairs = list(product((1.0, 2.0), (0.5, 1.0, 2.0)))  # (p, r)
     for _, fn in HARDY_BATTERY:
-        for p in (1.0, 2.0):
-            for r in (0.5, 1.0, 2.0):
-                for kind in ("head", "tail"):
-                    lhs, rhs = bz.hardy_check(fn, p, r, kind)
-                    if math.isinf(rhs):
-                        continue
-                    worst_rel = max(worst_rel, lhs / rhs - 1.0)
-                    if p == 1.0 and kind == "head":
-                        eq_dev = max(eq_dev, abs(lhs - rhs) / rhs)
+        for kind in ("head", "tail"):
+            for (p, _), (lhs, rhs) in zip(pairs, bz._hardy_sides(fn, pairs, kind)):
+                if math.isinf(rhs):
+                    continue
+                worst_rel = max(worst_rel, lhs / rhs - 1.0)
+                if p == 1.0 and kind == "head":
+                    eq_dev = max(eq_dev, abs(lhs - rhs) / rhs)
     rep.add_check("averaging-inequalities", worst_rel <= 1e-6, worst_rel, 1e-6)
     rep.add_check("averaging-equality-at-p1", eq_dev <= 1e-6, eq_dev, 1e-6)
 

@@ -61,6 +61,29 @@ def test_smallest_k_rejects_non_finite(alpha):
         smallest_k(alpha)
 
 
+@pytest.mark.parametrize("k", (1.5, 2.0, np.float64(2.0)))
+def test_besov_params_rejects_a_k_that_is_not_an_integer(k):
+    # int(k) used to turn k = 1.5 into 1 without a word; 2.0 is refused too, as by norm_curve
+    with pytest.raises(ValueError, match="k must be an integer"):
+        besov_params(0.5, 2, 2, k)
+
+
+def test_besov_params_takes_a_numpy_integer_k_as_an_int():
+    params = besov_params(0.5, 2, 2, np.int64(2))
+    assert params.k == 2 and type(params.k) is int
+
+
+@pytest.mark.parametrize("alpha", (math.nan, math.inf))
+def test_besov_params_reject_an_alpha_that_is_not_finite(alpha):
+    # BesovParams(nan, 2, 2, 1) used to be accepted
+    from gausscalc.besov import BesovParams
+
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        BesovParams(alpha, 2.0, 2.0, 1)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        besov_params(alpha, 2, 2, 1)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         besov_params(1.5, 2, 2, k=1)  # k must exceed alpha
@@ -356,11 +379,11 @@ def test_several_p_give_the_bits_of_one_p_calls(d, ps):
         for p, curve in zip(ps, curves):
             assert np.array_equal(curve, norm_curve(f, k, p, ts))
     alpha, k = 0.7, 1
-    assert besov._besov_terms(f, alpha, ps, 2.0, k, DEFAULT_STEP, SUP_POINTS, 1) == [
-        [besov_seminorm(f, besov_params(alpha, p, 2.0)) for p in ps]
+    assert besov._besov_terms([f], alpha, ps, 2.0, k, DEFAULT_STEP, SUP_POINTS, 1) == [
+        [[besov_seminorm(f, besov_params(alpha, p, 2.0)) for p in ps]]
     ]
-    assert besov._besov_terms(f, alpha, ps, math.inf, k, DEFAULT_STEP, SUP_POINTS, 1) == [
-        [ak_constant(f, alpha, p, k) for p in ps]
+    assert besov._besov_terms([f], alpha, ps, math.inf, k, DEFAULT_STEP, SUP_POINTS, 1) == [
+        [[ak_constant(f, alpha, p, k) for p in ps]]
     ]
 
 
@@ -375,10 +398,34 @@ def test_paired_evaluation_gives_the_coarse_bits_of_a_coarse_call(d, q):
     f = gen_family(20260809, d, 3, 6)[2]
     alpha, k = 0.7, 1
     for refine in (2, 3):
-        coarse, fine = besov._besov_terms(f, alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)
-        (alone,) = besov._besov_terms(f, alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, 1)
+        ((coarse, fine),) = besov._besov_terms([f], alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)
+        ((alone,),) = besov._besov_terms([f], alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, 1)
         assert coarse == alone
         assert np.allclose(fine, coarse, rtol=1e-5, atol=0.0)
+
+
+@pytest.mark.parametrize("q", (1.0, 2.0, math.inf))
+@pytest.mark.parametrize("d", (1, 2))
+def test_family_terms_are_the_bits_of_one_member_calls(d, q):
+    # the grids, their weights and the decay rows of every order are made once
+    # per call; each member's orbit table takes its own rows from them, so a
+    # member's terms do not depend on the family it came in
+    from gausscalc import besov
+
+    ps = (1.0, 1.5, 2.0, 3.0, 4.0)
+    top = (7,) if d == 1 else (2, 3)
+    family = [
+        *gen_family(20260809, d, 3, 4),
+        HermiteExpansion.basis(top, -0.8),
+        HermiteExpansion.constant(d, 1.5),
+        HermiteExpansion.zero(d),
+    ]
+    alpha, k = 0.7, 1
+    for refine in (1, 2):
+        terms = besov._besov_terms(family, alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)
+        assert len(terms) == len(family)
+        for f, member in zip(family, terms):
+            assert member == besov._besov_terms([f], alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)[0]
 
 
 @pytest.mark.parametrize(
@@ -437,7 +484,7 @@ def test_besov_terms_reject_alpha_outside_0_to_k(alpha):
         ak_constant(MIX, alpha, 2.0, 1)
     for q in (2.0, math.inf):
         with pytest.raises(ValueError, match="need 0 <= alpha < k"):
-            besov._besov_terms(MIX, alpha, (2.0, 3.0), q, 1, DEFAULT_STEP, SUP_POINTS, 2)
+            besov._besov_terms([MIX], alpha, (2.0, 3.0), q, 1, DEFAULT_STEP, SUP_POINTS, 2)
 
 
 # -- decay report ----------------------------------------------------------------------
@@ -516,6 +563,26 @@ def test_hardy_divergent_tail_reports_inf():
     assert math.isinf(lhs) and math.isinf(rhs)
     lhs, rhs = hardy_check(heavy, 1.0, 0.5, "tail")  # convergent combo stays finite
     assert math.isfinite(lhs) and lhs <= rhs * (1 + 1e-6)
+
+
+def test_hardy_battery_gives_the_bits_of_one_pair_calls():
+    # f's samples and running integral are shared by the pairs of one call;
+    # no pair's value may depend on the others, in any order, diverging or not
+    from gausscalc.besov import _hardy_sides
+    from gausscalc.harness import HARDY_BATTERY
+
+    pairs = [(p, r) for p in (1.0, 2.0, 3.0) for r in (0.5, 1.0, 2.0)]
+    heavy = lambda y: y**2 / (1.0 + y**4)  # the tail diverges at p = 2, r = 2
+    linear = lambda y: y * np.exp(-y)  # the head diverges at p = 1, r = 2
+    for fn in [fn for _, fn in HARDY_BATTERY] + [heavy, linear]:
+        for kind in ("head", "tail"):
+            assert _hardy_sides(fn, pairs, kind) == [hardy_check(fn, p, r, kind) for p, r in pairs]
+    for fn, kind in ((heavy, "tail"), (linear, "head")):
+        sides = _hardy_sides(fn, pairs[::-1], kind)
+        assert sides == [hardy_check(fn, p, r, kind) for p, r in pairs[::-1]]
+        assert any(math.isinf(lhs) for lhs, _ in sides) and any(math.isfinite(lhs) for lhs, _ in sides)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        _hardy_sides(linear, [(1.0, 1.0), (0.5, 1.0)], "head")
 
 
 def test_cumulative_simpson_is_bit_identical_to_scipy():

@@ -303,14 +303,14 @@ def test_smoothness_memo_misses_on_every_key():
     rest = (0.5, (2.0, 4.0), 2.0, DEFAULT_STEP, SUP_POINTS, 1)
     _TOTALS.cache_clear()
     for g in family:
-        _besov_totals(g, *rest)
-    warm = [_besov_totals(g, *rest) for g in shuffled]
+        _besov_totals([g], *rest)
+    warm = [_besov_totals([g], *rest) for g in shuffled]
     _TOTALS.cache_clear()
-    assert warm == [_besov_totals(g, *rest) for g in shuffled]
+    assert warm == [_besov_totals([g], *rest) for g in shuffled]
     # several ps: only the missing ones are computed, and each is the bits of its one-p call
     besov_total(*base)
     misses = _TOTALS.misses
-    (both,) = _besov_totals(f, 0.5, (4.0, 3.0), 2.0, DEFAULT_STEP, SUP_POINTS, 1)
+    ((both,),) = _besov_totals([f], 0.5, (4.0, 3.0), 2.0, DEFAULT_STEP, SUP_POINTS, 1)
     assert _TOTALS.misses == misses + 1
     assert both == [value, besov_total(f, 0.5, 3.0, 2.0, DEFAULT_STEP, SUP_POINTS)]
 
@@ -328,7 +328,7 @@ def test_paired_totals_serve_besov_total_with_the_bits_of_a_cold_call():
     assert run_experiment("riesz-derivative-bounded-lt1", cfg).passed
     hits = harness._TOTALS.hits
     warm = [besov_total(*a) for a in args]
-    paired = [harness._besov_totals(f, 0.7, cfg.ps, q, cfg.t_step, cfg.sup_points, cfg.refine) for f in family for q in qs]
+    paired = [harness._besov_totals([f], 0.7, cfg.ps, q, cfg.t_step, cfg.sup_points, cfg.refine)[0] for f in family for q in qs]
     assert harness._TOTALS.hits == hits + 3 * len(args)  # every coarse and every refined total
     assert [total for coarse, _ in paired for total in coarse] == warm
     harness._TOTALS.cache_clear()
@@ -374,7 +374,7 @@ def test_totals_reject_q_below_one(q):
     f = gen_family(5, 1, 1, 6)[0]
     for ps in ((2.0,), (1.0, 3.0)):
         with pytest.raises(ValueError, match="q must be >= 1"):
-            _besov_totals(f, 0.5, ps, q, DEFAULT_STEP, SUP_POINTS, 1)
+            _besov_totals([f], 0.5, ps, q, DEFAULT_STEP, SUP_POINTS, 1)
 
 
 def test_totals_memo_keeps_the_most_recent_entries(monkeypatch):
@@ -384,18 +384,19 @@ def test_totals_memo_keeps_the_most_recent_entries(monkeypatch):
     f = gen_family(5, 1, 1, 6)[0]
     memo = _LRUCache(2)
     monkeypatch.setattr(harness, "_TOTALS", memo)
-    (first,) = harness._besov_totals(f, 0.5, (2.0, 4.0), 2.0, 0.02, 200, 1)
-    harness._besov_totals(f, 0.5, (2.0,), 2.0, 0.02, 200, 1)  # p = 2 is now the most recent
-    harness._besov_totals(f, 0.5, (3.0,), 2.0, 0.02, 200, 1)  # evicts p = 4
+    ((first,),) = harness._besov_totals([f], 0.5, (2.0, 4.0), 2.0, 0.02, 200, 1)
+    harness._besov_totals([f], 0.5, (2.0,), 2.0, 0.02, 200, 1)  # p = 2 is now the most recent
+    harness._besov_totals([f], 0.5, (3.0,), 2.0, 0.02, 200, 1)  # evicts p = 4
     assert (memo.hits, memo.misses) == (1, 3)
-    assert harness._besov_totals(f, 0.5, (2.0,), 2.0, 0.02, 200, 1) == [first[:1]]
-    assert harness._besov_totals(f, 0.5, (4.0,), 2.0, 0.02, 200, 1) == [first[1:]]
+    assert harness._besov_totals([f], 0.5, (2.0,), 2.0, 0.02, 200, 1) == [[first[:1]]]
+    assert harness._besov_totals([f], 0.5, (4.0,), 2.0, 0.02, 200, 1) == [[first[1:]]]
     assert (memo.hits, memo.misses) == (2, 4)
 
 
 def test_wide_row_makes_one_basis_product_per_member_resolution_q_and_grid(monkeypatch):
     # in d = 2, p = 1 and 3 share the m = 4 deg + 8 grid and p = 4 takes the
-    # exact m = 2 deg + 1 grid; the A_k polish (19 time nodes) is per p
+    # exact m = 2 deg + 1 grid; the A_k polish (19 time nodes per resolution,
+    # in one call for both) is per p
     from gausscalc import harness, hermite
 
     cfg = ExperimentConfig(dimension=2, family_size=2, max_degree=4, ps=(1.0, 3.0, 4.0))
@@ -403,7 +404,7 @@ def test_wide_row_makes_one_basis_product_per_member_resolution_q_and_grid(monke
     kernel = hermite._quadrature_norms
 
     def spy(phi, bound, coef, ps, weights):
-        if coef.shape[1] > 19:
+        if coef.shape[1] > 38:
             products.append(tuple(ps))
         return kernel(phi, bound, coef, ps, weights)
 
@@ -415,6 +416,31 @@ def test_wide_row_makes_one_basis_product_per_member_resolution_q_and_grid(monke
     # refined grid nests the coarse one; each evaluation with one call per grid
     evaluations = (1 * 2 + 2 * 2) * 2
     assert sorted(products) == sorted([(4.0,), (1.0, 3.0)] * evaluations)
+
+
+@pytest.mark.parametrize("family_size", (3, 8))
+def test_row_makes_a_fixed_number_of_besov_term_calls_per_q(monkeypatch, family_size):
+    # per q: the members' images in one call at both resolutions, the scaled
+    # image at the coarse one, and on a cold memo the same two for the
+    # sources; never one call per member
+    from gausscalc import besov, harness
+
+    cfg = ExperimentConfig(family_size=family_size)
+    calls = []
+    terms = besov._besov_terms
+
+    def spy(fs, alpha, ps, q, k, step, points, refine):
+        calls.append((q, len(fs), refine))
+        return terms(fs, alpha, ps, q, k, step, points, refine)
+
+    monkeypatch.setattr(besov, "_besov_terms", spy)
+    harness._TOTALS.cache_clear()
+    assert run_experiment("riesz-potential-bounded", cfg).passed
+    evaluations = [(family_size, cfg.refine), (1, 1)]
+    assert sorted(calls) == sorted((q, n, r) for q in (2.0, math.inf) for n, r in evaluations * 2)
+    calls.clear()
+    assert run_experiment("riesz-potential-bounded", cfg).passed  # warm: every source total is a memo hit
+    assert sorted(calls) == sorted((q, n, r) for q in (2.0, math.inf) for n, r in evaluations)
 
 
 # -- command line ---------------------------------------------------------------------
@@ -542,6 +568,16 @@ def test_cli_infinite_smoothness_is_usage_error(tmp_path, capsys, experiment, li
     err = capsys.readouterr().err
     assert err.startswith("gausscalc: ") and "finite" in err
     assert line.split(" = ")[0] in err  # the message names the offending key
+
+
+@pytest.mark.parametrize("value", ("inf", "nan"))
+def test_cli_rejects_a_t_step_that_is_not_finite(tmp_path, capsys, value):
+    # t_step = inf used to pass the config check and fail in log_time_rule,
+    # with a message that did not name the key
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"t_step = {value}\nfamily_size = 2\nmax_degree = 2\n")
+    assert cli_main(["run", "lemmas", "--config", str(cfg)]) == 2
+    assert "invalid config: requires finite t_step > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -104,6 +104,12 @@ def test_refined_rules_nest_the_coarse_ones_bit_for_bit(refine):
     assert np.array_equal(decay_grid(119)[::2], decay_grid(60))
 
 
+def test_sup_grid_is_one_shared_read_only_array():
+    grid = sup_grid(200, 2)
+    assert sup_grid(200, 2) is grid
+    assert not grid.flags.writeable
+
+
 def test_log_rule_rejects_nonpositive_exponents():
     with pytest.raises(ValueError):
         log_time_rule(head_exponent=0.0)
