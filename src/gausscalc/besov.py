@@ -254,11 +254,14 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
     trapezoid plus the closed-form head, or by the grid sup polished around
     its own argmax (_polished_sups).
 
-    The grids, their weights t^(k-alpha) and, for a family, the decay rows
-    e^(-t sqrt(n)) of every order in its supports are made once per call;
-    a member's orbit table takes its rows from them, the same products, so
-    each member's terms are the bits of a call for it alone.  A one-member
-    call takes its own rows, and no second table.
+    The grids, the weights t^(k-alpha) and, for a family with more members
+    than distinct orders, the decay rows e^(-t sqrt(n)) of every order in
+    its supports are made once per call; a member's orbit table takes its
+    rows from them, the same products, so each member's terms are the bits
+    of a call for it alone.  A smaller family, or one member, takes its own
+    rows: there the table would save few exps, and its bytes would add to
+    those of each member's curve, such as the Gauss-Hermite buffers of a
+    d = 2 quadrature.
     """
     if not q >= 1:
         raise ValueError(f"q must be >= 1 (or inf), got q = {q}")
@@ -269,28 +272,28 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
         rules = [(sup_grid(points, r),) for r in levels]
     else:
         rules = [_clipped_rule((k - alpha) * q, 1.0, None, step, r) for r in levels]
-    grids = [rule[0] for rule in rules]
-    weights = [ts ** (k - alpha) for ts in grids]
+    ts = rules[-1][0]
+    weight = ts ** (k - alpha)  # every refine-th is the coarse grid's weight, bit for bit
     supports = [sorted(f.coeffs.items()) for f in fs]
-    if len(fs) > 1:
-        orders = sorted({nu.order for items in supports for nu, _ in items})
-        table, row = _decay_rows(orders, grids[-1]), {n: i for i, n in enumerate(orders)}
+    orders = sorted({nu.order for items in supports for nu, _ in items})
+    if len(fs) > len(orders):
+        table, row = _decay_rows(orders, ts), {n: i for i, n in enumerate(orders)}
         decays = (table[[row[nu.order] for nu, _ in items]] for items in supports)
     else:
-        decays = (_decay_rows([nu.order for nu, _ in items], grids[-1]) for items in supports)
-    out = []
-    for f, items, decay in zip(fs, supports, decays):
-        curves = _orbit_norms(f, items, k, ps, decay)
-        level_curves = [curves[:, :: refine // r] for r in levels]
+        decays = (_decay_rows([nu.order for nu, _ in items], ts) for items in supports)
+
+    def terms(f, curves):
+        """f's terms, one list per resolution, from its curves on the finest grid."""
+        level_curves = [(weight[:: refine // r], curves[:, :: refine // r]) for r in levels]
         if math.isinf(q):
-            terms = _polished_sups(f, alpha, k, ps, grids, [w * c for w, c in zip(weights, level_curves)])
-        else:
-            terms = [
-                [(float(np.dot(w, (weight * c) ** q / ts)) + c[0] ** q * head_rest) ** (1.0 / q) for c in level]
-                for (ts, w, head_rest, _), weight, level in zip(rules, weights, level_curves)
-            ]
-        out.append(terms)
-    return out
+            return _polished_sups(f, alpha, k, ps, [rule[0] for rule in rules], [w * c for w, c in level_curves])
+        return [
+            [(float(np.dot(w, (level_weight * c) ** q / t)) + c[0] ** q * head_rest) ** (1.0 / q) for c in level]
+            for (t, w, head_rest, _), (level_weight, level) in zip(rules, level_curves)
+        ]
+
+    # each member's curves are reduced and dropped before the next member's are made
+    return [terms(f, _orbit_norms(f, items, k, ps, decay)) for f, items, decay in zip(fs, supports, decays)]
 
 
 def besov_norm(f: HermiteExpansion, params: BesovParams) -> BesovResult:

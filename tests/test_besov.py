@@ -406,7 +406,7 @@ def test_paired_evaluation_gives_the_coarse_bits_of_a_coarse_call(d, q):
 
 @pytest.mark.parametrize("q", (1.0, 2.0, math.inf))
 @pytest.mark.parametrize("d", (1, 2))
-def test_family_terms_are_the_bits_of_one_member_calls(d, q):
+def test_family_terms_are_the_bits_of_one_member_calls(monkeypatch, d, q):
     # the grids, their weights and the decay rows of every order are made once
     # per call; each member's orbit table takes its own rows from them, so a
     # member's terms do not depend on the family it came in
@@ -415,14 +415,22 @@ def test_family_terms_are_the_bits_of_one_member_calls(d, q):
     ps = (1.0, 1.5, 2.0, 3.0, 4.0)
     top = (7,) if d == 1 else (2, 3)
     family = [
-        *gen_family(20260809, d, 3, 4),
+        *gen_family(20260809, d, 8, 3),
         HermiteExpansion.basis(top, -0.8),
         HermiteExpansion.constant(d, 1.5),
         HermiteExpansion.zero(d),
     ]
     alpha, k = 0.7, 1
+    decay_rows, tables = besov._decay_rows, []
+    monkeypatch.setattr(
+        besov, "_decay_rows", lambda orders, ts: tables.append((len(orders), ts.size)) or decay_rows(orders, ts)
+    )
     for refine in (1, 2):
+        tables.clear()
         terms = besov._besov_terms(family, alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)
+        # one table, of orders 0 to 3 and the top one, serves the 11 members
+        # (the A_k polish, 19 nodes per resolution, takes its own rows)
+        assert [n for n, size in tables if size > 38] == [5]
         assert len(terms) == len(family)
         for f, member in zip(family, terms):
             assert member == besov._besov_terms([f], alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)[0]
