@@ -17,10 +17,10 @@ the spatial routes; each p keeps the bits of its one-p call, norm_curve.
 _besov_terms alone evaluates the second term of the norm, the seminorm or
 A_k by q, for a family of expansions, at one time resolution or at two, the
 finer of which nests the coarser so that one curve per member serves both.
-The grids, their weights and the Poisson factors e^(-t sqrt(n)) are made
-once per call and shared by the members, whose terms keep the bits of
-one-member calls; besov_seminorm and ak_constant are its one-member, one-p,
-one-resolution calls.
+The grids, their weights and, for a family with more members than orders,
+the Poisson factors e^(-t sqrt(n)) are made once per call and shared by the
+members, whose terms keep the bits of one-member calls; besov_seminorm and
+ak_constant are its one-member, one-p, one-resolution calls.
 """
 
 from __future__ import annotations
@@ -82,7 +82,10 @@ class BesovParams:
 
 
 def besov_params(alpha: float, p: float, q: float, k: int | None = None) -> BesovParams:
-    """BesovParams with float alpha, p and q; k defaults to smallest_k(alpha), and a given k must be an integer (2.0 too is refused)."""
+    """BesovParams with float alpha, p and q; k defaults to smallest_k(alpha).
+
+    A given k must be an integer: 2.0 is refused, as by norm_curve.
+    """
     if k is None:
         k = smallest_k(alpha)
     return BesovParams(float(alpha), float(p), float(q), int(k) if isinstance(k, np.integer) else k)
@@ -113,7 +116,7 @@ class BesovResult:
 
 
 def _decay_rows(orders, ts) -> np.ndarray:
-    """(len(orders), T) Poisson factors e^(-t sqrt(n)), one row per order n, one column per t in ts, made in one buffer."""
+    """(len(orders), T) Poisson factors e^(-t sqrt(n)), a row per order n and a column per t in ts, in one buffer."""
     rows = np.outer(np.sqrt(np.asarray(orders, dtype=float)), ts)
     return np.exp(np.negative(rows, out=rows), out=rows)
 
@@ -239,7 +242,7 @@ def ak_constant(f: HermiteExpansion, alpha: float, p: float, k: int, points: int
 
 
 def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: int, refine: int):
-    """The second term of the Besov norm of each member of fs, for every p in ps: the seminorm at q < inf, A_k at q = inf.
+    """The second Besov-norm term of each member of fs for every p in ps: the seminorm at q < inf, A_k at q = inf.
 
     Returns one list per member, and in it one list per time resolution,
     coarse first, each one value per p: [coarse] at refine = 1, [coarse,

@@ -288,44 +288,48 @@ _TOTALS = _LRUCache(1024)
 
 
 def _besov_totals(fs, alpha, ps, q, step, sup_points, refine) -> list[list[list[float]]]:
-    """Besov norm totals memoized in _TOTALS: per member of fs, one list per resolution as in besov._besov_terms, one total per p.
+    """Besov norm totals memoized in _TOTALS, per member of fs as in besov._besov_terms: per resolution, per p.
 
     A total is keyed by (f, alpha, p, q, step, sup_points, r), with r = 1
     at the coarse resolution, the one besov_total looks up, and r = refine
-    at the refined one.  A call computes, for each member, only the ps that
-    miss an entry at some resolution, and stores them at every resolution;
-    the members that miss the same ps share one evaluation, so the members
-    of a boundedness row make at most one per q.  Keys are typed, like
+    at the refined one.  A call computes, for each distinct member (equal
+    members share their entries), only the ps that miss an entry at some
+    resolution, and stores them at every resolution; the members that miss
+    the same ps share one evaluation, so the members of a boundedness row
+    make at most one per q.  Keys are typed, like
     lru_cache(typed=True), so an int and a float argument never share an
     entry.  A key holds f's exact coefficients as bytes, in f's own order,
     the order lp_norm sums them in: a hit is always the bits a cold call
     gives, and the memo keeps no expansion alive.
     """
     levels = sorted({1, refine})
-    values, misses = [], {}  # misses: the indices of the ps to compute -> [(member, its keys)]
-    for m, f in enumerate(fs):
-        coeffs = np.array([(*nu, c) for nu, c in f.coeffs.items()]).tobytes()
-        keys = [[(f.dimension, coeffs, alpha, p, q, step, sup_points, r) for p in ps] for r in levels]
-        keys = [[key + tuple(map(type, key[2:])) for key in row] for row in keys]
-        values.append([[_TOTALS.get(key) for key in row] for row in keys])
-        new = tuple(i for i in range(len(ps)) if any(row[i] is None for row in values[m]))
+    ids = [(f.dimension, np.array([(*nu, c) for nu, c in f.coeffs.items()]).tobytes()) for f in fs]
+    entries = {}  # one (f, keys, values) per distinct expansion, so equal members are evaluated once
+    for f, (d, coeffs) in zip(fs, ids):
+        if (d, coeffs) not in entries:
+            keys = [[(d, coeffs, alpha, p, q, step, sup_points, r) for p in ps] for r in levels]
+            keys = [[key + tuple(map(type, key[2:])) for key in row] for row in keys]
+            entries[d, coeffs] = f, keys, [[_TOTALS.get(key) for key in row] for row in keys]
+    misses = {}  # the indices of the ps to compute -> the entries that miss them
+    for entry in entries.values():
+        new = tuple(i for i in range(len(ps)) if any(row[i] is None for row in entry[2]))
         if new:
-            misses.setdefault(new, []).append((m, keys))
+            misses.setdefault(new, []).append(entry)
     k = bz.smallest_k(alpha)
-    for new, members in misses.items():
+    for new, group in misses.items():
         new_ps = tuple(ps[i] for i in new)
-        terms = bz._besov_terms([fs[m] for m, _ in members], alpha, new_ps, q, k, step, sup_points, refine)
-        for (m, keys), member_terms in zip(members, terms):
-            lps = [bz.lp_norm(fs[m], p) for p in new_ps]
-            for row_keys, row_values, row_terms in zip(keys, values[m], member_terms):
+        terms = bz._besov_terms([f for f, _, _ in group], alpha, new_ps, q, k, step, sup_points, refine)
+        for (f, keys, values), member_terms in zip(group, terms):
+            lps = [bz.lp_norm(f, p) for p in new_ps]
+            for row_keys, row_values, row_terms in zip(keys, values, member_terms):
                 for i, lp, term in zip(new, lps, row_terms):
                     row_values[i] = lp + term
                     _TOTALS.put(row_keys[i], row_values[i])
-    return values
+    return [entries[i][2] for i in ids]
 
 
 def besov_total(f, alpha, p, q, step=DEFAULT_STEP, sup_points=bz.SUP_POINTS) -> float:
-    """Besov norm total with explicit resolution knobs (for stability checks): the one-member, one-p, coarse call of the memo."""
+    """Besov norm total with explicit resolution knobs (stability checks): the memo's one-member, one-p, coarse call."""
     return _besov_totals([f], alpha, (p,), q, step, sup_points, 1)[0][0][0]
 
 

@@ -328,7 +328,9 @@ def test_paired_totals_serve_besov_total_with_the_bits_of_a_cold_call():
     assert run_experiment("riesz-derivative-bounded-lt1", cfg).passed
     hits = harness._TOTALS.hits
     warm = [besov_total(*a) for a in args]
-    paired = [harness._besov_totals([f], 0.7, cfg.ps, q, cfg.t_step, cfg.sup_points, cfg.refine)[0] for f in family for q in qs]
+    paired = [
+        harness._besov_totals([f], 0.7, cfg.ps, q, cfg.t_step, cfg.sup_points, cfg.refine)[0] for f in family for q in qs
+    ]
     assert harness._TOTALS.hits == hits + 3 * len(args)  # every coarse and every refined total
     assert [total for coarse, _ in paired for total in coarse] == warm
     harness._TOTALS.cache_clear()
@@ -363,6 +365,26 @@ def test_lemmas_k_independence_records_follow_t_step():
         ]
         spread = [with_k1 / with_k for with_k, with_k1 in totals]
         assert ratios[f"k-independence[alpha={a:g},q={q:g}]"] == max(max(spread), 1.0 / min(spread))
+
+
+def test_totals_evaluate_equal_members_once(monkeypatch):
+    # a family may hold equal members (single chaoses of one sign); they share
+    # their memo entries, as when each was looked up after the other
+    from gausscalc import besov, harness
+    from gausscalc.besov import SUP_POINTS
+    from gausscalc.timequad import DEFAULT_STEP
+
+    f, g = gen_family(5, 1, 2, 6)
+    sizes = []
+    terms = besov._besov_terms
+    monkeypatch.setattr(besov, "_besov_terms", lambda fs, *rest: sizes.append(len(fs)) or terms(fs, *rest))
+    harness._TOTALS.cache_clear()
+    rest = (0.5, (2.0, 3.0), 2.0, DEFAULT_STEP, SUP_POINTS, 2)
+    totals = harness._besov_totals([f, g, 1.0 * f], *rest)
+    assert sizes == [2]
+    assert totals[2] == totals[0] != totals[1]
+    harness._TOTALS.cache_clear()
+    assert totals == [harness._besov_totals([h], *rest)[0] for h in (f, g, f)]
 
 
 @pytest.mark.parametrize("q", (0.5, math.nan))
