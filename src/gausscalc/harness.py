@@ -16,9 +16,9 @@ from besov._besov_terms, which picks the seminorm or A_k by q and builds the
 grids of both resolutions; the harness only names k = smallest_k(alpha).  A
 boundedness row evaluates the terms of all its members and ps at once for
 each (alpha, beta, q): one _besov_terms call for the images and one for the
-sources make the time grids and Poisson factors once, and norm curves for
-several p share one orbit table and one basis product per Gauss-Hermite
-grid.  Only denominators, the Besov norm totals of the source functions, are
+sources make the time grids once (and, in a large family, the Poisson
+factors), and norm curves for several p share one orbit table and one basis
+product per Gauss-Hermite grid.  Only denominators, the Besov norm totals of the source functions, are
 memoized per process (_besov_totals); a memoized total is the same bits as a
 cold call, so a report does not depend on which experiments ran before it.
 """
