@@ -15,22 +15,28 @@ kept in a separate block that comparisons can drop.  Every Besov term comes
 from besov._besov_terms, which picks the seminorm or A_k by q and builds the
 grids of both resolutions; the harness only names k = smallest_k(alpha).  A
 boundedness row evaluates the terms of all its members and ps at once for
-each (alpha, beta, q): one _besov_terms call for the images and one for the
-sources make the time grids once (and, in a large family, the Poisson
-factors), and norm curves for several p share one orbit table and one basis
-product per Gauss-Hermite grid.  Only denominators, the Besov norm totals of the source functions, are
-memoized per process (_besov_totals); a memoized total is the same bits as a
-cold call, so a report does not depend on which experiments ran before it.
+each (alpha, beta, q): one _besov_terms call for the distinct images and one
+for the sources make the time grids once (and, in a large family, the
+Poisson factors), and norm curves for several p share one orbit table and
+one basis product per Gauss-Hermite grid.  The lemmas' nested-space and
+k-independence records likewise make one call per setting for the whole
+sample.  verify_all builds the family and its hash once for all experiments;
+an experiment run on its own builds its own.  Only denominators, the Besov
+norm totals of the source functions, are memoized per process
+(_besov_totals); a memoized total is the same bits as a cold call, so a
+report does not depend on which experiments ran before it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
@@ -195,6 +201,12 @@ def _family_hash(family) -> str:
     return hashlib.sha1(b"blob %d\0" % len(payload) + payload).hexdigest()
 
 
+def _seeded_family(cfg: ExperimentConfig) -> tuple[list[HermiteExpansion], str]:
+    """cfg's family and its family_sha1."""
+    family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
+    return family, _family_hash(family)
+
+
 def _config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(json.dumps(cfg.canonical(), sort_keys=True).encode()).hexdigest()
 
@@ -287,6 +299,11 @@ def emit_report(report: TheoremReport, fmt: str = "json", path: str | None = Non
 _TOTALS = _LRUCache(1024)
 
 
+def _coeff_key(f: HermiteExpansion) -> tuple:
+    """f's dimension and exact coefficients as bytes, in f's own order: equal keys are equal expansions."""
+    return f.dimension, np.array([(*nu, c) for nu, c in f.coeffs.items()]).tobytes()
+
+
 def _besov_totals(fs, alpha, ps, q, step, sup_points, refine) -> list[list[list[float]]]:
     """Besov norm totals memoized in _TOTALS, per member of fs as in besov._besov_terms: per resolution, per p.
 
@@ -303,7 +320,7 @@ def _besov_totals(fs, alpha, ps, q, step, sup_points, refine) -> list[list[list[
     gives, and the memo keeps no expansion alive.
     """
     levels = sorted({1, refine})
-    ids = [(f.dimension, np.array([(*nu, c) for nu, c in f.coeffs.items()]).tobytes()) for f in fs]
+    ids = [_coeff_key(f) for f in fs]
     entries = {}  # one (f, keys, values) per distinct expansion, so equal members are evaluated once
     for f, (d, coeffs) in zip(fs, ids):
         if (d, coeffs) not in entries:
@@ -341,7 +358,8 @@ def _ratio_suites(report, cfg, family, operator, source_alpha, target_alpha, ps,
     """Norm ratios target/source for one operator, one suite per (p, q), p-major.
 
     Each member's image and its L^p norms are computed once.  At each q one
-    besov._besov_terms call for the members' images, and one memo call for
+    besov._besov_terms call for the members' distinct images (equal
+    members have equal images, evaluated once), and one memo call for
     their sources (_besov_totals), give the Besov terms of every member and
     every p at both time resolutions.  The scaled source and its image are
     coarse-only calls of their own: in a small family, a refined curve for
@@ -352,9 +370,13 @@ def _ratio_suites(report, cfg, family, operator, source_alpha, target_alpha, ps,
     lp_images = [[bz.lp_norm(g, p) for p in ps] for g in images]
     k = bz.smallest_k(target_alpha)
     step, points = cfg.t_step, cfg.sup_points
+    keys = [_coeff_key(g) for g in images[:-1]]
+    distinct = dict(zip(keys, images[:-1]))  # equal images share an entry
     suites = {}
     for q in qs:
-        terms = bz._besov_terms(images[:-1], target_alpha, ps, q, k, step, points, cfg.refine)
+        distinct_terms = bz._besov_terms(list(distinct.values()), target_alpha, ps, q, k, step, points, cfg.refine)
+        by_key = dict(zip(distinct, distinct_terms))
+        terms = [by_key[key] for key in keys]
         terms += bz._besov_terms(images[-1:], target_alpha, ps, q, k, step, points, 1)
         dens = _besov_totals(family, source_alpha, ps, q, step, points, cfg.refine)
         dens += _besov_totals([f0], source_alpha, ps, q, step, points, 1)
@@ -387,13 +409,20 @@ def _record_suite(report, cfg, label, ratios, ratios_fine, scaled):
     report.max_ratio = mx if report.max_ratio is None else float(np.maximum(report.max_ratio, mx))
 
 
-def _new_report(name, cfg, family) -> TheoremReport:
-    return TheoremReport(
+def _new_report(name, cfg, seeded) -> tuple[list[HermiteExpansion], TheoremReport]:
+    """The family of cfg and a new report of experiment name on it; seeded() gives the family and its family_sha1.
+
+    An experiment calls this after its hypothesis checks, so a config that
+    violates them builds no family.
+    """
+    family, family_sha1 = seeded()
+    report = TheoremReport(
         experiment=name,
         statement=EXPERIMENTS[name].statement,
         config=cfg.canonical(),
-        provenance={"config_sha256": _config_hash(cfg), "family_sha1": _family_hash(family)},
+        provenance={"config_sha256": _config_hash(cfg), "family_sha1": family_sha1},
     )
+    return family, report
 
 
 def _require(cond: bool, hypothesis: str):
@@ -438,6 +467,10 @@ class Boundedness:
     betas: tuple
 
     def __call__(self, cfg: ExperimentConfig) -> TheoremReport:
+        return self._run(cfg, lambda: _seeded_family(cfg))
+
+    def _run(self, cfg: ExperimentConfig, seeded) -> TheoremReport:
+        """The report on cfg; seeded() gives the family and its family_sha1 (_new_report)."""
         alphas, betas = cfg.alphas or self.alphas, cfg.betas or self.betas
         ps, qs = cfg.ps or (2.0,), cfg.qs or (2.0, math.inf)
         for text, holds in self.ab_hypotheses:
@@ -449,8 +482,7 @@ class Boundedness:
             _require(holds(p), text)
         for q in qs:
             _require(q >= 1, "1 <= q <= inf")
-        family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
-        rep = _new_report(self.name, cfg, family)
+        family, rep = _new_report(self.name, cfg, seeded)
         op = getattr(fr, self.operator)
         for a in alphas:
             for b in betas:
@@ -505,12 +537,11 @@ BOUNDEDNESS = (
 )
 
 
-def _exp_inversion(cfg: ExperimentConfig) -> TheoremReport:
+def _exp_inversion(cfg: ExperimentConfig, seeded) -> TheoremReport:
     betas = cfg.betas or (0.3, 0.5, 0.9, 1.5, 2.5)
     for b in betas:
         _require(b > 0, "beta > 0")
-    family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
-    rep = _new_report("inversion", cfg, family)
+    family, rep = _new_report("inversion", cfg, seeded)
     for b in betas:
         worst = 0.0
         for f in family:
@@ -543,9 +574,8 @@ def _kernel_mass(t: float) -> float:
     return float(np.dot(dw, kernel * np.cosh(w)))
 
 
-def _exp_oracles(cfg: ExperimentConfig) -> TheoremReport:
-    family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
-    rep = _new_report("oracles", cfg, family)
+def _exp_oracles(cfg: ExperimentConfig, seeded) -> TheoremReport:
+    family, rep = _new_report("oracles", cfg, seeded)
     rng = _seeded_rng(cfg.seed, 1)
     grid = gauss_hermite_grid(cfg.dimension, 4 * cfg.max_degree + 8)
 
@@ -606,9 +636,8 @@ HARDY_BATTERY = [
 ]
 
 
-def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
-    family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
-    rep = _new_report("lemmas", cfg, family)
+def _exp_lemmas(cfg: ExperimentConfig, seeded) -> TheoremReport:
+    family, rep = _new_report("lemmas", cfg, seeded)
     sample = family[: min(10, len(family))]
 
     # decay of t -> ||u^(k)(., t)||_p: monotone, with a finite grid-stable
@@ -684,34 +713,41 @@ def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
     rep.add_check("averaging-inequalities", worst_rel <= 1e-6, worst_rel, 1e-6)
     rep.add_check("averaging-equality-at-p1", eq_dev <= 1e-6, eq_dev, 1e-6)
 
-    # nested-space ratios: higher smoothness controls lower, and larger q is weaker
+    # nested-space ratios: higher smoothness controls lower, and larger q is
+    # weaker; one memo call per (alpha, q) gives the sample's coarse totals,
+    # the bits of besov_total's
+    def totals(alpha, q):
+        return [member[0][0] for member in _besov_totals(sample, alpha, (2.0,), q, cfg.t_step, cfg.sup_points, 1)]
+
     recorded = []
     for (a1, a2) in ((0.9, 0.4), (1.5, 0.7)):
         for (q1, q2) in ((1.0, 4.0), (2.0, 2.0)):
             mx = 0.0
-            for f in sample:
-                low = besov_total(f, a2, 2.0, q2, cfg.t_step, cfg.sup_points)
-                high = besov_total(f, a1, 2.0, q1, cfg.t_step, cfg.sup_points)
+            for low, high in zip(totals(a2, q2), totals(a1, q1)):
                 mx = max(mx, low / high)
             recorded.append(mx)
             rep.ratios.append({"label": f"inclusion[{a1:g},q{q1:g}->{a2:g},q{q2:g}]", "ratio": mx})
     for q1, q2 in ((1.0, 2.0), (2.0, math.inf)):
         mx = 0.0
-        for f in sample:
-            weak = besov_total(f, 0.5, 2.0, q2, cfg.t_step, cfg.sup_points)
-            strong = besov_total(f, 0.5, 2.0, q1, cfg.t_step, cfg.sup_points)
+        for weak, strong in zip(totals(0.5, q2), totals(0.5, q1)):
             mx = max(mx, weak / strong)
         rep.ratios.append({"label": f"inclusion[q{_q_label(q1)}->q{_q_label(q2)}]", "ratio": mx})
     rep.add_check("inclusion-ratios-finite", all(math.isfinite(r) for r in recorded))
 
-    # the norm computed with k and with k+1 stays comparable across the family
+    # the norm computed with k and with k+1 stays comparable across the family;
+    # one _besov_terms call per (alpha, q, k) gives the sample's seminorms, the
+    # bits of besov_seminorm's
     worst_spread = 0.0
     for (a, p, q) in ((0.5, 2.0, 2.0), (0.5, 2.0, 1.0), (1.3, 2.0, 2.0)):
         k = bz.smallest_k(a)
+        semis = [
+            [member[0][0] for member in bz._besov_terms(sample, a, (p,), q, j, cfg.t_step, bz.SUP_POINTS, 1)]
+            for j in (k, k + 1)
+        ]
         ratios = []
-        for f in sample:
-            with_k = bz.lp_norm(f, p) + bz.besov_seminorm(f, bz.besov_params(a, p, q, k), cfg.t_step)
-            with_k1 = bz.lp_norm(f, p) + bz.besov_seminorm(f, bz.besov_params(a, p, q, k + 1), cfg.t_step)
+        for f, semi_k, semi_k1 in zip(sample, *semis):
+            with_k = bz.lp_norm(f, p) + semi_k
+            with_k1 = bz.lp_norm(f, p) + semi_k1
             ratios.append(with_k1 / with_k)
         spread = max(ratios) / min(ratios)
         worst_spread = max(worst_spread, spread)
@@ -724,9 +760,28 @@ _exp_inversion.statement = "derivative and potential of matching order invert ea
 _exp_oracles.statement = "kernel, subordination and singular-integral quadratures agree with the spectral forms"
 _exp_lemmas.statement = "decay, forward-difference and averaging lemmas plus nested-space ratio records"
 
-# id -> callable(cfg) -> TheoremReport; each callable carries its `statement`
+
+@dataclass(frozen=True)
+class _Experiment:
+    """An experiment that is not a boundedness row; called with a config, it builds its own family, as a row does."""
+
+    _run: Callable  # (cfg, seeded) -> TheoremReport, seeded() as in _new_report; carries the statement
+
+    @property
+    def statement(self) -> str:
+        return self._run.statement
+
+    def __call__(self, cfg: ExperimentConfig) -> TheoremReport:
+        return self._run(cfg, lambda: _seeded_family(cfg))
+
+
+# id -> callable(cfg) -> TheoremReport; each callable carries its `statement`,
+# and its _run(cfg, seeded) takes the family from the caller (verify_all)
 EXPERIMENTS = {row.name: row for row in BOUNDEDNESS}
-EXPERIMENTS.update({"inversion": _exp_inversion, "oracles": _exp_oracles, "lemmas": _exp_lemmas})
+EXPERIMENTS.update(
+    (name, _Experiment(run))
+    for name, run in (("inversion", _exp_inversion), ("oracles", _exp_oracles), ("lemmas", _exp_lemmas))
+)
 
 
 def list_experiments() -> list[tuple[str, str]]:
@@ -743,12 +798,24 @@ def run_experiment(name: str, cfg: ExperimentConfig | None = None) -> TheoremRep
     if name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {name!r}; known: {known}")
+    return _timed(name, cfg, lambda: _seeded_family(cfg))
+
+
+def _timed(name: str, cfg: ExperimentConfig, seeded) -> TheoremReport:
+    """Experiment name's report on cfg, with its runtime_s; seeded() gives the family (_new_report)."""
     start = time.perf_counter()
-    report = EXPERIMENTS[name](cfg)
+    report = EXPERIMENTS[name]._run(cfg, seeded)
     report.runtime_s = time.perf_counter() - start
     return report
 
 
 def verify_all(cfg: ExperimentConfig | None = None) -> list[TheoremReport]:
+    """Every experiment's report on cfg, in EXPERIMENTS order.
+
+    The family and its family_sha1 are built once, when the first
+    experiment has passed its hypothesis checks, and every experiment takes
+    them from here; a direct run_experiment call builds its own.
+    """
     cfg = cfg or ExperimentConfig()
-    return [run_experiment(name, cfg) for name in EXPERIMENTS]
+    seeded = functools.cache(lambda: _seeded_family(cfg))
+    return [_timed(name, cfg, seeded) for name in EXPERIMENTS]

@@ -436,6 +436,73 @@ def test_family_terms_are_the_bits_of_one_member_calls(monkeypatch, d, q):
             assert member == besov._besov_terms([f], alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)[0]
 
 
+def _shared_family(d):
+    """13 members: mixed supports and degrees, a single chaos, a constant, zero and two equal pairs."""
+    family = [
+        *gen_family(20260809, d, 8, 8 if d == 1 else 4),
+        HermiteExpansion.basis((7,) if d == 1 else (2, 3), -0.8),
+        HermiteExpansion.constant(d, 1.5),
+        HermiteExpansion.zero(d),
+    ]
+    return family + [family[0], 1.0 * family[2]]
+
+
+@pytest.mark.parametrize("q", (1.0, 2.0, math.inf))
+@pytest.mark.parametrize("d", (1, 2))
+def test_shared_p2_tables_give_the_bits_of_one_member_calls(monkeypatch, d, q):
+    # at p = 2 a chunk of members shares one orbit table over the union of
+    # their supports (and, at q = inf, one more for the polish); a member's
+    # zero rows add exact zeros, so its terms are the bits of its own call,
+    # in chunks of any size, the last one a chunk of one
+    from gausscalc import besov
+    from gausscalc.timequad import _clipped_rule
+
+    family = _shared_family(d)
+    rows = len({nu for f in family for nu in f.coeffs})
+    alpha, k = 0.7, 1
+    chunks = []
+    chunk_curves = besov._chunk_curves
+
+    def spy(f, union, factors, decay):
+        chunks.append(factors.shape[1])
+        return chunk_curves(f, union, factors, decay)
+
+    monkeypatch.setattr(besov, "_chunk_curves", spy)
+    for refine in (1, 2):
+        if math.isinf(q):
+            nodes = besov.sup_grid(SUP_POINTS, refine).size
+        else:
+            nodes = _clipped_rule((k - alpha) * q, 1.0, None, DEFAULT_STEP, refine)[0].size
+        chunks.clear()
+        alone = [besov._besov_terms([f], alpha, (2.0,), q, k, DEFAULT_STEP, SUP_POINTS, refine)[0] for f in family]
+        assert chunks == []  # a one-member call takes the one-member path
+        for size in (1, 2, 3, len(family)):  # 13 members: chunks of 2 or 3 leave a last chunk of one
+            monkeypatch.setattr(besov, "SHARED_TABLE_BYTES", size * 8 * nodes * rows)
+            chunks.clear()
+            assert besov._besov_terms(family, alpha, (2.0,), q, k, DEFAULT_STEP, SUP_POINTS, refine) == alone
+            sizes = [size] * (len(family) // size) + [len(family) % size]
+            # a chunk of one takes the one-member path; at q = inf the polish is a second call per chunk
+            assert chunks == [m for m in sizes if m > 1 for _ in range(2 if math.isinf(q) else 1)]
+        chunks.clear()
+        ps = (4.0, 2.0)  # with any other p each member is a chunk of one, whatever the budget
+        terms = besov._besov_terms(family, alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)
+        assert chunks == []
+        assert terms == [besov._besov_terms([f], alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)[0] for f in family]
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_default_budget_shares_sup_grid_tables(d):
+    # with the module budget a 399-node sup grid holds several members per
+    # chunk, and the duplicated ps of one call keep their bits too
+    from gausscalc import besov
+
+    family = _shared_family(d)
+    for ps in ((2.0,), (2.0, 2.0)):
+        terms = besov._besov_terms(family, 0.5, ps, math.inf, 1, DEFAULT_STEP, SUP_POINTS, 2)
+        assert terms == [besov._besov_terms([f], 0.5, ps, math.inf, 1, DEFAULT_STEP, SUP_POINTS, 2)[0] for f in family]
+    assert besov.SHARED_TABLE_BYTES // (8 * besov.sup_grid(SUP_POINTS, 2).size * 9) == 9  # d = 1, degree 8
+
+
 @pytest.mark.parametrize(
     "f,p",
     [
@@ -591,6 +658,22 @@ def test_hardy_battery_gives_the_bits_of_one_pair_calls():
         assert any(math.isinf(lhs) for lhs, _ in sides) and any(math.isfinite(lhs) for lhs, _ in sides)
     with pytest.raises(ValueError, match="p must be >= 1"):
         _hardy_sides(linear, [(1.0, 1.0), (0.5, 1.0)], "head")
+
+
+def test_hardy_check_is_finite_at_non_integer_p():
+    # Simpson's running integral dips below 0 where f has decayed; it
+    # integrates f >= 0, so it is clamped at 0 before the p-th power
+    from gausscalc.harness import HARDY_BATTERY
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for p in (1.5, 2.5):
+            for _, fn in HARDY_BATTERY:
+                for kind in ("head", "tail"):
+                    for r in (0.5, 1.0, 2.0):
+                        lhs, rhs = hardy_check(fn, p, r, kind)
+                        assert math.isfinite(lhs) and lhs >= 0.0
+                        assert lhs <= rhs * (1.0 + 1e-6)
 
 
 def test_cumulative_simpson_is_bit_identical_to_scipy():

@@ -465,6 +465,103 @@ def test_row_makes_a_fixed_number_of_besov_term_calls_per_q(monkeypatch, family_
     assert sorted(calls) == sorted((q, n, r) for q in (2.0, math.inf) for n, r in evaluations)
 
 
+def test_lemmas_nested_space_records_are_besov_total_bits():
+    # one memo call per (alpha, q) for the whole sample gives each member's
+    # coarse total, the bits of a besov_total call for it alone
+    from gausscalc import harness
+
+    cfg = ExperimentConfig(family_size=12, max_degree=8)
+    sample = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)[:10]
+    harness._TOTALS.cache_clear()
+    ratios = {r["label"]: r["ratio"] for r in run_experiment("lemmas", cfg).ratios}
+    harness._TOTALS.cache_clear()
+
+    def worst(a_low, q_low, a_high, q_high):
+        mx = 0.0
+        for f in sample:
+            low, high = besov_total(f, a_low, 2.0, q_low, cfg.t_step), besov_total(f, a_high, 2.0, q_high, cfg.t_step)
+            mx = max(mx, low / high)
+        return mx
+
+    for (a1, a2) in ((0.9, 0.4), (1.5, 0.7)):
+        for (q1, q2) in ((1.0, 4.0), (2.0, 2.0)):
+            assert ratios[f"inclusion[{a1:g},q{q1:g}->{a2:g},q{q2:g}]"] == worst(a2, q2, a1, q1)
+    assert ratios["inclusion[q1->q2]"] == worst(0.5, 2.0, 0.5, 1.0)
+    assert ratios["inclusion[q2->qinf]"] == worst(0.5, math.inf, 0.5, 2.0)
+
+
+def test_verify_all_builds_the_family_once(monkeypatch):
+    # verify_all builds the family and its hash once for its nine
+    # experiments; an experiment run on its own builds its own, after its
+    # hypothesis checks
+    from gausscalc import harness
+
+    cfg = ExperimentConfig(family_size=2, max_degree=2)
+    calls = []
+    gen = harness.gen_family
+    monkeypatch.setattr(harness, "gen_family", lambda *args: calls.append(args) or gen(*args))
+    reports = harness.verify_all(cfg)
+    assert calls == [(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)]
+    shared = {json.dumps(r.payload(), sort_keys=True) for r in reports}
+    for name, experiment in harness.EXPERIMENTS.items():
+        for run in (lambda: run_experiment(name, cfg), lambda: experiment(cfg)):
+            calls.clear()
+            assert json.dumps(run().payload(), sort_keys=True) in shared
+            assert len(calls) == 1
+
+
+def test_row_shares_p2_tables_at_q_inf(monkeypatch):
+    # in a default-config row the q = inf terms of each family call take one
+    # _lp_norms call per chunk for the sup grid and one for the polish; only
+    # the scaled source and its image, one-member calls, polish by norm_curve
+    from gausscalc import besov, harness
+
+    cfg = ExperimentConfig(qs=(math.inf,))
+    family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
+    distinct = len({json.dumps(f.to_dict()) for f in family})
+    calls, chunks = [], []
+
+    def count(name):
+        fn = getattr(besov, name)
+        monkeypatch.setattr(besov, name, lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs))
+
+    def spy(f, union, factors, decay):
+        chunks.append((factors.shape[1], decay.shape[2]))
+        return chunk_curves(f, union, factors, decay)
+
+    count("_lp_norms")
+    count("norm_curve")
+    chunk_curves = besov._chunk_curves
+    monkeypatch.setattr(besov, "_chunk_curves", spy)
+    harness._TOTALS.cache_clear()
+    assert run_experiment("riesz-potential-bounded", cfg).passed
+    grid = besov.sup_grid(cfg.sup_points, cfg.refine).size
+    sup_chunks = [m for m, nodes in chunks if nodes == grid]
+    polish_chunks = [m for m, nodes in chunks if nodes == 2 * 19]
+    assert len(sup_chunks) + len(polish_chunks) == len(chunks)
+    assert sup_chunks == polish_chunks and min(sup_chunks) > 1
+    assert sum(sup_chunks) == 2 * distinct  # images and sources, equal members once each
+    assert (calls.count("_lp_norms"), calls.count("norm_curve")) == (len(chunks) + 4, 2)
+
+
+def test_row_evaluates_equal_images_once(monkeypatch):
+    # members 1 and 36 of the default family are equal, so are their images
+    from gausscalc import besov, harness
+
+    cfg = ExperimentConfig()
+    family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
+    assert family[1] == family[36]
+    sizes = []
+    terms = besov._besov_terms
+    monkeypatch.setattr(besov, "_besov_terms", lambda fs, *rest: sizes.append(len(fs)) or terms(fs, *rest))
+    harness._TOTALS.cache_clear()
+    report = run_experiment("riesz-potential-bounded", cfg)
+    assert sorted(sizes) == [1, 1, 1, 1, 49, 49, 49, 49]  # per q: images and sources, the scaled pair
+    ratios = {r["label"]: r["ratio"] for r in report.ratios}
+    for q in ("2", "inf"):
+        assert ratios[f"f001[alpha=0.5,p=2,q={q}]"] == ratios[f"f036[alpha=0.5,p=2,q={q}]"]
+
+
 # -- command line ---------------------------------------------------------------------
 
 
@@ -556,6 +653,7 @@ def test_cli_unwritable_out_fails_before_any_experiment(tmp_path, capsys, monkey
         raise AssertionError("an experiment ran before --out was checked")
 
     monkeypatch.setattr("gausscalc.harness.run_experiment", must_not_run)
+    monkeypatch.setattr("gausscalc.harness._timed", must_not_run)  # verify_all's experiments
     monkeypatch.setattr("gausscalc.cli.run_experiment", must_not_run)
     out = tmp_path / "missing" / "rep.json"
     assert cli_main([*argv, "--out", str(out)]) == 2

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from gausscalc import (
     HermiteExpansion,
     forward_difference,
+    gen_family,
     l2_norm_coeffs,
     orbit_difference,
     ou_mehler,
@@ -19,6 +20,7 @@ from gausscalc import (
     time_derivative,
 )
 from gausscalc.harness import _kernel_mass
+from gausscalc.timequad import SubordinationRule
 
 H1 = HermiteExpansion.basis((1,))
 H2 = HermiteExpansion.basis((2,))
@@ -146,6 +148,22 @@ def test_subordination_agrees_with_spectral(family1d):
         x = rng.uniform(-2.0, 2.0, 1)
         worst = max(worst, abs(ph_subordination(f, t, x) - ph_spectral(f, t)(x)))
     assert worst <= 1e-6
+
+
+def test_subordination_skips_only_exact_zeros():
+    # ph_subordination masks the rates r >= 746, where exp(-r) is exactly
+    # +0.0, and keeps the bits of the unmasked form, subnormal band included
+    rng = np.random.default_rng(20260809)
+    rates = np.concatenate([rng.uniform(0.0, 2000.0, 10**5), np.linspace(700.0, 750.0, 50001), [0.0, 745.13, 745.14]])
+    masked = np.exp(-rates, out=np.zeros_like(rates), where=rates < 746.0)
+    assert np.array_equal(masked.view(np.int64), np.exp(-rates).view(np.int64))
+    assert np.count_nonzero((masked > 0.0) & (masked < np.finfo(float).tiny)) > 0
+    for f in gen_family(20260809, 1, 3, 8):
+        for t, x in ((0.3, 0.7), (2.5, -1.1)):
+            s, masses, tail = SubordinationRule().stable_measure(t)
+            g = f.chaos_values([x])
+            unmasked = float(np.dot(masses, np.exp(-np.outer(s, np.arange(g.size))) @ g) + tail * f.mean)
+            assert ph_subordination(f, t, [x]) == unmasked
 
 
 def test_subordination_rejects_t_zero():
