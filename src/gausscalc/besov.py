@@ -19,9 +19,9 @@ A_k by q, for a family of expansions, at one time resolution or at two, the
 finer of which nests the coarser so that one curve per member serves both.
 The grids, their weights and, for a family with more members than orders,
 the Poisson factors e^(-t sqrt(n)) are made once per call and shared by the
-members.  When every p is 2, members also share orbit tables, a chunk of
-them per table within SHARED_TABLE_BYTES, and one hermite._lp_norms call
-per chunk gives their curves (and one more their A_k polish).  Every member's
+members.  For A_k at p = 2 alone, members also share orbit tables, a
+chunk of them per table within SHARED_TABLE_BYTES, and one hermite._lp_norms
+call per chunk gives their curves and one more their polish.  Every member's
 terms keep the bits of a one-member call; besov_seminorm and ak_constant are
 its one-member, one-p, one-resolution calls.
 """
@@ -124,20 +124,15 @@ def _decay_rows(orders, ts) -> np.ndarray:
     return np.exp(np.negative(rows, out=rows), out=rows)
 
 
-def _orbit_factors(items, k: int) -> np.ndarray:
-    """c_nu (-sqrt(n))^k for each item (nu, c_nu): the time-independent factor of each row of an orbit table."""
-    orders = np.array([nu.order for nu, _ in items], dtype=float)
-    base = np.array([c for _, c in items])
-    return base * (-np.sqrt(orders)) ** k
-
-
 def _orbit_table(items, k: int, decay: np.ndarray) -> np.ndarray:
     """(S, T) coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)) of u^(k)(., t), one row per item.
 
     decay, the items' rows e^(-t sqrt(n)) in their order (_decay_rows), is
     scaled in place into the table, so a curve holds one (S, T) buffer.
     """
-    decay *= _orbit_factors(items, k)[:, None]
+    orders = np.array([nu.order for nu, _ in items], dtype=float)
+    base = np.array([c for _, c in items])
+    decay *= (base * (-np.sqrt(orders)) ** k)[:, None]
     return decay
 
 
@@ -168,15 +163,14 @@ def _orbit_norms(f: HermiteExpansion, items, k: int, ps, decay: np.ndarray) -> n
     """(len(ps), T) norms of u^(k)(., t) at the T time nodes of decay, f's rows e^(-t sqrt(n)).
 
     items is f's support in sorted order, decay has one row per item.  The
-    orbit table, scaled in decay's buffer, goes to hermite._lp_norms as one
-    table, a column per time node, and is given up to it (own=True).  The
-    default_grid and _abs_moment_exact_1d handed in are hermite's
+    orbit table goes to hermite._lp_norms as one table, a column per time
+    node.  The default_grid and _abs_moment_exact_1d handed in are hermite's
     own; they are passed through besov's bindings so that a spy on those
     sees the route of a curve.
     """
     _check_orbit(k, ps)
     coef_t = _orbit_table(items, k, decay)
-    return _lp_norms(f, [nu for nu, _ in items], coef_t, ps, grid=default_grid, moments=_abs_moment_exact_1d, own=True)
+    return _lp_norms(f, [nu for nu, _ in items], coef_t, ps, grid=default_grid, moments=_abs_moment_exact_1d)
 
 
 def _check_orbit(k: int, ps):
@@ -187,31 +181,6 @@ def _check_orbit(k: int, ps):
         _check_p(p)
         if p > MAX_P:
             raise ValueError(f"p = {p} beyond the supported range (p <= {MAX_P})")
-
-
-def _chunk_factors(supports, k: int):
-    """The supports' sorted union and (S, m) factors: column j holds member j's _orbit_factors, 0 off its support."""
-    union = sorted({nu for items in supports for nu, _ in items})
-    row = {nu: i for i, nu in enumerate(union)}
-    factors = np.zeros((len(union), len(supports)))
-    for j, items in enumerate(supports):
-        factors[[row[nu] for nu, _ in items], j] = _orbit_factors(items, k)
-    return union, factors
-
-
-def _chunk_curves(f: HermiteExpansion, union, factors: np.ndarray, decay: np.ndarray) -> np.ndarray:
-    """(m, n) p = 2 norms of u^(k)(., t) for the m members of a chunk, from one orbit table over their supports' union.
-
-    decay, (S, 1, n) or (S, m, n), holds the union's rows e^(-t sqrt(n)) at
-    n time nodes shared by the members or at n nodes of each; factors is
-    _chunk_factors'.  Member j's block of columns is its own table with a
-    zero row for each index it lacks.  At p = 2 a column's norm is the
-    row-order sum of its scaled squares, and a zero row adds an exact zero,
-    so each member's curve is the bits of its own _orbit_norms.  f, any
-    expansion in the members' dimension, names it for hermite._lp_norms.
-    """
-    table = (decay * factors[:, :, None]).reshape(len(union), -1)
-    return _lp_norms(f, union, table, (2.0,), own=True).reshape(factors.shape[1], -1)
 
 
 def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAULT_STEP) -> float:
@@ -231,16 +200,14 @@ def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAU
 
 SUP_POINTS = 200
 
-# Bytes of one orbit table shared by a chunk of members at p = 2
-# (_besov_terms): about a core's share of L2, so the table and its squares
-# stay in cache.  A 399-node sup grid over the 9 indices of degree <= 8 in
-# d = 1 holds 9 members, and a q < inf rule of 2,300 nodes or more holds one,
-# which takes the one-member path.  On a 2-vCPU Xeon, a 50-member A_k call
-# on that grid took 9.4 ms one member at a time and 6.2 ms in chunks of 9;
-# a 50-member q = 2 call (2,447 nodes) took 7.5 ms one member at a time and
-# 8.7 to 9.5 ms in shared chunks of 2 to 50, where zero rows cost more than
-# the calls they save.
-SHARED_TABLE_BYTES = 256 * 2**10
+# Bytes of one orbit table shared by a chunk of members, at q = inf and p = 2
+# (_besov_terms, _shared_sups).  It bounds the table of a large family; the
+# 399-node sup grid of the default rows over the 9 indices of degree <= 8 in
+# d = 1 holds 36 members.  On a 2-vCPU Xeon, A_k of 49 such members took
+# 5.4 ms one member at a time and 3.1, 2.8, 2.7 and 2.7 ms in chunks of 9,
+# 17, 25 and 49, and no budget from 0 to 2 MiB moved the traced allocation
+# peak of a verify-default benchmark pass.
+SHARED_TABLE_BYTES = 2**20
 
 
 @lru_cache(maxsize=8)  # the default verify-all pass uses 2 grids
@@ -280,24 +247,33 @@ def _polished_sups(f: HermiteExpansion, alpha: float, k: int, ps, grids, sups):
     return out
 
 
-def _chunk_polished_sups(f: HermiteExpansion, union, factors: np.ndarray, alpha: float, k: int, ps, grids, sups):
-    """_polished_sups at p = 2 for each member of a chunk, from _chunk_factors' output and each member's grid sups.
+def _shared_sups(f: HermiteExpansion, supports, alpha: float, k: int, ps, grids, weight, strides):
+    """_polished_sups at p = 2 for members with these supports, from orbit tables they share; f names the dimension.
 
-    Every member's polish nodes, its own _polish_nodes at every p and grid,
-    take one _chunk_curves call, so each value is the bits of the member's
-    _polished_sups.
+    The tables run over the union of the supports, with a zero row where a
+    member lacks an index: one _lp_norms call gives every member's curve on
+    the finest grid, and one more its _polish_nodes on every grid.  At p = 2
+    a column's norm is the row-order sum of its scaled squares, and a zero
+    row adds an exact zero, so each value is the bits of the member's own
+    _polished_sups.  weight is t^(k-alpha) on the finest grid, grids[-1],
+    and strides[g] the step of grids[g] in it.
     """
-    nodes = np.array(
-        [[np.concatenate([_polish_nodes(ts, sup[j]) for ts, sup in zip(grids, member)]) for j in range(len(ps))]
-         for member in sups]
-    )
-    decay = _decay_rows([nu.order for nu in union], nodes.ravel()).reshape(len(union), len(sups), -1)
-    local = nodes ** (k - alpha) * _chunk_curves(f, union, factors, decay).reshape(nodes.shape)
-    local = local.reshape(*nodes.shape[:2], len(grids), -1)
-    return [
-        [[float(max(sup[j].max(), polish[j, g].max())) for j in range(len(ps))] for g, sup in enumerate(member)]
-        for member, polish in zip(sups, local)
-    ]
+    union = sorted({nu for items in supports for nu, _ in items})
+    row = {nu: i for i, nu in enumerate(union)}
+    factors = np.zeros((len(union), len(supports), 1))
+    for j, items in enumerate(supports):
+        # a one-node table of ones holds each row's factor c_nu (-sqrt(n))^k
+        factors[[row[nu] for nu, _ in items], j] = _orbit_table(items, k, np.ones((len(items), 1)))
+
+    def curves(ts):
+        """(m, n) curves of the members at n times, (1, n) shared by them or (m, n) each its own."""
+        decay = _decay_rows([nu.order for nu in union], ts.ravel()).reshape(len(union), *ts.shape)
+        return _lp_norms(f, union, (decay * factors).reshape(len(union), -1), (2.0,)).reshape(len(supports), -1)
+
+    sups = [[weight[::s] * curve[::s] for s in strides] for curve in curves(grids[-1][None])]
+    nodes = np.array([np.concatenate([_polish_nodes(ts, sup) for ts, sup in zip(grids, member)]) for member in sups])
+    polish = (nodes ** (k - alpha) * curves(nodes)).reshape(len(supports), len(grids), -1)
+    return [[[float(max(sup.max(), local.max()))] * len(ps) for sup, local in zip(*member)] for member in zip(sups, polish)]
 
 
 def ak_constant(f: HermiteExpansion, alpha: float, p: float, k: int, points: int = SUP_POINTS) -> float:
@@ -336,15 +312,16 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
     those of each member's curve, such as the Gauss-Hermite buffers of a
     d = 2 quadrature.
 
-    When every p is 2, the members go in chunks of as many as fit one
-    table of SHARED_TABLE_BYTES, and a chunk's members share one orbit
-    table over the union of their supports (_chunk_curves): one _lp_norms
-    call gives their curves, and at q = inf one more their polish
-    (_chunk_polished_sups).  Each member's terms keep their bits.  At other
-    p a column's norm depends on the table's rows (the odd-p pieces are
-    sized by degree, and a basis product's blocking over the support can
-    move bits), so each member is a chunk of one, as is a member whose
-    grid alone fills the budget; a chunk of one takes the one-member path.
+    At q = inf with every p 2, the members go in chunks of as many as fit
+    one table of SHARED_TABLE_BYTES, and a chunk's members share one orbit
+    table over the union of their supports (_shared_sups): one _lp_norms
+    call gives their curves and one more their polish.  Each member's terms
+    keep their bits.  A chunk of one, as when a member's grid alone fills
+    the budget, takes the one-member path.  At other p a column's norm
+    depends on the table's rows (the odd-p pieces are sized by degree, and
+    a basis product's blocking over the support can move bits), and at
+    q < inf the long rules make shared tables slower, so no table is
+    shared there.
     """
     if not q >= 1:
         raise ValueError(f"q must be >= 1 (or inf), got q = {q}")
@@ -359,49 +336,40 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
     ts = grids[-1]
     weight = ts ** (k - alpha)  # every refine-th is the coarse grid's weight, bit for bit
     supports = [sorted(f.coeffs.items()) for f in fs]
-    orders = sorted({nu.order for items in supports for nu, _ in items})
-    if len(fs) > len(orders):
-        table, row = _decay_rows(orders, ts), {n: i for i, n in enumerate(orders)}
 
-        def decay(ns):
-            return table[[row[n] for n in ns]]
-
-    else:
-
-        def decay(ns):
-            return _decay_rows(ns, ts)
-
-    def terms(curves):
-        """A member's terms per resolution from its curves on the finest grid; at q = inf its sups before the polish."""
+    def terms(f, curves):
+        """f's terms, one list per resolution, from its curves on the finest grid."""
         level_curves = [(weight[:: refine // r], curves[:, :: refine // r]) for r in levels]
         if math.isinf(q):
-            return [w * c for w, c in level_curves]
+            return _polished_sups(f, alpha, k, ps, grids, [w * c for w, c in level_curves])
         return [
             [(float(np.dot(w, (level_weight * c) ** q / t)) + c[0] ** q * head_rest) ** (1.0 / q) for c in level]
             for (t, w, head_rest, _), (level_weight, level) in zip(rules, level_curves)
         ]
 
-    size = 1
-    if len(fs) > 1 and all(p == 2 for p in ps):
+    if len(fs) > 1 and math.isinf(q) and all(p == 2 for p in ps):
         _check_orbit(k, ps)
         indices = len({nu for items in supports for nu, _ in items})
         size = max(1, SHARED_TABLE_BYTES // (8 * ts.size * max(indices, 1)))
-    out = []
-    # each chunk's curves are reduced before the next chunk's are made
-    for a in range(0, len(fs), size):
-        chunk, chunk_supports = fs[a : a + size], supports[a : a + size]
-        if len(chunk) == 1:
-            (f,), (items,) = chunk, chunk_supports
-            reduced = terms(_orbit_norms(f, items, k, ps, decay([nu.order for nu, _ in items])))
-            out.append(_polished_sups(f, alpha, k, ps, grids, reduced) if math.isinf(q) else reduced)
-            continue
-        union, factors = _chunk_factors(chunk_supports, k)
-        curves = _chunk_curves(chunk[0], union, factors, decay([nu.order for nu in union])[:, None, :])
-        reduced = [terms(np.broadcast_to(curve, (len(ps), curve.size))) for curve in curves]
-        if math.isinf(q):
-            reduced = _chunk_polished_sups(chunk[0], union, factors, alpha, k, ps, grids, reduced)
-        out += reduced
-    return out
+        strides = [refine // r for r in levels]
+        out = []
+        # each chunk's curves are reduced before the next chunk's are made
+        for a in range(0, len(fs), size):
+            chunk = supports[a : a + size]
+            if len(chunk) > 1:
+                out += _shared_sups(fs[a], chunk, alpha, k, ps, grids, weight, strides)
+            else:
+                out.append(terms(fs[a], _norm_curves(fs[a], k, ps, ts)))
+        return out
+    orders = sorted({nu.order for items in supports for nu, _ in items})
+    if len(fs) > len(orders):
+        table, row = _decay_rows(orders, ts), {n: i for i, n in enumerate(orders)}
+        decays = (table[[row[nu.order] for nu, _ in items]] for items in supports)
+    else:
+        decays = (_decay_rows([nu.order for nu, _ in items], ts) for items in supports)
+    # each member's table is made once the last one's curves are reduced, and
+    # dropped with its own: a loop variable would keep it while the next is made
+    return [terms(f, _orbit_norms(f, items, k, ps, next(decays))) for f, items in zip(fs, supports)]
 
 
 def besov_norm(f: HermiteExpansion, params: BesovParams) -> BesovResult:

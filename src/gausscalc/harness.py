@@ -29,6 +29,7 @@ report does not depend on which experiments ran before it.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import functools
 import hashlib
@@ -36,7 +37,6 @@ import io
 import json
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
@@ -205,6 +205,12 @@ def _seeded_family(cfg: ExperimentConfig) -> tuple[list[HermiteExpansion], str]:
     """cfg's family and its family_sha1."""
     family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
     return family, _family_hash(family)
+
+
+# How an experiment gets cfg's family and family_sha1 (_new_report): built
+# anew, or, during a verify_all call, from that call's cache, so its nine
+# experiments build them once; the cache goes when the call returns
+_FAMILY_SOURCE = contextvars.ContextVar("_FAMILY_SOURCE", default=_seeded_family)
 
 
 def _config_hash(cfg: ExperimentConfig) -> str:
@@ -409,13 +415,13 @@ def _record_suite(report, cfg, label, ratios, ratios_fine, scaled):
     report.max_ratio = mx if report.max_ratio is None else float(np.maximum(report.max_ratio, mx))
 
 
-def _new_report(name, cfg, seeded) -> tuple[list[HermiteExpansion], TheoremReport]:
-    """The family of cfg and a new report of experiment name on it; seeded() gives the family and its family_sha1.
+def _new_report(name, cfg) -> tuple[list[HermiteExpansion], TheoremReport]:
+    """The family of cfg and a new report of experiment name on it.
 
     An experiment calls this after its hypothesis checks, so a config that
     violates them builds no family.
     """
-    family, family_sha1 = seeded()
+    family, family_sha1 = _FAMILY_SOURCE.get()(cfg)
     report = TheoremReport(
         experiment=name,
         statement=EXPERIMENTS[name].statement,
@@ -467,10 +473,6 @@ class Boundedness:
     betas: tuple
 
     def __call__(self, cfg: ExperimentConfig) -> TheoremReport:
-        return self._run(cfg, lambda: _seeded_family(cfg))
-
-    def _run(self, cfg: ExperimentConfig, seeded) -> TheoremReport:
-        """The report on cfg; seeded() gives the family and its family_sha1 (_new_report)."""
         alphas, betas = cfg.alphas or self.alphas, cfg.betas or self.betas
         ps, qs = cfg.ps or (2.0,), cfg.qs or (2.0, math.inf)
         for text, holds in self.ab_hypotheses:
@@ -482,7 +484,7 @@ class Boundedness:
             _require(holds(p), text)
         for q in qs:
             _require(q >= 1, "1 <= q <= inf")
-        family, rep = _new_report(self.name, cfg, seeded)
+        family, rep = _new_report(self.name, cfg)
         op = getattr(fr, self.operator)
         for a in alphas:
             for b in betas:
@@ -537,11 +539,11 @@ BOUNDEDNESS = (
 )
 
 
-def _exp_inversion(cfg: ExperimentConfig, seeded) -> TheoremReport:
+def _exp_inversion(cfg: ExperimentConfig) -> TheoremReport:
     betas = cfg.betas or (0.3, 0.5, 0.9, 1.5, 2.5)
     for b in betas:
         _require(b > 0, "beta > 0")
-    family, rep = _new_report("inversion", cfg, seeded)
+    family, rep = _new_report("inversion", cfg)
     for b in betas:
         worst = 0.0
         for f in family:
@@ -574,8 +576,8 @@ def _kernel_mass(t: float) -> float:
     return float(np.dot(dw, kernel * np.cosh(w)))
 
 
-def _exp_oracles(cfg: ExperimentConfig, seeded) -> TheoremReport:
-    family, rep = _new_report("oracles", cfg, seeded)
+def _exp_oracles(cfg: ExperimentConfig) -> TheoremReport:
+    family, rep = _new_report("oracles", cfg)
     rng = _seeded_rng(cfg.seed, 1)
     grid = gauss_hermite_grid(cfg.dimension, 4 * cfg.max_degree + 8)
 
@@ -636,8 +638,8 @@ HARDY_BATTERY = [
 ]
 
 
-def _exp_lemmas(cfg: ExperimentConfig, seeded) -> TheoremReport:
-    family, rep = _new_report("lemmas", cfg, seeded)
+def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
+    family, rep = _new_report("lemmas", cfg)
     sample = family[: min(10, len(family))]
 
     # decay of t -> ||u^(k)(., t)||_p: monotone, with a finite grid-stable
@@ -760,28 +762,9 @@ _exp_inversion.statement = "derivative and potential of matching order invert ea
 _exp_oracles.statement = "kernel, subordination and singular-integral quadratures agree with the spectral forms"
 _exp_lemmas.statement = "decay, forward-difference and averaging lemmas plus nested-space ratio records"
 
-
-@dataclass(frozen=True)
-class _Experiment:
-    """An experiment that is not a boundedness row; called with a config, it builds its own family, as a row does."""
-
-    _run: Callable  # (cfg, seeded) -> TheoremReport, seeded() as in _new_report; carries the statement
-
-    @property
-    def statement(self) -> str:
-        return self._run.statement
-
-    def __call__(self, cfg: ExperimentConfig) -> TheoremReport:
-        return self._run(cfg, lambda: _seeded_family(cfg))
-
-
-# id -> callable(cfg) -> TheoremReport; each callable carries its `statement`,
-# and its _run(cfg, seeded) takes the family from the caller (verify_all)
+# id -> callable(cfg) -> TheoremReport; each callable carries its `statement`
 EXPERIMENTS = {row.name: row for row in BOUNDEDNESS}
-EXPERIMENTS.update(
-    (name, _Experiment(run))
-    for name, run in (("inversion", _exp_inversion), ("oracles", _exp_oracles), ("lemmas", _exp_lemmas))
-)
+EXPERIMENTS.update({"inversion": _exp_inversion, "oracles": _exp_oracles, "lemmas": _exp_lemmas})
 
 
 def list_experiments() -> list[tuple[str, str]]:
@@ -798,13 +781,8 @@ def run_experiment(name: str, cfg: ExperimentConfig | None = None) -> TheoremRep
     if name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {name!r}; known: {known}")
-    return _timed(name, cfg, lambda: _seeded_family(cfg))
-
-
-def _timed(name: str, cfg: ExperimentConfig, seeded) -> TheoremReport:
-    """Experiment name's report on cfg, with its runtime_s; seeded() gives the family (_new_report)."""
     start = time.perf_counter()
-    report = EXPERIMENTS[name]._run(cfg, seeded)
+    report = EXPERIMENTS[name](cfg)
     report.runtime_s = time.perf_counter() - start
     return report
 
@@ -813,9 +791,13 @@ def verify_all(cfg: ExperimentConfig | None = None) -> list[TheoremReport]:
     """Every experiment's report on cfg, in EXPERIMENTS order.
 
     The family and its family_sha1 are built once, when the first
-    experiment has passed its hypothesis checks, and every experiment takes
-    them from here; a direct run_experiment call builds its own.
+    experiment has passed its hypothesis checks, and the others take them
+    from this call's cache (_FAMILY_SOURCE); a run_experiment call of its
+    own builds its own.
     """
     cfg = cfg or ExperimentConfig()
-    seeded = functools.cache(lambda: _seeded_family(cfg))
-    return [_timed(name, cfg, seeded) for name in EXPERIMENTS]
+    token = _FAMILY_SOURCE.set(functools.cache(_seeded_family))
+    try:
+        return [run_experiment(name, cfg) for name in EXPERIMENTS]
+    finally:
+        _FAMILY_SOURCE.reset(token)

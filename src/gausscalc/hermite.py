@@ -670,7 +670,7 @@ def _abs_moment_exact_1d(coeffs, p: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(np.abs(np.diff(cuts, axis=1)), axis=1)[:, -1], expo + scale
 
 
-def _lp_norms(f: HermiteExpansion, indices, coef: np.ndarray, ps, grid=None, moments=None, own=False) -> np.ndarray:
+def _lp_norms(f: HermiteExpansion, indices, coef: np.ndarray, ps, grid=None, moments=None) -> np.ndarray:
     """L^p(gamma_d) norms of the columns of an (S, T) coefficient table, for every p in ps: a (len(ps), T) array.
 
     Column t holds the coefficients over indices (S multi-indices in any
@@ -700,9 +700,9 @@ def _lp_norms(f: HermiteExpansion, indices, coef: np.ndarray, ps, grid=None, mom
     Every route scales each column by a power of two and its norms back, so
     large t does not underflow and high degree does not overflow: p = 2
     brings a column's largest |coefficient| into [1/2, 1), the other routes
-    scale in their kernels.  coef is not written, unless own=True says the
-    caller gives its buffer up: a lone p = 2 then squares in it, which
-    saves an (S, T) copy.  A zero column, or an empty support, has norm 0.
+    scale in their kernels.  A lone p = 2 squares in coef's buffer, which
+    saves an (S, T) copy, so coef is consumed there; any other ps leave it
+    unwritten.  A zero column, or an empty support, has norm 0.
 
     grid(f, p) and moments(rows, p), when given, replace the quadrature grid
     lookup and _abs_moment_exact_1d.  besov hands in its own bindings of
@@ -718,7 +718,7 @@ def _lp_norms(f: HermiteExpansion, indices, coef: np.ndarray, ps, grid=None, mom
         if p == 2:
             # max |c| = max(max c, -min c), without a |coef| copy; 0 for a zero column
             expo = np.frexp(np.maximum(np.max(coef, axis=0, initial=0.0), -np.min(coef, axis=0, initial=0.0)))[1]
-            squares = np.ldexp(coef, -expo, out=coef if own and len(ps) == 1 else None)
+            squares = np.ldexp(coef, -expo, out=coef if len(ps) == 1 else None)
             squares *= squares
             norms[i] = np.ldexp(np.sqrt(np.sum(squares, axis=0)), expo)
         elif _odd_exact(p, f.dimension):

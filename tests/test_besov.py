@@ -450,10 +450,11 @@ def _shared_family(d):
 @pytest.mark.parametrize("q", (1.0, 2.0, math.inf))
 @pytest.mark.parametrize("d", (1, 2))
 def test_shared_p2_tables_give_the_bits_of_one_member_calls(monkeypatch, d, q):
-    # at p = 2 a chunk of members shares one orbit table over the union of
-    # their supports (and, at q = inf, one more for the polish); a member's
+    # at p = 2 and q = inf a chunk of members shares one orbit table over
+    # the union of their supports, and one more for the polish; a member's
     # zero rows add exact zeros, so its terms are the bits of its own call,
-    # in chunks of any size, the last one a chunk of one
+    # in chunks of any size, the last one a chunk of one; at q < inf every
+    # member takes the one-member path
     from gausscalc import besov
     from gausscalc.timequad import _clipped_rule
 
@@ -461,13 +462,13 @@ def test_shared_p2_tables_give_the_bits_of_one_member_calls(monkeypatch, d, q):
     rows = len({nu for f in family for nu in f.coeffs})
     alpha, k = 0.7, 1
     chunks = []
-    chunk_curves = besov._chunk_curves
+    shared_sups = besov._shared_sups
 
-    def spy(f, union, factors, decay):
-        chunks.append(factors.shape[1])
-        return chunk_curves(f, union, factors, decay)
+    def spy(f, supports, *rest):
+        chunks.append(len(supports))
+        return shared_sups(f, supports, *rest)
 
-    monkeypatch.setattr(besov, "_chunk_curves", spy)
+    monkeypatch.setattr(besov, "_shared_sups", spy)
     for refine in (1, 2):
         if math.isinf(q):
             nodes = besov.sup_grid(SUP_POINTS, refine).size
@@ -480,9 +481,9 @@ def test_shared_p2_tables_give_the_bits_of_one_member_calls(monkeypatch, d, q):
             monkeypatch.setattr(besov, "SHARED_TABLE_BYTES", size * 8 * nodes * rows)
             chunks.clear()
             assert besov._besov_terms(family, alpha, (2.0,), q, k, DEFAULT_STEP, SUP_POINTS, refine) == alone
-            sizes = [size] * (len(family) // size) + [len(family) % size]
-            # a chunk of one takes the one-member path; at q = inf the polish is a second call per chunk
-            assert chunks == [m for m in sizes if m > 1 for _ in range(2 if math.isinf(q) else 1)]
+            sizes = [size] * (len(family) // size) + [len(family) % size] if math.isinf(q) else []
+            # a chunk of one takes the one-member path
+            assert chunks == [m for m in sizes if m > 1]
         chunks.clear()
         ps = (4.0, 2.0)  # with any other p each member is a chunk of one, whatever the budget
         terms = besov._besov_terms(family, alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)
@@ -500,7 +501,7 @@ def test_default_budget_shares_sup_grid_tables(d):
     for ps in ((2.0,), (2.0, 2.0)):
         terms = besov._besov_terms(family, 0.5, ps, math.inf, 1, DEFAULT_STEP, SUP_POINTS, 2)
         assert terms == [besov._besov_terms([f], 0.5, ps, math.inf, 1, DEFAULT_STEP, SUP_POINTS, 2)[0] for f in family]
-    assert besov.SHARED_TABLE_BYTES // (8 * besov.sup_grid(SUP_POINTS, 2).size * 9) == 9  # d = 1, degree 8
+    assert besov.SHARED_TABLE_BYTES // (8 * besov.sup_grid(SUP_POINTS, 2).size * 9) == 36  # d = 1, degree 8
 
 
 @pytest.mark.parametrize(

@@ -525,23 +525,19 @@ def test_row_shares_p2_tables_at_q_inf(monkeypatch):
         fn = getattr(besov, name)
         monkeypatch.setattr(besov, name, lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs))
 
-    def spy(f, union, factors, decay):
-        chunks.append((factors.shape[1], decay.shape[2]))
-        return chunk_curves(f, union, factors, decay)
+    def spy(f, supports, *rest):
+        chunks.append(len(supports))
+        return shared_sups(f, supports, *rest)
 
     count("_lp_norms")
     count("norm_curve")
-    chunk_curves = besov._chunk_curves
-    monkeypatch.setattr(besov, "_chunk_curves", spy)
+    shared_sups = besov._shared_sups
+    monkeypatch.setattr(besov, "_shared_sups", spy)
     harness._TOTALS.cache_clear()
     assert run_experiment("riesz-potential-bounded", cfg).passed
-    grid = besov.sup_grid(cfg.sup_points, cfg.refine).size
-    sup_chunks = [m for m, nodes in chunks if nodes == grid]
-    polish_chunks = [m for m, nodes in chunks if nodes == 2 * 19]
-    assert len(sup_chunks) + len(polish_chunks) == len(chunks)
-    assert sup_chunks == polish_chunks and min(sup_chunks) > 1
-    assert sum(sup_chunks) == 2 * distinct  # images and sources, equal members once each
-    assert (calls.count("_lp_norms"), calls.count("norm_curve")) == (len(chunks) + 4, 2)
+    assert min(chunks) > 1
+    assert sum(chunks) == 2 * distinct  # images and sources, equal members once each
+    assert (calls.count("_lp_norms"), calls.count("norm_curve")) == (2 * len(chunks) + 4, 2)
 
 
 def test_row_evaluates_equal_images_once(monkeypatch):
@@ -653,7 +649,6 @@ def test_cli_unwritable_out_fails_before_any_experiment(tmp_path, capsys, monkey
         raise AssertionError("an experiment ran before --out was checked")
 
     monkeypatch.setattr("gausscalc.harness.run_experiment", must_not_run)
-    monkeypatch.setattr("gausscalc.harness._timed", must_not_run)  # verify_all's experiments
     monkeypatch.setattr("gausscalc.cli.run_experiment", must_not_run)
     out = tmp_path / "missing" / "rep.json"
     assert cli_main([*argv, "--out", str(out)]) == 2
