@@ -186,7 +186,7 @@ def _check_orbit(k: int, ps):
 def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAULT_STEP) -> float:
     """The q < inf seminorm: ( int (t^(k-a) ||u^(k)(., t)||_p)^q dt/t )^(1/q).
 
-    The t-integral is the log-trapezoid of clipped_time_rule with head
+    The t-integral is the log-trapezoid of timequad._clipped_rule with head
     exponent (k - a) q, blow-up exponent 1 (the dt/t) and log step `step`.
     Where a small (k - a) q pushes the window below t = e^(-700), the rule is
     clipped there and the dropped head, where the integrand is

@@ -566,7 +566,7 @@ def _kernel_mass(t: float) -> float:
     The substitution makes the Gaussian tails of the kernel decay double
     exponentially in w, so the rule converges geometrically; its y-window
     reaches sinh(4) = 27.3, where the kernel underflows to 0.  It agrees
-    with adaptive quadrature (scipy.integrate.quad) to 3.3e-15 at t = 0.5,
+    with adaptive quadrature (scipy.integrate.quad) to 3.4e-15 at t = 0.5,
     1 and 2.
     """
     w = np.linspace(-4.0, 4.0, 161)

@@ -15,7 +15,8 @@ spectral path:
     stable-measure average of Mehler kernel densities.
 
 t = 0 is allowed in the spectral paths (identity) but rejected in the kernel
-paths, where the Gaussian degenerates.
+paths, where the Gaussian degenerates; the stable-measure paths take
+t >= SubordinationRule().t_min() = 4.8e-7, where their rule is exact.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import numpy as np
 
 from .hermite import GaussHermiteGrid, HermiteExpansion
-from .timequad import SubordinationRule
+from .timequad import EXP_ZERO, SubordinationRule
 
 __all__ = [
     "ou_spectral",
@@ -87,25 +88,16 @@ def ph_subordination(f: HermiteExpansion, t: float, x) -> float:
     """P_t f(x) through the stable-measure average of T_s f(x).
 
     Computes sum_j m_j T_{s_j} f(x) + tail * mean(f) over the discretized
-    measure; the far tail (huge s) is exact because T_s f -> mean(f) there.
+    measure; the far tail is exact, because there every e^(-s n), n >= 1, is 0.
     T_s is evaluated spectrally, through the chaos values of f at x.  Oracle
     for ph_spectral.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
     s, masses, tail = SubordinationRule().stable_measure(t)
     g = f.chaos_values(x)
     rates = np.outer(s, np.arange(g.size))
-    # exp(-r) is exactly +0.0 for r >= 746; masking those rates (29% of them
-    # at the default rule) skips numpy's slow underflow path, with the same bits
-    values = np.exp(-rates, out=np.zeros_like(rates), where=rates < 746.0) @ g
+    # masking the rates r >= EXP_ZERO, where exp(-r) is +0.0, skips numpy's slow underflow path
+    values = np.exp(-rates, out=np.zeros_like(rates), where=rates < EXP_ZERO) @ g
     return float(np.dot(masses, values) + tail * f.mean)
-
-
-# Points per block of ph_kernel: each (4096, KERNEL_BLOCK) temporary of the
-# Mehler densities is 512 KB, where the 161 points of the kernel-mass rule in
-# one block would add about 15 MB to peak memory.
-KERNEL_BLOCK = 16
 
 
 def _mehler_density(s: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -125,20 +117,17 @@ def ph_kernel(t: float, x, y):
     is the kernel's r-form integral over r in (0, 1) after the double-log
     substitution r = exp(-t^2 / 4u), u = e^v, which resolves both endpoint
     singularities: r -> 1 becomes the (double-exponentially damped) small-s
-    end, r -> 0 the heavy s^(-3/2) tail.  The tail beyond the grid is added
-    in closed form using that the Mehler density tends to the gamma_d density.
+    end, r -> 0 the heavy s^(-3/2) tail.  Beyond the grid e^(-s) is 0, so
+    the Mehler density there is the gamma_d density, bit for bit.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     pts = y if y.ndim == 2 else np.atleast_1d(y)[None, :]
     if pts.shape[1] != x.size:
         raise ValueError("x and y must have the same dimension")
     s, masses, tail = SubordinationRule().stable_measure(t)
-    values = tail * np.exp(-np.sum(pts * pts, axis=1)) / math.pi ** (x.size / 2.0)
-    for a in range(0, len(pts), KERNEL_BLOCK):
-        values[a : a + KERNEL_BLOCK] += masses @ _mehler_density(s, x, pts[a : a + KERNEL_BLOCK])
+    values = masses @ _mehler_density(s, x, pts)
+    values += tail * np.exp(-np.sum(pts * pts, axis=1)) / math.pi ** (x.size / 2.0)
     return values if y.ndim == 2 else float(values[0])
 
 

@@ -4,8 +4,9 @@ All the singular integrals in this package (subordination, fractional operator
 representations, smoothness seminorms) are computed after the substitution
 t = e^v, which turns dt/t into dv, tames integrable endpoint singularities and
 makes the trapezoid rule geometrically convergent for the analytic integrands
-that arise here.  Truncation at v_min / v_max is the only real error source,
-so rule factories pick the window from the known endpoint exponents.
+that arise here.  The stable measure and the fractional integrals continue the
+trapezoid to both infinities in closed form and are exact to rounding; the
+seminorm's rule (log_time_rule, _clipped_rule) drops ends below HEAD_TOL.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import gammainc
 
-__all__ = ["TimeQuadrature", "SubordinationRule", "log_time_rule", "clipped_time_rule"]
+__all__ = ["TimeQuadrature", "SubordinationRule", "log_time_rule", "end_summed_integral"]
 
 DEFAULT_STEP = 0.02
 HEAD_TOL = 1e-10
@@ -67,7 +67,7 @@ def _split_steps(v: np.ndarray, refine: int) -> np.ndarray:
     return fine
 
 
-@lru_cache(maxsize=64)  # the default verify-all pass uses 30 windows
+@lru_cache(maxsize=64)  # the default verify-all pass uses 20 windows
 def _log_uniform_rule(v_min: float, v_max: float, n_points: int, refine: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t = e^v and trapezoid weights t dv of TimeQuadrature(v_min, v_max, n_points), read-only.
 
@@ -84,15 +84,6 @@ def _log_uniform_rule(v_min: float, v_max: float, n_points: int, refine: int) ->
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
-
-
-@lru_cache(maxsize=8)
-def _stable_atoms(v_min: float, v_max: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u and the t-independent masses exp(-u) u^(-1/2) w / sqrt(pi) of SubordinationRule, read-only."""
-    u, w = _log_uniform_rule(v_min, v_max, n_points, 1)
-    masses = np.exp(-u) / np.sqrt(u) / math.sqrt(math.pi) * w
-    masses.setflags(write=False)
-    return u, masses
 
 
 def log_time_rule(
@@ -121,26 +112,15 @@ def log_time_rule(
     return TimeQuadrature(v_min, v_max, max(n, 16))
 
 
-def clipped_time_rule(head: float, blowup: float, tail: float | None = None, step: float = DEFAULT_STEP):
-    """Nodes, weights and dropped ends for an integrand ~ t^(head-1) at 0 with a factor t^(-blowup).
-
-    The window is log_time_rule's, clipped so that no power of t overflows:
-    v_min >= -700/blowup and v_max <= 700 (a small head or algebraic tail
-    exponent pushes past either).  Returns (t, w, head_rest, tail_rest): the
-    masses cut^head / head of t^(head-1) over a dropped (0, cut) and
-    big^(-tail) / tail of t^(-tail-1) over a dropped (big, inf), which the
-    caller scales by its leading coefficients.  Each is 0.0 unless its clip
-    binds, and with neither binding the rule is log_time_rule's own.
-    """
-    return _clipped_rule(head, blowup, tail, step, 1)
-
-
 def _clipped_rule(head: float, blowup: float, tail: float | None, step: float, refine: int):
-    """clipped_time_rule with each log step split into refine equal ones (_log_uniform_rule).
+    """The seminorm's rule: log_time_rule's window, clipped so that no power of t overflows, log step split refine ways.
 
-    The window and the dropped ends are clipped_time_rule's.  Where it has n
-    nodes, this rule has refine (n - 1) + 1, and every refine-th of them is
-    one of clipped_time_rule's, bit for bit.
+    For an integrand ~ t^(head-1) at 0 with a factor t^(-blowup), the window
+    keeps v_min >= -700/blowup and v_max <= 700.  Returns (t, w, head_rest,
+    tail_rest): the masses cut^head / head of t^(head-1) over a dropped
+    (0, cut) and big^(-tail) / tail of t^(-tail-1) over a dropped (big, inf),
+    each 0.0 unless its clip binds.  Every refine-th node is a node of the
+    refine = 1 rule, bit for bit (_log_uniform_rule).
     """
     wide = log_time_rule(head_exponent=head, tail_exponent=tail, step=step)
     v_min = max(wide.v_min, -700.0 / blowup) if blowup > 0 else wide.v_min
@@ -153,41 +133,78 @@ def _clipped_rule(head: float, blowup: float, tail: float | None, step: float, r
     return (*_log_uniform_rule(rule.v_min, rule.v_max, rule.n_points, refine), head_rest, tail_rest)
 
 
+EXP_ZERO = 746.0  # exp(-x) is exactly +0.0 for x >= EXP_ZERO (it underflows past 745.13)
+# Window of end_summed_integral in x = root t.  Below X_HEAD, e^(-x) and
+# ((1 - e^(-x))/x)^k differ from 1 by x and k x/2, under 2^-53 for k <= 20;
+# above X_TAIL, (1 - e^(-x))^k differs from 1 by k e^(-x) < 1.5e-21 k.  The
+# integrands are analytic in |Im v| < pi/2, so END_STEP aliases e^(-pi^2/0.1).
+X_HEAD, X_TAIL, END_STEP = 1e-17, 48.0, 0.1
+
+
+def end_summed_integral(fn, root: float, head: float, tail: float | None = None, x_tail: float = X_TAIL) -> float:
+    """int_0^inf fn(t) dt/t, exact to rounding, for fn ~ t^head at 0 and ~ t^(-tail) at inf (tail None: fn ~ 0).
+
+    The trapezoid in v = log t, step END_STEP and full weights, on t = X_HEAD/root, ..., x_tail/root and
+    beyond: past each end node fn is a pure power t^a to rounding, so the nodes there add fn(end) / (e^(a step) - 1).
+    """
+    x = np.exp(math.log(X_HEAD) + END_STEP * np.arange(math.ceil(math.log(x_tail / X_HEAD) / END_STEP) + 1))
+    values = fn(x / root)
+    total = values.sum() + values[0] / math.expm1(head * END_STEP)
+    if tail is not None:
+        total += values[-1] / math.expm1(tail * END_STEP)
+    return END_STEP * float(total)
+
+
+@lru_cache(maxsize=8)
+def _stable_atoms(rule: "SubordinationRule") -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodes u, t-independent masses e^(-u) u^(1/2) step / sqrt(pi) (read-only) and the dropped nodes' mass.
+
+    The masses at u0 e^(-j step), u0 = e^v_min, j >= 1, summed over j term by term in e^(-u)'s
+    series: step / sqrt(pi) sum_m (-1)^m / m! u0^(m+1/2) / (e^((m+1/2) step) - 1).
+    """
+    step = (rule.v_max - rule.v_min) / (rule.n_points - 1)
+    u = np.exp(np.linspace(rule.v_min, rule.v_max, rule.n_points))
+    masses = np.exp(-u) * np.sqrt(u) * (step / math.sqrt(math.pi))
+    u.setflags(write=False)
+    masses.setflags(write=False)
+    u0 = math.exp(rule.v_min)
+    rest, m, coef, term = 0.0, 0, math.sqrt(u0), math.inf
+    while abs(term) > 1e-17 * abs(rest):
+        term = coef / math.expm1((m + 0.5) * step)
+        rest, m, coef = rest + term, m + 1, coef * -u0 / (m + 1)
+    return u, masses, rest * step / math.sqrt(math.pi)
+
+
 @dataclass(frozen=True)
 class SubordinationRule(TimeQuadrature):
     """Discretization of the one-sided stable measure of order 1/2.
 
     The measure mu_t(ds) = t/(2 sqrt(pi)) exp(-t^2/4s) s^(-3/2) ds turns the
-    heat-type semigroup into its half-order subordinate.  In the variable
-    u = t^2/4s it is the t-independent weight exp(-u) u^(-1/2) du / sqrt(pi),
-    which is what gets discretized (the trapezoid in v = log u of
-    TimeQuadrature, with u in place of t).  The mass of the truncated piece
-    u < e^v_min -- equivalently the heavy s^(-3/2) far tail of mu_t -- is kept
-    in closed form (an incomplete gamma) and reported separately, because
-    dropping it would cost ~2 e^(v_min/2) / sqrt(pi) in mass (2.8e-3 at the
-    default v_min = -12).
+    heat-type semigroup into its half-order subordinate.  In u = t^2/4s it is
+    the t-independent weight exp(-u) u^(-1/2) du / sqrt(pi): the trapezoid in
+    v = log u with full weights (431 nodes at step 0.1), continued to -inf in
+    closed form (_stable_atoms).  From t = t_min() on, the dropped nodes -- the
+    heavy s^(-3/2) far tail -- have s >= EXP_ZERO, where e^(-s n) = 0 for
+    n >= 1, so their mass times a semigroup's s = inf limit is exact.
     """
 
-    v_min: float = -12.0
+    v_min: float = -37.0
     v_max: float = 6.0
-    n_points: int = 4096
+    n_points: int = 431
 
-    def tail_mass(self) -> float:
-        """Stable-measure mass carried by u < e^v_min (s beyond the grid)."""
-        return float(gammainc(0.5, math.exp(self.v_min)))
+    def t_min(self) -> float:
+        """The smallest t at which the dropped nodes have s = t^2/4u >= EXP_ZERO (4.8e-7 at the default rule)."""
+        return 2.0 * math.sqrt(EXP_ZERO * math.exp(self.v_min - (self.v_max - self.v_min) / (self.n_points - 1)))
 
     def stable_measure(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Atoms (s_j, m_j) of the discretized mu_t plus the far-tail mass.
+        """Atoms (s_j, m_j) of the discretized mu_t and the far-tail mass, for t >= t_min(); they sum to 1.
 
-        sum(m_j) + tail is the total mass, equal to 1 up to the trapezoid
-        boundary error (~1e-9 at the default resolution), uniformly in t.
-        The masses do not depend on t: they are cached with the rule and
-        shared, so read-only.
+        The masses do not depend on t: they are cached with the rule and shared, so read-only.
         """
-        if t <= 0:
-            raise ValueError("t must be > 0")
-        u, masses = _stable_atoms(self.v_min, self.v_max, self.n_points)
-        return t * t / (4.0 * u), masses, self.tail_mass()
+        if not t >= self.t_min():
+            raise ValueError(f"t must be >= {self.t_min():.3g}, where the stable-measure rule is exact; got t = {t}")
+        u, masses, tail = _stable_atoms(self)
+        return t * t / (4.0 * u), masses, tail
 
     def mass(self, t: float) -> float:
         _, masses, tail = self.stable_measure(t)

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,30 @@ def test_c_beta_k_rejects_k_not_above_beta():
         c_beta_k(1.5, 1)
     with pytest.raises(ValueError):
         c_beta(1.2)
+
+
+@pytest.mark.parametrize("beta", (0.02, 0.3, 0.5, 0.9, 0.99, 0.999, 1.2, 1.5, 1.99, 2.5, 2.98))
+def test_derivative_integral_matches_its_closed_form(beta):
+    # int t^(-beta-1) (e^(-t r) - 1)^k dt = r^beta Gamma(-beta) sum_j C(k, j) (-1)^(k-j) j^beta
+    from gausscalc.fractional import _derivative_integral
+
+    k = math.floor(beta) + 1
+    for root in (1.0, 2.0, 1.0 + math.sqrt(8.0), 1.0 + math.sqrt(24.0)):
+        with mpmath.workdps(40):
+            b = mpmath.mpf(beta)
+            terms = sum(math.comb(k, j) * (-1) ** (k - j) * mpmath.mpf(j) ** b for j in range(1, k + 1))
+            want = float(mpmath.mpf(root) ** b * mpmath.gamma(-b) * terms)
+        assert abs(_derivative_integral(beta, k, root) - want) <= 1e-13 * abs(want), root
+
+
+@pytest.mark.parametrize("beta", (0.02, 0.3, 0.5, 0.98, 1.5, 2.5, 3.7))
+def test_potential_multipliers_match_their_closed_forms(beta):
+    from gausscalc.fractional import _order_multiplier
+
+    for n in (1, 2, 4, 8, 9, 24, 64):
+        riesz, bessel = n ** (-beta / 2.0), (1.0 + math.sqrt(n)) ** (-beta)
+        assert abs(_order_multiplier(False, 0.0, beta, n) - riesz) <= 1e-13 * riesz, n
+        assert abs(_order_multiplier(False, 1.0, beta, n) - bessel) <= 1e-13 * bessel, n
 
 
 def test_derivative_multiplier_is_one_at_root_one():

@@ -202,7 +202,7 @@ def test_kernel_2d_value_positive():
 
 @pytest.mark.parametrize("x", ([0.3], [0.2, -0.4]))
 def test_kernel_takes_an_array_of_points(x):
-    # 37 points: two full blocks of KERNEL_BLOCK and a partial one
+    # 37 points in one table of Mehler densities, against one point at a time
     ys = np.random.Generator(np.random.Philox(5)).uniform(-3.0, 3.0, (37, len(x)))
     got = ph_kernel(1.1, x, ys)
     assert got.shape == (37,)

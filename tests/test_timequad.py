@@ -6,7 +6,7 @@ import pytest
 from gausscalc import SubordinationRule, TimeQuadrature, log_time_rule
 from gausscalc.besov import decay_grid, smallest_k, sup_grid
 from gausscalc.harness import BOUNDEDNESS
-from gausscalc.timequad import DEFAULT_STEP, _clipped_rule, clipped_time_rule
+from gausscalc.timequad import DEFAULT_STEP, EXP_ZERO, _clipped_rule
 
 
 def test_validation():
@@ -60,7 +60,7 @@ def test_log_rule_tail_adaptation():
 
 
 def test_clipped_rule_is_log_time_rule_where_no_clip_binds():
-    t, w, head_rest, tail_rest = clipped_time_rule(0.7, 1.0, 0.3, step=0.01)
+    t, w, head_rest, tail_rest = _clipped_rule(0.7, 1.0, 0.3, 0.01, 1)
     t0, w0 = log_time_rule(head_exponent=0.7, tail_exponent=0.3, step=0.01).nodes_weights()
     assert t is t0 and w is w0
     assert head_rest == tail_rest == 0.0
@@ -70,11 +70,11 @@ def test_clipped_rule_adds_the_dropped_ends():
     # head 0.01 would start the window at e^(-2304), where t^(-1) overflows;
     # tail 0.02 would end it at e^(1154), past the largest double
     h, b = 0.01, 0.02
-    t, w, head_rest, _ = clipped_time_rule(h, 1.0)
+    t, w, head_rest, _ = _clipped_rule(h, 1.0, None, DEFAULT_STEP, 1)
     assert t[0] == math.exp(-700.0)
     val = float(np.dot(w, t ** (h - 1.0) * np.exp(-t))) + head_rest
     assert abs(val - math.gamma(h)) / math.gamma(h) < 1e-10
-    t, w, _, tail_rest = clipped_time_rule(1.0 - b, b, b)
+    t, w, _, tail_rest = _clipped_rule(1.0 - b, b, b, DEFAULT_STEP, 1)
     assert t[-1] == math.exp(700.0)
     val = float(np.dot(w, t ** (-b) / (1.0 + t))) + tail_rest
     assert abs(val - math.pi / math.sin(math.pi * (1.0 - b))) < 1e-9 * val
@@ -91,14 +91,14 @@ def test_refined_rules_nest_the_coarse_ones_bit_for_bit(refine):
     heads = _seminorm_heads()
     assert len(heads) == 12 and heads[0] < 0.033  # the smallest window is clipped at t = e^(-700)
     for h in heads:
-        t, w, head_rest, tail_rest = clipped_time_rule(h, 1.0)
+        t, w, head_rest, tail_rest = _clipped_rule(h, 1.0, None, DEFAULT_STEP, 1)
         fine, fine_w, fine_head, fine_tail = _clipped_rule(h, 1.0, None, DEFAULT_STEP, refine)
         assert fine.size == refine * (t.size - 1) + 1
         assert np.array_equal(fine[::refine], t), h
         assert (fine_head, fine_tail) == (head_rest, tail_rest)
         # the trapezoid on the finer grid: at a coarse node, the weight t dv over refine
         assert np.allclose(refine * fine_w[::refine], w, rtol=1e-13, atol=0.0)
-    assert clipped_time_rule(heads[0], 1.0)[0][0] == math.exp(-700.0)
+    assert _clipped_rule(heads[0], 1.0, None, DEFAULT_STEP, 1)[0][0] == math.exp(-700.0)
     assert np.array_equal(sup_grid(200, refine)[::refine], sup_grid(200, 1))
     assert sup_grid(200, refine).size == refine * 199 + 1
     assert np.array_equal(decay_grid(119)[::2], decay_grid(60))
@@ -126,7 +126,7 @@ def test_rules_reject_a_step_that_is_not_finite_and_positive(step):
     f = HermiteExpansion(1, {(1,): 1.0, (3,): -0.5})
     calls = (
         lambda: log_time_rule(1.0, step=step),
-        lambda: clipped_time_rule(1.0, 1.0, step=step),
+        lambda: _clipped_rule(1.0, 1.0, None, step, 1),
         lambda: _clipped_rule(1.0, 1.0, None, step, 2),
         lambda: besov_seminorm(f, besov_params(0.5, 2, 2), step=step),
     )
@@ -155,3 +155,33 @@ def test_stable_measure_median_scaling():
 def test_stable_measure_rejects_nonpositive_time():
     with pytest.raises(ValueError):
         SubordinationRule().stable_measure(0.0)
+
+
+@pytest.mark.parametrize("t", [1e-2, 0.05, 0.5, 5.0])
+def test_stable_measure_matches_its_laplace_transform(t):
+    # int e^(-n s) mu_t(ds) = e^(-t sqrt(n)); the dropped far tail carries mass only (n = 0)
+    s, masses, tail = SubordinationRule().stable_measure(t)
+    assert abs(masses.sum() + tail - 1.0) <= 1e-14
+    for n in (1, 4, 8):
+        want = math.exp(-t * math.sqrt(n))
+        assert abs(float(np.dot(masses, np.exp(-n * s))) - want) <= 1e-14 * want, n
+
+
+@pytest.mark.parametrize("v_min", (-37.0, -12.0))
+def test_stable_tail_mass_is_the_sum_of_the_dropped_nodes(v_min):
+    rule = SubordinationRule(v_min, 6.0, int(round((6.0 - v_min) / 0.1)) + 1)
+    u = np.exp(v_min - 0.1 * np.arange(1, 3000))
+    direct = math.fsum(np.exp(-u) * np.sqrt(u) * 0.1 / math.sqrt(math.pi))
+    assert abs(rule.stable_measure(1.0)[2] - direct) <= 1e-15 * direct
+
+
+def test_stable_measure_is_exact_from_t_min():
+    # at t_min every dropped node u < e^v_min has s = t^2 / 4u >= EXP_ZERO; below it the rule refuses
+    rule = SubordinationRule()
+    t = rule.t_min()
+    assert 4e-7 < t < 5e-7
+    dropped = t * t / (4.0 * np.exp(rule.v_min - 0.1 * np.arange(1, 100)))
+    assert dropped.min() >= EXP_ZERO * (1.0 - 1e-15) and not np.exp(-dropped).any()
+    rule.stable_measure(t)
+    with pytest.raises(ValueError, match="where the stable-measure rule is exact"):
+        rule.stable_measure(0.99 * t)
