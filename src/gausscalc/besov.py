@@ -9,11 +9,12 @@ and for q = inf the integral is replaced by A_k(f), the smallest constant A
 with ||d^k/dt^k P_t f||_p,gamma <= A t^(alpha-k) for all t > 0.
 
 On finite expansions the time derivative of the Poisson orbit is exact, so the
-only approximations are the t-integral (log-trapezoid, window sized from the
-endpoint exponents) and, for p not 2, the spatial norm.  Every curve comes
-from _orbit_norms, which takes any number of p: it builds the orbit table of
-a time grid once and hands it to hermite._lp_norms, whose docstring lists
-the spatial routes; each p keeps the bits of its one-p call, norm_curve.
+only approximations are the t-integral (a log-trapezoid continued to t = 0 in
+closed form, seminorm_rule, or a grid sup) and, for p not 2, the spatial
+norm.  Every curve comes from _orbit_norms, which takes any number of p: it
+builds the orbit table of a time grid once and hands it to hermite._lp_norms,
+whose docstring lists the spatial routes; each p keeps the bits of its one-p
+call, norm_curve.
 _besov_terms alone evaluates the second term of the norm, the seminorm or
 A_k by q, for a family of expansions, at one time resolution or at two, the
 finer of which nests the coarser so that one curve per member serves both.
@@ -35,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hermite import HermiteExpansion, _abs_moment_exact_1d, _check_p, _lp_norms, default_grid, lp_norm
-from .timequad import DEFAULT_STEP, TimeQuadrature, _clipped_rule, _split_steps
+from .timequad import DEFAULT_STEP, X_TAIL, TimeQuadrature, _split_steps, log_time_rule
 
 __all__ = [
     "BesovParams",
@@ -186,16 +187,36 @@ def _check_orbit(k: int, ps):
 def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAULT_STEP) -> float:
     """The q < inf seminorm: ( int (t^(k-a) ||u^(k)(., t)||_p)^q dt/t )^(1/q).
 
-    The t-integral is the log-trapezoid of timequad._clipped_rule with head
-    exponent (k - a) q, blow-up exponent 1 (the dt/t) and log step `step`.
-    Where a small (k - a) q pushes the window below t = e^(-700), the rule is
-    clipped there and the dropped head, where the integrand is
-    ||u^(k)(., 0)||_p^q t^((k-a)q - 1), is added in closed form.  This is
-    the one-member, one-p, refine = 1 case of _besov_terms.
+    The t-integral is the log-trapezoid of seminorm_rule at log step
+    `step`, continued to t = 0 in closed form.  This is the one-member,
+    one-p, refine = 1 case of _besov_terms.
     """
     if math.isinf(params.q):
         raise ValueError("use ak_constant for q = inf")
     return _besov_terms([f], params.alpha, (params.p,), params.q, params.k, step, SUP_POINTS, 1)[0][0][0]
+
+
+# The seminorm's rule.  Its integrand in dt/t is (t^h c(t))^q, h = k - alpha
+# and c(t) = ||u^(k)(., t)||_p, and log_time_rule takes it for the pure power
+# t^(hq) below the first node t0.  In x = q R t, R = RATE_BOUND >= |d/dt log c|,
+# c(t)^q differs from c(t0)^q by at most about x0 - x, so the head's error is
+# about int_0^x0 x^(hq-1) (x0 - x) dx / Gamma(hq) <= x0^(hq+1) / Gamma(hq+1)
+# of the integral, and x0 = (2^-53 Gamma(hq+1))^(1/(hq+1)) holds it at 2^-53.
+# At p = 2, -d/dt log c is a weighted mean of sqrt(n) over the support, so R
+# covers degree 10^4; at a degree N past that the error grows like
+# (sqrt(N) / R)^(hq+1) 2^-53, so no degree is refused.  Every order n >= 1
+# decays like e^(-t sqrt(n)), so c^q decays at least like e^(-x) in x = q t:
+# the rule stops at x = X_TAIL + 2 hq, past which x^(hq) e^(-x) holds under
+# 1e-18 of Gamma(hq) at every hq <= 150.  The window depends on (alpha, k, q)
+# alone, never on a member, so each member keeps the bits of its own call.
+RATE_BOUND = 100.0
+
+
+def seminorm_rule(alpha: float, k: int, q: float, step: float, refine: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights w of int_0^inf g(t) dt/t for the seminorm's g = (t^(k-alpha) c(t))^q, read-only."""
+    hq = (k - alpha) * q
+    x0 = math.exp((math.lgamma(hq + 1.0) - 53.0 * math.log(2.0)) / (hq + 1.0))
+    return log_time_rule(math.log(x0 / (q * RATE_BOUND)), math.log((X_TAIL + 2.0 * hq) / q), step, hq, None, refine)
 
 
 SUP_POINTS = 200
@@ -292,16 +313,15 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
 
     Returns one list per member, and in it one list per time resolution,
     coarse first, each one value per p: [coarse] at refine = 1, [coarse,
-    refined] otherwise.  The coarse grid is the rule of besov_seminorm at
-    step (q < inf) or sup_grid(points, 1) (q = inf).  The refined grid
-    splits each coarse log step into refine (timequad._clipped_rule,
-    sup_grid), so it has refine (n - 1) + 1 nodes where the coarse has n,
-    and every refine-th is a coarse node, bit for bit.  One curve per member
-    on the finest grid thus serves every p and both resolutions, and the
-    coarse values, read from every refine-th node, are the bits of a
-    refine = 1 call.  Each resolution is reduced on its own: by the
-    trapezoid plus the closed-form head, or by the grid sup polished around
-    its own argmax (_polished_sups).
+    refined] otherwise.  The coarse grid is seminorm_rule at step (q < inf)
+    or sup_grid(points, 1) (q = inf).  The refined grid splits each coarse
+    log step into refine (timequad._split_steps), so it has refine (n - 1)
+    + 1 nodes where the coarse has n, and every refine-th is a coarse node,
+    bit for bit.  One curve per member on the finest grid thus serves every
+    p and both resolutions, and the coarse values, read from every refine-th
+    node, are the bits of a refine = 1 call.  Each resolution is reduced on
+    its own: by its rule's weights, w @ (t^(k-alpha) c)^q, or by the grid
+    sup polished around its own argmax (_polished_sups).
 
     The grids, the weights t^(k-alpha) and, for a family with more members
     than distinct orders, the decay rows e^(-t sqrt(n)) of every order in
@@ -331,7 +351,7 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
     if math.isinf(q):
         rules = [(sup_grid(points, r),) for r in levels]
     else:
-        rules = [_clipped_rule((k - alpha) * q, 1.0, None, step, r) for r in levels]
+        rules = [seminorm_rule(alpha, k, q, step, r) for r in levels]
     grids = [rule[0] for rule in rules]
     ts = grids[-1]
     weight = ts ** (k - alpha)  # every refine-th is the coarse grid's weight, bit for bit
@@ -343,8 +363,8 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
         if math.isinf(q):
             return _polished_sups(f, alpha, k, ps, grids, [w * c for w, c in level_curves])
         return [
-            [(float(np.dot(w, (level_weight * c) ** q / t)) + c[0] ** q * head_rest) ** (1.0 / q) for c in level]
-            for (t, w, head_rest, _), (level_weight, level) in zip(rules, level_curves)
+            [float(np.dot(w, (level_weight * c) ** q)) ** (1.0 / q) for c in level]
+            for (_, w), (level_weight, level) in zip(rules, level_curves)
         ]
 
     if len(fs) > 1 and math.isinf(q) and all(p == 2 for p in ps):

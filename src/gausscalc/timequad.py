@@ -4,9 +4,11 @@ All the singular integrals in this package (subordination, fractional operator
 representations, smoothness seminorms) are computed after the substitution
 t = e^v, which turns dt/t into dv, tames integrable endpoint singularities and
 makes the trapezoid rule geometrically convergent for the analytic integrands
-that arise here.  The stable measure and the fractional integrals continue the
-trapezoid to both infinities in closed form and are exact to rounding; the
-seminorm's rule (log_time_rule, _clipped_rule) drops ends below HEAD_TOL.
+that arise here.  The seminorm and the fractional integrals take their rules
+from one factory, log_time_rule, and the stable measure has its own
+(SubordinationRule); both continue the trapezoid to the infinities in closed
+form and are exact to rounding.  TimeQuadrature, the half-weight trapezoid on
+a fixed window, serves hardy_check, whose integrands are arbitrary functions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 __all__ = ["TimeQuadrature", "SubordinationRule", "log_time_rule", "end_summed_integral"]
 
 DEFAULT_STEP = 0.02
-HEAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class TimeQuadrature:
     Trapezoid on a uniform v-grid, t = e^v in [e^v_min, e^v_max].
     """
 
-    kind: ClassVar[str] = "log_uniform"  # the only rule family; perfbench/tracing.py keys calls on it
+    kind: ClassVar[str] = "log_uniform"  # perfbench/tracing.py keys calls on it
     v_min: float
     v_max: float
     n_points: int
@@ -44,7 +45,7 @@ class TimeQuadrature:
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """(t_j, w_j) with  int_0^inf g(t) dt  ~=  sum w_j g(t_j); cached and shared, so read-only."""
-        return _log_uniform_rule(self.v_min, self.v_max, self.n_points, 1)
+        return _log_uniform_rule(self.v_min, self.v_max, self.n_points)
 
     def integrate(self, fn) -> float:
         t, w = self.nodes_weights()
@@ -67,16 +68,11 @@ def _split_steps(v: np.ndarray, refine: int) -> np.ndarray:
     return fine
 
 
-@lru_cache(maxsize=64)  # the default verify-all pass uses 20 windows
-def _log_uniform_rule(v_min: float, v_max: float, n_points: int, refine: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t = e^v and trapezoid weights t dv of TimeQuadrature(v_min, v_max, n_points), read-only.
-
-    With refine > 1, each log step is split into refine equal ones
-    (_split_steps): the rule keeps its window and has refine (n_points - 1) + 1
-    nodes, and node refine i is node i of the refine = 1 rule, bit for bit.
-    """
-    v = _split_steps(np.linspace(v_min, v_max, n_points), refine)
-    dv = np.full(v.size, (v[refine] - v[0]) / refine)
+@lru_cache(maxsize=8)  # the default verify-all pass uses one window, hardy_check's
+def _log_uniform_rule(v_min: float, v_max: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t = e^v and trapezoid weights t dv of TimeQuadrature(v_min, v_max, n_points), read-only."""
+    v = np.linspace(v_min, v_max, n_points)
+    dv = np.full(v.size, v[1] - v[0])
     dv[0] *= 0.5
     dv[-1] *= 0.5
     t = np.exp(v)
@@ -86,51 +82,36 @@ def _log_uniform_rule(v_min: float, v_max: float, n_points: int, refine: int) ->
     return t, w
 
 
+@lru_cache(maxsize=64)  # the default verify-all pass uses 34 rules
 def log_time_rule(
-    head_exponent: float, tail_exponent: float | None = None, step: float = DEFAULT_STEP
-) -> TimeQuadrature:
-    """Log-uniform rule sized from the endpoint behavior of the integrand.
+    v_min: float, v_max: float, step: float, head: float, tail: float | None = None, refine: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights w, read-only, with  int_0^inf g(t) dt/t = sum w g(t)  to rounding for g as below.
 
-    head_exponent a > 0 means the integrand behaves like t^(a-1) dt/t ... i.e.
-    the truncated head mass scales like exp(a * v_min); v_min is chosen so that
-    it stays below HEAD_TOL (never above the shared baseline -16).  A positive
-    tail_exponent b marks an algebraic tail t^(-b) dt/t, which needs
-    v_max ~ -log(HEAD_TOL)/b instead of the default exp-decay window v_max = 7.
+    The trapezoid in v = log t with full weights, at v = v_min, v_min + step,
+    ... up to the first node at or past v_max.  Below the first node g must
+    be a pure power t^head to rounding, and above the last one t^(-tail) (a
+    tail of None: 0).  The nodes beyond an end, where g is the end value
+    times e^(-a step j), j >= 1, then add g(end) / (e^(a step) - 1), so that
+    end's weight is step / (1 - e^(-a step)).  With refine > 1 each step is
+    split into refine equal ones (_split_steps), and the weights take the
+    finer step: node refine i is node i of the refine = 1 rule, bit for bit.
     The log step must be finite and > 0.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and > 0, got step = {step}")
-    if head_exponent <= 0:
-        raise ValueError("head_exponent must be positive (divergent integral otherwise)")
-    v_min = min(-16.0, math.log(HEAD_TOL) / head_exponent - 1.0)
-    v_max = 7.0
-    if tail_exponent is not None:
-        if tail_exponent <= 0:
-            raise ValueError("tail_exponent must be positive (divergent integral otherwise)")
-        v_max = max(v_max, -math.log(HEAD_TOL) / tail_exponent + 3.0)
-    n = int(math.ceil((v_max - v_min) / step)) + 1
-    return TimeQuadrature(v_min, v_max, max(n, 16))
-
-
-def _clipped_rule(head: float, blowup: float, tail: float | None, step: float, refine: int):
-    """The seminorm's rule: log_time_rule's window, clipped so that no power of t overflows, log step split refine ways.
-
-    For an integrand ~ t^(head-1) at 0 with a factor t^(-blowup), the window
-    keeps v_min >= -700/blowup and v_max <= 700.  Returns (t, w, head_rest,
-    tail_rest): the masses cut^head / head of t^(head-1) over a dropped
-    (0, cut) and big^(-tail) / tail of t^(-tail-1) over a dropped (big, inf),
-    each 0.0 unless its clip binds.  Every refine-th node is a node of the
-    refine = 1 rule, bit for bit (_log_uniform_rule).
-    """
-    wide = log_time_rule(head_exponent=head, tail_exponent=tail, step=step)
-    v_min = max(wide.v_min, -700.0 / blowup) if blowup > 0 else wide.v_min
-    v_max = min(wide.v_max, 700.0)
-    head_rest = math.exp(v_min) ** head / head if v_min > wide.v_min else 0.0
-    tail_rest = math.exp(-v_max * tail) / tail if v_max < wide.v_max else 0.0
-    rule = wide
-    if (v_min, v_max) != (wide.v_min, wide.v_max):
-        rule = TimeQuadrature(v_min, v_max, int(math.ceil((v_max - v_min) / step)) + 1)
-    return (*_log_uniform_rule(rule.v_min, rule.v_max, rule.n_points, refine), head_rest, tail_rest)
+    if not head > 0 or (tail is not None and not tail > 0):
+        raise ValueError(f"end exponents must be > 0 (divergent integral otherwise), got {head}, {tail}")
+    v = _split_steps(v_min + step * np.arange(math.ceil((v_max - v_min) / step) + 1), refine)
+    s = step / refine
+    w = np.full(v.size, s)
+    w[0] = s / -math.expm1(-head * s)
+    if tail is not None:
+        w[-1] = s / -math.expm1(-tail * s)
+    t = np.exp(v)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 EXP_ZERO = 746.0  # exp(-x) is exactly +0.0 for x >= EXP_ZERO (it underflows past 745.13)
@@ -144,15 +125,10 @@ X_HEAD, X_TAIL, END_STEP = 1e-17, 48.0, 0.1
 def end_summed_integral(fn, root: float, head: float, tail: float | None = None, x_tail: float = X_TAIL) -> float:
     """int_0^inf fn(t) dt/t, exact to rounding, for fn ~ t^head at 0 and ~ t^(-tail) at inf (tail None: fn ~ 0).
 
-    The trapezoid in v = log t, step END_STEP and full weights, on t = X_HEAD/root, ..., x_tail/root and
-    beyond: past each end node fn is a pure power t^a to rounding, so the nodes there add fn(end) / (e^(a step) - 1).
+    The log_time_rule of x = root t in [X_HEAD, x_tail] at log step END_STEP, past whose ends fn is a pure power.
     """
-    x = np.exp(math.log(X_HEAD) + END_STEP * np.arange(math.ceil(math.log(x_tail / X_HEAD) / END_STEP) + 1))
-    values = fn(x / root)
-    total = values.sum() + values[0] / math.expm1(head * END_STEP)
-    if tail is not None:
-        total += values[-1] / math.expm1(tail * END_STEP)
-    return END_STEP * float(total)
+    x, w = log_time_rule(math.log(X_HEAD), math.log(x_tail), END_STEP, head, tail)
+    return float(np.dot(w, fn(x / root)))
 
 
 @lru_cache(maxsize=8)

@@ -13,7 +13,6 @@ from gausscalc import (
     gen_family,
     hardy_check,
     kdecay_report,
-    log_time_rule,
     lp_norm,
     norm_curve,
     orbit_difference,
@@ -235,6 +234,64 @@ def test_seminorm_at_small_head_exponents_matches_the_gamma_integral(alpha):
         assert abs(got - want) <= 1e-9 * want
 
 
+def _assert_single_chaos_seminorms(family, alpha, q, k, ps):
+    """Each member's seminorm at every p in ps against gamma_formula, to 1e-13."""
+    from gausscalc import besov
+
+    for f, (got,) in zip(family, besov._besov_terms(family, alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, 1)):
+        for p, value in zip(ps, got):
+            want = gamma_formula(f.degree, alpha, lp_norm(f, p), q, k)
+            assert abs(value - want) <= 1e-13 * want, (f.coeffs, p, alpha, q, k)
+
+
+ALL_P = (1.0, 1.5, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("alpha", (0.05, 0.3, 0.7, 0.99, 1.6))
+@pytest.mark.parametrize("q", (1.0, 1.5, 2.0, 4.0, 8.0))
+def test_single_chaos_seminorms_are_exact_to_rounding(alpha, q):
+    # every p on h_1, h_2, h_3, h_(2,3) and h_(5,1), and p = 2 up to h_32; the
+    # odd-p route's cost grows with the degree, so higher orders at every p are below
+    for k in (smallest_k(alpha), smallest_k(alpha) + 1):
+        _assert_single_chaos_seminorms([HermiteExpansion.basis((n,)) for n in (1, 2, 3)], alpha, q, k, ALL_P)
+        _assert_single_chaos_seminorms([HermiteExpansion.basis((n,)) for n in range(4, 33)], alpha, q, k, (2.0,))
+        _assert_single_chaos_seminorms([HermiteExpansion.basis(nu) for nu in ((2, 3), (5, 1))], alpha, q, k, ALL_P)
+
+
+@pytest.mark.parametrize("alpha,q,k,orders", ((0.99, 8.0, 2, (8, 13, 32)), (0.05, 1.0, 1, (8, 13))))
+def test_high_order_single_chaos_seminorms_are_exact_to_rounding_at_every_p(alpha, q, k, orders):
+    _assert_single_chaos_seminorms([HermiteExpansion.basis((n,)) for n in orders], alpha, q, k, ALL_P)
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_p2_q2_seminorms_are_exact_to_rounding_at_both_resolutions(d):
+    # at p = q = 2 the seminorm is (Gamma(2h) sum_nu c_nu^2 n^k (2 sqrt(n))^(-2h))^(1/2), h = k - alpha
+    from gausscalc import besov
+
+    family = gen_family(20260809, d, 40, 8)
+    for alpha in (0.05, 0.3, 0.5, 0.7, 0.99, 1.0, 1.3, 1.6, 1.99):
+        k = smallest_k(alpha)
+        h = k - alpha
+        terms = besov._besov_terms(family, alpha, (2.0,), 2.0, k, DEFAULT_STEP, SUP_POINTS, 2)
+        for f, member in zip(family, terms):
+            total = math.fsum(
+                c * c * nu.order**k * (2.0 * math.sqrt(nu.order)) ** (-2.0 * h) for nu, c in f.coeffs.items() if nu.order
+            )
+            want = math.sqrt(math.gamma(2.0 * h) * total)
+            for (got,) in member:  # refine 1, then 2
+                assert abs(got - want) <= 1e-13 * want, (alpha, f.coeffs)
+
+
+def test_seminorm_rules_stay_short_as_alpha_nears_k():
+    # the head edge moves with hq, h = k - alpha, so the window stays short however close alpha is to k
+    from gausscalc.besov import seminorm_rule
+
+    for k in (1, 2, 3):
+        for alpha in (*np.linspace(0.0, k - 1e-6, 101), k - 0.01, k - 1e-4):
+            for q in np.linspace(1.0, 8.0, 29):
+                assert seminorm_rule(float(alpha), k, float(q), DEFAULT_STEP, 1)[0].size <= 2300, (alpha, k, q)
+
+
 def test_besov_norm_regression_member_is_finite():
     # member 0 of the package-default d = 1 family used to give NaN at p = 3
     f = gen_family(20260809, 1, 1, 8)[0]
@@ -246,7 +303,9 @@ def test_norm_curve_regression_member_at_large_t():
 
     f = gen_family(20260809, 1, 1, 8)[0]
     params = besov_params(0.7, 3, 2)
-    ts, _ = log_time_rule(head_exponent=(params.k - params.alpha) * params.q).nodes_weights()
+    # a log grid out to t = e^7 at step 0.02, with 12 nodes where the curve was NaN
+    v_min = math.log(1e-10) / ((params.k - params.alpha) * params.q) - 1.0
+    ts = np.exp(np.linspace(v_min, 7.0, math.ceil((7.0 - v_min) / 0.02) + 1))
     curve = norm_curve(f, params.k, params.p, ts)
     assert np.all(np.isfinite(curve))
     late = (ts >= 137.0) & (ts <= 171.0)  # the nodes that were NaN
@@ -456,7 +515,6 @@ def test_shared_p2_tables_give_the_bits_of_one_member_calls(monkeypatch, d, q):
     # in chunks of any size, the last one a chunk of one; at q < inf every
     # member takes the one-member path
     from gausscalc import besov
-    from gausscalc.timequad import _clipped_rule
 
     family = _shared_family(d)
     rows = len({nu for f in family for nu in f.coeffs})
@@ -473,7 +531,7 @@ def test_shared_p2_tables_give_the_bits_of_one_member_calls(monkeypatch, d, q):
         if math.isinf(q):
             nodes = besov.sup_grid(SUP_POINTS, refine).size
         else:
-            nodes = _clipped_rule((k - alpha) * q, 1.0, None, DEFAULT_STEP, refine)[0].size
+            nodes = besov.seminorm_rule(alpha, k, q, DEFAULT_STEP, refine)[0].size
         chunks.clear()
         alone = [besov._besov_terms([f], alpha, (2.0,), q, k, DEFAULT_STEP, SUP_POINTS, refine)[0] for f in family]
         assert chunks == []  # a one-member call takes the one-member path

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gausscalc import SubordinationRule, TimeQuadrature, log_time_rule
-from gausscalc.besov import decay_grid, smallest_k, sup_grid
+from gausscalc.besov import decay_grid, seminorm_rule, smallest_k, sup_grid
 from gausscalc.harness import BOUNDEDNESS
-from gausscalc.timequad import DEFAULT_STEP, EXP_ZERO, _clipped_rule
+from gausscalc.timequad import DEFAULT_STEP, EXP_ZERO
 
 
 def test_validation():
@@ -43,62 +43,84 @@ def test_rules_are_cached_and_read_only():
 
 
 def test_log_rule_head_adaptation():
-    # head exponent 0.3: the default window -16 would truncate ~1e-2 of mass
-    rule = log_time_rule(head_exponent=0.3)
-    assert rule.v_min < -60
-    val = rule.integrate(lambda t: t ** (0.3 - 1.0) * np.exp(-t))
-    assert abs(val - math.gamma(0.3)) / math.gamma(0.3) < 1e-9
+    # t^0.3 e^(-t) dt/t is t^0.3 to rounding below t = 1e-17, so the head's
+    # run of nodes, folded into the first weight, makes the rule exact
+    t, w = log_time_rule(math.log(1e-17), math.log(48.6), 0.1, 0.3)
+    val = float(np.dot(w, t**0.3 * np.exp(-t)))
+    assert abs(val - math.gamma(0.3)) / math.gamma(0.3) < 1e-14
 
 
 def test_log_rule_tail_adaptation():
-    rule = log_time_rule(head_exponent=0.7, tail_exponent=0.3)
-    # int_1^inf t^(-1.3) dt = 1/0.3, plus head piece int_0^1 t^(-0.3-1+1) ... use a
-    # closed form instead: int_0^inf t^(-0.3) e^(-t) dt = Gamma(0.7)
-    val = rule.integrate(lambda t: t ** (-0.3) * np.exp(-t))
-    assert abs(val - math.gamma(0.7)) / math.gamma(0.7) < 1e-9
-    assert rule.v_max > 60
+    # t^0.7 / (1 + t) dt/t is t^0.7 below t = 1e-17 and t^(-0.3) above 1e17,
+    # to rounding: int_0^inf t^(a-1) / (1 + t) dt = pi / sin(pi a)
+    t, w = log_time_rule(math.log(1e-17), math.log(1e17), 0.1, 0.7, 0.3)
+    assert t[-1] >= 1e17
+    val = float(np.dot(w, t**0.7 / (1.0 + t)))
+    want = math.pi / math.sin(0.7 * math.pi)
+    assert abs(val - want) < 1e-14 * want
 
 
-def test_clipped_rule_is_log_time_rule_where_no_clip_binds():
-    t, w, head_rest, tail_rest = _clipped_rule(0.7, 1.0, 0.3, 0.01, 1)
-    t0, w0 = log_time_rule(head_exponent=0.7, tail_exponent=0.3, step=0.01).nodes_weights()
-    assert t is t0 and w is w0
-    assert head_rest == tail_rest == 0.0
+def test_seminorm_and_fractional_integrals_share_one_rule_factory(monkeypatch):
+    # the seminorm's rule and the fractional multiplier integrals' rules are
+    # log_time_rule's, the one factory of end-summed rules
+    from gausscalc import HermiteExpansion, besov, besov_params, besov_seminorm, fractional, timequad
+
+    calls = []
+    factory = timequad.log_time_rule
+
+    def spy(*args):
+        calls.append(args)
+        return factory(*args)
+
+    monkeypatch.setattr(timequad, "log_time_rule", spy)
+    monkeypatch.setattr(besov, "log_time_rule", spy)
+    besov_seminorm(HermiteExpansion.basis((2,)), besov_params(0.7, 3, 2))
+    assert [c[2:] for c in calls] == [(DEFAULT_STEP, (1.0 - 0.7) * 2.0, None, 1)]
+    t, w = besov.seminorm_rule(0.7, 1, 2.0, DEFAULT_STEP, 1)
+    assert t is factory(*calls[0])[0] and w is factory(*calls[0])[1]
+    calls.clear()
+    fractional._derivative_integral(0.5, 1, 2.0)
+    fractional._order_multiplier.__wrapped__(False, 1.0, 0.5, 4)
+    assert [c[2:] for c in calls] == [(0.1, 0.5, 0.5), (0.1, 0.5, None)]
 
 
-def test_clipped_rule_adds_the_dropped_ends():
-    # head 0.01 would start the window at e^(-2304), where t^(-1) overflows;
-    # tail 0.02 would end it at e^(1154), past the largest double
-    h, b = 0.01, 0.02
-    t, w, head_rest, _ = _clipped_rule(h, 1.0, None, DEFAULT_STEP, 1)
-    assert t[0] == math.exp(-700.0)
-    val = float(np.dot(w, t ** (h - 1.0) * np.exp(-t))) + head_rest
-    assert abs(val - math.gamma(h)) / math.gamma(h) < 1e-10
-    t, w, _, tail_rest = _clipped_rule(1.0 - b, b, b, DEFAULT_STEP, 1)
-    assert t[-1] == math.exp(700.0)
-    val = float(np.dot(w, t ** (-b) / (1.0 + t))) + tail_rest
-    assert abs(val - math.pi / math.sin(math.pi * (1.0 - b))) < 1e-9 * val
+def test_end_weights_add_the_dropped_runs():
+    # past each end the integrand is a pure power, so the nodes beyond it add
+    # their run of trapezoid terms: the end weight is the step plus the sum
+    # over the dropped run, s sum_j e^(-a s j), a = head or tail
+    for a, b, step, refine in ((0.01, 0.02, DEFAULT_STEP, 1), (0.05, 2.5, DEFAULT_STEP, 3), (4.0, 0.3, 0.1, 2)):
+        t, w = log_time_rule(-30.0, 30.0, step, a, b, refine)
+        s = step / refine
+        j = np.arange(1, int(40.0 / (min(a, b) * s)) + 1)
+        for weight, exponent in ((w[0], a), (w[-1], b)):
+            run = math.fsum(s * np.exp(-exponent * s * j))
+            assert abs((weight - s) - run) <= 1e-13 * run, (exponent, step, refine)
+        assert np.all(w[1:-1] == s)
+    # a whole rule against its integral: t^(h-1) e^(-t) for h = 0.01 gives Gamma(h)
+    h = 0.01
+    t, w = log_time_rule(math.log(1e-17), math.log(48.0 + 2.0 * h), DEFAULT_STEP, h)
+    val = float(np.dot(w, t**h * np.exp(-t)))
+    assert abs(val - math.gamma(h)) <= 1e-14 * math.gamma(h)
 
 
-def _seminorm_heads():
-    """Every head exponent (k - alpha) q of a boundedness row's seminorm at q = 1 and 2, and alpha = 0.99 at q = 2."""
+def _seminorm_windows():
+    """(alpha, k, q) of every boundedness row's seminorm at q = 1 and 2, and alpha = 0.99 at q = 2."""
     alphas = {x for row in BOUNDEDNESS for a in row.alphas for b in row.betas for x in (a, a + row.shift * b)}
-    return sorted({(smallest_k(a) - a) * q for a in alphas for q in (1.0, 2.0)} | {(1.0 - 0.99) * 2.0})
+    alphas.add(0.99)
+    return sorted({(a, smallest_k(a), q) for a in alphas for q in (1.0, 2.0)} - {(0.99, 1, 1.0)})
 
 
 @pytest.mark.parametrize("refine", (2, 3))
 def test_refined_rules_nest_the_coarse_ones_bit_for_bit(refine):
-    heads = _seminorm_heads()
-    assert len(heads) == 12 and heads[0] < 0.033  # the smallest window is clipped at t = e^(-700)
-    for h in heads:
-        t, w, head_rest, tail_rest = _clipped_rule(h, 1.0, None, DEFAULT_STEP, 1)
-        fine, fine_w, fine_head, fine_tail = _clipped_rule(h, 1.0, None, DEFAULT_STEP, refine)
+    windows = _seminorm_windows()
+    assert len(windows) == 13
+    for alpha, k, q in windows:
+        t, w = seminorm_rule(alpha, k, q, DEFAULT_STEP, 1)
+        fine, fine_w = seminorm_rule(alpha, k, q, DEFAULT_STEP, refine)
         assert fine.size == refine * (t.size - 1) + 1
-        assert np.array_equal(fine[::refine], t), h
-        assert (fine_head, fine_tail) == (head_rest, tail_rest)
-        # the trapezoid on the finer grid: at a coarse node, the weight t dv over refine
-        assert np.allclose(refine * fine_w[::refine], w, rtol=1e-13, atol=0.0)
-    assert _clipped_rule(heads[0], 1.0, None, DEFAULT_STEP, 1)[0][0] == math.exp(-700.0)
+        assert np.array_equal(fine[::refine], t), (alpha, q)
+        # the trapezoid on the finer grid: away from the head, the weight dv over refine
+        assert np.allclose(refine * fine_w[refine::refine], w[1:], rtol=1e-13, atol=0.0)
     assert np.array_equal(sup_grid(200, refine)[::refine], sup_grid(200, 1))
     assert sup_grid(200, refine).size == refine * 199 + 1
     assert np.array_equal(decay_grid(119)[::2], decay_grid(60))
@@ -112,9 +134,9 @@ def test_sup_grid_is_one_shared_read_only_array():
 
 def test_log_rule_rejects_nonpositive_exponents():
     with pytest.raises(ValueError):
-        log_time_rule(head_exponent=0.0)
+        log_time_rule(-1.0, 1.0, 0.1, 0.0)
     with pytest.raises(ValueError):
-        log_time_rule(head_exponent=1.0, tail_exponent=-1.0)
+        log_time_rule(-1.0, 1.0, 0.1, 1.0, -1.0)
 
 
 @pytest.mark.parametrize("step", (-0.1, 0.0, math.nan, math.inf))
@@ -125,14 +147,16 @@ def test_rules_reject_a_step_that_is_not_finite_and_positive(step):
 
     f = HermiteExpansion(1, {(1,): 1.0, (3,): -0.5})
     calls = (
-        lambda: log_time_rule(1.0, step=step),
-        lambda: _clipped_rule(1.0, 1.0, None, step, 1),
-        lambda: _clipped_rule(1.0, 1.0, None, step, 2),
+        lambda: log_time_rule(-1.0, 1.0, step, 1.0),
+        lambda: log_time_rule(-1.0, 1.0, step, 1.0, 1.0, 2),
+        lambda: seminorm_rule(0.5, 1, 2.0, step, 1),
+        lambda: seminorm_rule(0.5, 1, 2.0, step, 2),
         lambda: besov_seminorm(f, besov_params(0.5, 2, 2), step=step),
     )
     for call in calls:
         with pytest.raises(ValueError, match="step must be finite and > 0"):
             call()
+
 
 @pytest.mark.parametrize("t", [1e-2, 0.1, 1.0, 10.0])
 def test_stable_measure_mass_is_one(t):
