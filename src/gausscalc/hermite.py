@@ -455,7 +455,8 @@ def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None, absolut
 
     Unless p is an even integer, v, which the caller owns, is first made |v|
     in place; absolute=True says it already is, so several p of one v share
-    that pass.  Integer p >= 2 forms v v in scratch, then multiplies by v
+    that pass.  Integer p >= 2 forms v v in scratch (np.square: the bits of
+    np.multiply(v, v), in about half the time), then multiplies by v
     p - 2 more times: ((v v) v) ..., within p - 1 roundings of the correctly
     rounded power, and several times faster than the float power.  At even p
     the signs need no |.|: rounding to nearest is symmetric in sign, so each
@@ -468,7 +469,7 @@ def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None, absolut
         return v
     power = np.empty_like(v) if scratch is None else scratch
     if float(p).is_integer():
-        np.multiply(v, v, out=power)
+        np.square(v, out=power)
         for _ in range(int(p) - 2):
             power *= v
     else:

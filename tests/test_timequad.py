@@ -6,7 +6,7 @@ import pytest
 from gausscalc import SubordinationRule, TimeQuadrature, log_time_rule
 from gausscalc.besov import decay_grid, seminorm_rule, smallest_k, sup_grid
 from gausscalc.harness import BOUNDEDNESS
-from gausscalc.timequad import DEFAULT_STEP, EXP_ZERO
+from gausscalc.timequad import DEFAULT_STEP, EXP_ZERO, X_KNEE, X_TAIL, end_summed_integral
 
 
 def test_validation():
@@ -45,7 +45,7 @@ def test_rules_are_cached_and_read_only():
 def test_log_rule_head_adaptation():
     # t^0.3 e^(-t) dt/t is t^0.3 to rounding below t = 1e-17, so the head's
     # run of nodes, folded into the first weight, makes the rule exact
-    t, w = log_time_rule(math.log(1e-17), math.log(48.6), 0.1, 0.3)
+    t, w = log_time_rule(math.log(1e-17), math.log(48.6), math.log(X_KNEE), 0.1, 0.3)
     val = float(np.dot(w, t**0.3 * np.exp(-t)))
     assert abs(val - math.gamma(0.3)) / math.gamma(0.3) < 1e-14
 
@@ -53,7 +53,7 @@ def test_log_rule_head_adaptation():
 def test_log_rule_tail_adaptation():
     # t^0.7 / (1 + t) dt/t is t^0.7 below t = 1e-17 and t^(-0.3) above 1e17,
     # to rounding: int_0^inf t^(a-1) / (1 + t) dt = pi / sin(pi a)
-    t, w = log_time_rule(math.log(1e-17), math.log(1e17), 0.1, 0.7, 0.3)
+    t, w = log_time_rule(math.log(1e-17), math.log(1e17), math.log(X_KNEE), 0.1, 0.7, 0.3)
     assert t[-1] >= 1e17
     val = float(np.dot(w, t**0.7 / (1.0 + t)))
     want = math.pi / math.sin(0.7 * math.pi)
@@ -75,32 +75,77 @@ def test_seminorm_and_fractional_integrals_share_one_rule_factory(monkeypatch):
     monkeypatch.setattr(timequad, "log_time_rule", spy)
     monkeypatch.setattr(besov, "log_time_rule", spy)
     besov_seminorm(HermiteExpansion.basis((2,)), besov_params(0.7, 3, 2))
-    assert [c[2:] for c in calls] == [(DEFAULT_STEP, (1.0 - 0.7) * 2.0, None, 1)]
+    # the knee sits at x = X_KNEE in the seminorm's x = q RATE_BOUND t
+    knee = math.log(X_KNEE / (2.0 * besov.RATE_BOUND))
+    assert [c[2:] for c in calls] == [(knee, DEFAULT_STEP, (1.0 - 0.7) * 2.0, None, 1)]
     t, w = besov.seminorm_rule(0.7, 1, 2.0, DEFAULT_STEP, 1)
     assert t is factory(*calls[0])[0] and w is factory(*calls[0])[1]
     calls.clear()
     fractional._derivative_integral(0.5, 1, 2.0)
     fractional._order_multiplier.__wrapped__(False, 1.0, 0.5, 4)
-    assert [c[2:] for c in calls] == [(0.1, 0.5, 0.5), (0.1, 0.5, None)]
+    knee = math.log(X_KNEE)
+    assert [c[2:] for c in calls] == [(knee, 0.1, 0.5, 0.5), (knee, 0.1, 0.5, None)]
 
 
 def test_end_weights_add_the_dropped_runs():
-    # past each end the integrand is a pure power, so the nodes beyond it add
-    # their run of trapezoid terms: the end weight is the step plus the sum
-    # over the dropped run, s sum_j e^(-a s j), a = head or tail
-    for a, b, step, refine in ((0.01, 0.02, DEFAULT_STEP, 1), (0.05, 2.5, DEFAULT_STEP, 3), (4.0, 0.3, 0.1, 2)):
-        t, w = log_time_rule(-30.0, 30.0, step, a, b, refine)
-        s = step / refine
-        j = np.arange(1, int(40.0 / (min(a, b) * s)) + 1)
-        for weight, exponent in ((w[0], a), (w[-1], b)):
-            run = math.fsum(s * np.exp(-exponent * s * j))
-            assert abs((weight - s) - run) <= 1e-13 * run, (exponent, step, refine)
-        assert np.all(w[1:-1] == s)
+    # past each end the integrand is a pure power, so the trapezoid's nodes
+    # beyond it, s_end -/+ j step, add their run of mapped terms
+    # step v'(s) e^(+/-a (v(s) - v(s_end))), a = head or tail; the interior
+    # weights are step v'(s) at nodes one step apart in s
+    for a, b, knee, step, refine in (
+        (0.01, 0.02, -20.0, DEFAULT_STEP, 1),
+        (0.05, 2.5, -20.0, DEFAULT_STEP, 3),
+        (4.0, 0.3, -35.0, 0.1, 2),
+        (0.01, 0.02, 30.0, 0.1, 1),  # the whole window at or below the knee
+    ):
+        t, w = log_time_rule(-30.0, 30.0, knee, step, a, b, refine)
+        h = step / refine
+        s = np.log(t[1:-1]) + (w[1:-1] / h - 1.0)  # log t = s - e^(-(s - knee)), w = h (1 + e^(-(s - knee)))
+        assert np.allclose(w[1:-1], h * (1.0 + np.exp(knee - s)), rtol=1e-13, atol=0.0)
+        assert np.allclose(np.diff(s), h, rtol=0.0, atol=1e-12)
+        v = lambda x: x - np.exp(knee - x)  # noqa: E731
+        first, last = s[0] - h, s[-1] + h
+        assert abs(v(first) - -30.0) <= 1e-12 and v(last) >= 30.0 > v(last - step)
+        j = np.arange(1, int(80.0 / (b * h)) + 1)  # the tail run to e^(-80)
+        head = s[0] - h - h * np.arange(1, int(400.0 / h))  # stretch <= e^(400 + 5): the run underflows well before
+        head_run = h * (1.0 + np.exp(knee - head)) * np.exp(a * (v(head) - v(first)))
+        tail = last + h * j
+        tail_run = h * (1.0 + np.exp(knee - tail)) * np.exp(-b * (h * j + np.exp(knee - last) * -np.expm1(-h * j)))
+        for weight, node, run in ((w[0], first, head_run), (w[-1], last, tail_run)):
+            dropped = math.fsum(run)
+            assert abs((weight - h * (1.0 + math.exp(knee - node))) - dropped) <= 1e-13 * dropped, (a, b, knee, refine)
     # a whole rule against its integral: t^(h-1) e^(-t) for h = 0.01 gives Gamma(h)
     h = 0.01
-    t, w = log_time_rule(math.log(1e-17), math.log(48.0 + 2.0 * h), DEFAULT_STEP, h)
+    t, w = log_time_rule(math.log(1e-17), math.log(48.0 + 2.0 * h), math.log(X_KNEE), DEFAULT_STEP, h)
     val = float(np.dot(w, t**h * np.exp(-t)))
     assert abs(val - math.gamma(h)) <= 1e-14 * math.gamma(h)
+
+
+@pytest.mark.parametrize("refine", (1, 2, 3))
+def test_rule_weights_are_finite_without_warnings(refine):
+    # end runs of a tiny head exponent reach stretches near 1e8 before they
+    # die out, and a knee far below the window makes the stretch 0; no exp
+    # may overflow and nothing divide by 0 (pyproject makes a RuntimeWarning
+    # an error)
+    for knee in (-800.0, -40.0, -20.0, math.log(X_KNEE), 4.0):
+        for head in (1e-6, 0.01, 1.0, 150.0):
+            for tail in (None, 0.02, 3.0):
+                t, w = log_time_rule(-37.0, 4.0, knee, DEFAULT_STEP, head, tail, refine)
+                assert np.all(np.isfinite(t)) and np.all(np.isfinite(w)) and np.all(w > 0), (knee, head, tail)
+
+
+def test_end_summed_rules_stay_short():
+    # the fractional integrals' window [1e-17, 48 + 2 beta] in x = root t thins out below the knee:
+    # 92 nodes at x_tail = 48 and 111 at beta = 150, the largest the potentials' tail edge covers
+    sizes = []
+
+    def fn(t):
+        sizes.append(t.size)
+        return t * np.exp(-2.0 * t)  # int_0^inf e^(-2t) dt = 1/2
+
+    for x_tail in (X_TAIL, X_TAIL + 2.0 * 150.0):
+        assert abs(end_summed_integral(fn, 2.0, 1.0, x_tail=x_tail) - 0.5) <= 1e-15
+    assert max(sizes) <= 120, sizes
 
 
 def _seminorm_windows():
@@ -134,9 +179,16 @@ def test_sup_grid_is_one_shared_read_only_array():
 
 def test_log_rule_rejects_nonpositive_exponents():
     with pytest.raises(ValueError):
-        log_time_rule(-1.0, 1.0, 0.1, 0.0)
+        log_time_rule(-1.0, 1.0, -2.0, 0.1, 0.0)
     with pytest.raises(ValueError):
-        log_time_rule(-1.0, 1.0, 0.1, 1.0, -1.0)
+        log_time_rule(-1.0, 1.0, -2.0, 0.1, 1.0, -1.0)
+
+
+def test_log_rule_rejects_a_knee_above_the_window():
+    # the tail sum's series would overflow to NaN weights for a knee far above v_max
+    log_time_rule(-1.0, 1.0, 1.0, 0.1, 1.0, 1.0)
+    with pytest.raises(ValueError, match="knee must not lie above v_max"):
+        log_time_rule(-1.0, 1.0, 1.5, 0.1, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("step", (-0.1, 0.0, math.nan, math.inf))
@@ -147,8 +199,8 @@ def test_rules_reject_a_step_that_is_not_finite_and_positive(step):
 
     f = HermiteExpansion(1, {(1,): 1.0, (3,): -0.5})
     calls = (
-        lambda: log_time_rule(-1.0, 1.0, step, 1.0),
-        lambda: log_time_rule(-1.0, 1.0, step, 1.0, 1.0, 2),
+        lambda: log_time_rule(-1.0, 1.0, -2.0, step, 1.0),
+        lambda: log_time_rule(-1.0, 1.0, -2.0, step, 1.0, 1.0, 2),
         lambda: seminorm_rule(0.5, 1, 2.0, step, 1),
         lambda: seminorm_rule(0.5, 1, 2.0, step, 2),
         lambda: besov_seminorm(f, besov_params(0.5, 2, 2), step=step),
