@@ -15,8 +15,8 @@ kept in a separate block that comparisons can drop.  Every Besov term comes
 from besov._besov_terms, which picks the seminorm or A_k by q and builds the
 grids of both resolutions; the harness only names k = smallest_k(alpha).  A
 boundedness row evaluates the terms of all its members and ps at once for
-each (alpha, beta, q): one _besov_terms call for the distinct images and one
-for the sources make the time grids once (and, in a large family, the
+each (alpha, beta, q): one _besov_terms call for the images and one for
+the sources make the time grids once (and, in a large family, the
 Poisson factors), and norm curves for several p share one orbit table and
 one basis product per Gauss-Hermite grid.  The lemmas' nested-space and
 k-independence records likewise make one call per setting for the whole
@@ -101,6 +101,7 @@ class ExperimentConfig:
             (self.sup_points >= 16, "sup_points >= 16"),
             (0 < self.t_step < math.inf, "finite t_step > 0"),
             (self.fmt in ("", "json", "csv", "text"), "fmt in {json, csv, text}"),
+            *((getattr(self, f.name) >= 0, f"{f.name} >= 0") for f in fields(self) if f.name.startswith("tol_")),
         ):
             if not ok:
                 raise ValueError(f"invalid config: requires {requirement}")
@@ -297,12 +298,14 @@ def emit_report(report: TheoremReport, fmt: str = "json", path: str | None = Non
 # -- shared machinery ----------------------------------------------------------------
 
 
-# Only source totals repeat: rows that share a source smoothness (the two
-# potentials at alpha = 0.5, the two derivatives at 0.7 and at 1.6) share
-# every denominator, and lemmas reuses a few.  Numerators never repeat.  A
-# default verify-all pass needs 3 alphas x 2 q x 2 resolutions x 50 members
-# = 600 denominator entries, 6 for the scaled source and about 90 for lemmas.
-_TOTALS = _LRUCache(1024)
+# Only source totals repeat, a whole family call at a time: rows that share a
+# source smoothness (the two potentials at alpha = 0.5, the two derivatives
+# at 0.7 and at 1.6) make the same call.  Numerators never repeat.  The
+# budget counts totals, not entries, so it bounds the memo at any family
+# size.  A default verify-all pass keeps 716 totals in 23 entries: per alpha
+# and q, 100 for the 50 members' two resolutions and 1 for the scaled source,
+# and 110 in lemmas' 11 calls on its sample of 10; at three ps, 1,928.
+_TOTALS = _LRUCache(2048, lambda totals: len(totals) * len(totals[0]))
 
 
 def _coeff_key(f: HermiteExpansion) -> tuple:
@@ -313,42 +316,28 @@ def _coeff_key(f: HermiteExpansion) -> tuple:
 def _besov_totals(fs, alpha, ps, q, step, sup_points, refine) -> list[list[list[float]]]:
     """Besov norm totals memoized in _TOTALS, per member of fs as in besov._besov_terms: per resolution, per p.
 
-    A total is keyed by (f, alpha, p, q, step, sup_points, r), with r = 1
-    at the coarse resolution, the one besov_total looks up, and r = refine
-    at the refined one.  A call computes, for each distinct member (equal
-    members share their entries), only the ps that miss an entry at some
-    resolution, and stores them at every resolution; the members that miss
-    the same ps share one evaluation, so the members of a boundedness row
-    make at most one per q.  Keys are typed, like
-    lru_cache(typed=True), so an int and a float argument never share an
-    entry.  A key holds f's exact coefficients as bytes, in f's own order,
-    the order lp_norm sums them in: a hit is always the bits a cold call
-    gives, and the memo keeps no expansion alive.
+    An entry is keyed by (fs, alpha, p, q, step, sup_points, refine) and
+    holds every member's totals for that p, one per resolution.  A call
+    computes the ps that miss in one _besov_terms call for the whole family.
+    Keys are typed, like lru_cache(typed=True), so an int and a float
+    argument never share an entry.  A key holds each member's exact
+    coefficients as bytes, in its own order, the order lp_norm sums them in:
+    a hit is always the bits a cold call gives, and the memo keeps no
+    expansion alive.
     """
-    levels = sorted({1, refine})
-    ids = [_coeff_key(f) for f in fs]
-    entries = {}  # one (f, keys, values) per distinct expansion, so equal members are evaluated once
-    for f, (d, coeffs) in zip(fs, ids):
-        if (d, coeffs) not in entries:
-            keys = [[(d, coeffs, alpha, p, q, step, sup_points, r) for p in ps] for r in levels]
-            keys = [[key + tuple(map(type, key[2:])) for key in row] for row in keys]
-            entries[d, coeffs] = f, keys, [[_TOTALS.get(key) for key in row] for row in keys]
-    misses = {}  # the indices of the ps to compute -> the entries that miss them
-    for entry in entries.values():
-        new = tuple(i for i in range(len(ps)) if any(row[i] is None for row in entry[2]))
-        if new:
-            misses.setdefault(new, []).append(entry)
-    k = bz.smallest_k(alpha)
-    for new, group in misses.items():
+    members = tuple(_coeff_key(f) for f in fs)
+    keys = [(members, alpha, p, q, step, sup_points, refine) for p in ps]
+    keys = [key + tuple(map(type, key[1:])) for key in keys]
+    totals = [_TOTALS.get(key) for key in keys]
+    new = [i for i, entry in enumerate(totals) if entry is None]
+    if new:
         new_ps = tuple(ps[i] for i in new)
-        terms = bz._besov_terms([f for f, _, _ in group], alpha, new_ps, q, k, step, sup_points, refine)
-        for (f, keys, values), member_terms in zip(group, terms):
-            lps = [bz.lp_norm(f, p) for p in new_ps]
-            for row_keys, row_values, row_terms in zip(keys, values, member_terms):
-                for i, lp, term in zip(new, lps, row_terms):
-                    row_values[i] = lp + term
-                    _TOTALS.put(row_keys[i], row_values[i])
-    return [entries[i][2] for i in ids]
+        terms = bz._besov_terms(fs, alpha, new_ps, q, bz.smallest_k(alpha), step, sup_points, refine)
+        lps = [[bz.lp_norm(f, p) for p in new_ps] for f in fs]
+        for j, i in enumerate(new):
+            totals[i] = [[lp[j] + level[j] for level in member_terms] for lp, member_terms in zip(lps, terms)]
+            _TOTALS.put(keys[i], totals[i])
+    return [[list(level) for level in zip(*member)] for member in zip(*totals)]
 
 
 def besov_total(f, alpha, p, q, step=DEFAULT_STEP, sup_points=bz.SUP_POINTS) -> float:
@@ -364,8 +353,7 @@ def _ratio_suites(report, cfg, family, operator, source_alpha, target_alpha, ps,
     """Norm ratios target/source for one operator, one suite per (p, q), p-major.
 
     Each member's image and its L^p norms are computed once.  At each q one
-    besov._besov_terms call for the members' distinct images (equal
-    members have equal images, evaluated once), and one memo call for
+    besov._besov_terms call for the members' images, and one memo call for
     their sources (_besov_totals), give the Besov terms of every member and
     every p at both time resolutions.  The scaled source and its image are
     coarse-only calls of their own: in a small family, a refined curve for
@@ -376,13 +364,9 @@ def _ratio_suites(report, cfg, family, operator, source_alpha, target_alpha, ps,
     lp_images = [[bz.lp_norm(g, p) for p in ps] for g in images]
     k = bz.smallest_k(target_alpha)
     step, points = cfg.t_step, cfg.sup_points
-    keys = [_coeff_key(g) for g in images[:-1]]
-    distinct = dict(zip(keys, images[:-1]))  # equal images share an entry
     suites = {}
     for q in qs:
-        distinct_terms = bz._besov_terms(list(distinct.values()), target_alpha, ps, q, k, step, points, cfg.refine)
-        by_key = dict(zip(distinct, distinct_terms))
-        terms = [by_key[key] for key in keys]
+        terms = bz._besov_terms(images[:-1], target_alpha, ps, q, k, step, points, cfg.refine)
         terms += bz._besov_terms(images[-1:], target_alpha, ps, q, k, step, points, 1)
         dens = _besov_totals(family, source_alpha, ps, q, step, points, cfg.refine)
         dens += _besov_totals([f0], source_alpha, ps, q, step, points, 1)

@@ -45,7 +45,7 @@ def rel_coeff_err(got, want):
 # -- orders and constants -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("beta", (0.0, -0.5))
+@pytest.mark.parametrize("beta", (0.0, -0.5, math.nan))
 def test_operators_reject_nonpositive_beta(beta):
     for op in (
         riesz_potential,
@@ -98,14 +98,15 @@ def test_c_beta_k_rejects_k_not_above_beta():
         c_beta(1.2)
 
 
-@pytest.mark.parametrize("beta", (0.02, 0.3, 0.5, 0.9, 0.99, 0.999, 1.2, 1.5, 1.99, 2.5, 2.98))
+@pytest.mark.parametrize("beta", (0.02, 0.3, 0.5, 0.9, 0.99, 0.999, 1.2, 1.5, 1.99, 2.5, 2.98, 10.5, 30.5, 49.99))
 def test_derivative_integral_matches_its_closed_form(beta):
-    # int t^(-beta-1) (e^(-t r) - 1)^k dt = r^beta Gamma(-beta) sum_j C(k, j) (-1)^(k-j) j^beta
+    # int t^(-beta-1) (e^(-t r) - 1)^k dt = r^beta Gamma(-beta) sum_j C(k, j) (-1)^(k-j) j^beta;
+    # the sum cancels about beta log10(k) - log10(Gamma(beta + 1)) digits, so the precision grows with k
     from gausscalc.fractional import _derivative_integral
 
     k = math.floor(beta) + 1
     for root in (1.0, 2.0, 1.0 + math.sqrt(8.0), 1.0 + math.sqrt(24.0)):
-        with mpmath.workdps(40):
+        with mpmath.workdps(40 + k):
             b = mpmath.mpf(beta)
             terms = sum(math.comb(k, j) * (-1) ** (k - j) * mpmath.mpf(j) ** b for j in range(1, k + 1))
             want = float(mpmath.mpf(root) ** b * mpmath.gamma(-b) * terms)
@@ -120,6 +121,42 @@ def test_potential_multipliers_match_their_closed_forms(beta):
         riesz, bessel = n ** (-beta / 2.0), (1.0 + math.sqrt(n)) ** (-beta)
         assert abs(_order_multiplier(False, 0.0, beta, n) - riesz) <= 1e-13 * riesz, n
         assert abs(_order_multiplier(False, 1.0, beta, n) - bessel) <= 1e-13 * bessel, n
+
+
+def test_integral_multipliers_match_their_closed_forms_at_every_accepted_beta():
+    # every form accepts 0 < beta <= BETA_MAX, and on a 0.05 grid up to it
+    # each order-n multiplier is within 1e-13 of root^(-beta) (potentials) or
+    # root^beta (derivatives), root = sqrt(n) for Riesz and 1 + sqrt(n) for Bessel
+    from gausscalc.fractional import BETA_MAX, _order_multiplier
+
+    betas = [i / 20 for i in range(1, round(20 * BETA_MAX) + 1)]
+    assert betas[-1] == BETA_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in betas:
+            for damping in (0.0, 1.0):
+                for n in (1, 2, 9, 24, 100):
+                    root = damping + math.sqrt(n)
+                    for derivative, want in ((False, root**-beta), (True, root**beta)):
+                        got = _order_multiplier(derivative, damping, beta, n)
+                        assert abs(got - want) <= 1e-13 * want, (beta, damping, n, derivative)
+
+
+@pytest.mark.parametrize("beta", (50.25, 60.0, 150.0, 200.0, 1e300, math.inf))
+def test_integral_forms_refuse_beta_above_beta_max(beta):
+    # past BETA_MAX the potentials' rule aliases, then overflows, and Gamma(beta) overflows past 171.6
+    for op in (riesz_potential_integral, bessel_potential_integral, riesz_derivative_integral, bessel_derivative_integral):
+        with pytest.raises(ValueError, match="beta must be <= 50 in the integral forms"):
+            op(MIX, beta)
+    with pytest.raises(ValueError, match="beta must be <= 50 in the integral forms"):
+        c_beta_k(beta, 400)
+
+
+@pytest.mark.parametrize("op", (riesz_derivative, bessel_derivative))
+def test_spectral_multiplier_past_the_float_range_is_a_value_error(op):
+    with pytest.raises(ValueError, match=r"beta = 1e\+300 takes a spectral multiplier"):
+        op(MIX, 1e300)
+    assert op(H0, 1e300).coefficient((0,)) == (0.0 if op is riesz_derivative else 1.0)
 
 
 def test_derivative_multiplier_is_one_at_root_one():

@@ -316,25 +316,23 @@ def test_smoothness_memo_misses_on_every_key():
 
 
 def test_paired_totals_serve_besov_total_with_the_bits_of_a_cold_call():
-    # a boundedness row stores each coarse total of a paired evaluation under
-    # besov_total's key, and each refined one under a key with refine
+    # a boundedness row stores one entry per p for its source family, holding
+    # every member's coarse and refined totals: the same family call made
+    # again hits one entry per p, and each coarse total is the bits of a cold
+    # besov_total call for the member alone
     from gausscalc import harness
 
     cfg = ExperimentConfig(family_size=3, max_degree=6, ps=(1.0, 2.0, 3.0))
     family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
     qs = (2.0, math.inf)
-    args = [(f, 0.7, p, q, cfg.t_step, cfg.sup_points) for f in family for q in qs for p in cfg.ps]
     harness._TOTALS.cache_clear()
     assert run_experiment("riesz-derivative-bounded-lt1", cfg).passed
     hits = harness._TOTALS.hits
-    warm = [besov_total(*a) for a in args]
-    paired = [
-        harness._besov_totals([f], 0.7, cfg.ps, q, cfg.t_step, cfg.sup_points, cfg.refine)[0] for f in family for q in qs
-    ]
-    assert harness._TOTALS.hits == hits + 3 * len(args)  # every coarse and every refined total
-    assert [total for coarse, _ in paired for total in coarse] == warm
+    paired = [harness._besov_totals(family, 0.7, cfg.ps, q, cfg.t_step, cfg.sup_points, cfg.refine) for q in qs]
+    assert harness._TOTALS.hits == hits + len(qs) * len(cfg.ps)
     harness._TOTALS.cache_clear()
-    assert warm == [besov_total(*a) for a in args]
+    cold = [[besov_total(f, 0.7, p, q, cfg.t_step, cfg.sup_points) for p in cfg.ps] for q in qs for f in family]
+    assert [coarse for totals in paired for coarse, _ in totals] == cold
 
 
 def test_lemmas_decay_records_are_kdecay_report_bits():
@@ -367,21 +365,17 @@ def test_lemmas_k_independence_records_follow_t_step():
         assert ratios[f"k-independence[alpha={a:g},q={q:g}]"] == max(max(spread), 1.0 / min(spread))
 
 
-def test_totals_evaluate_equal_members_once(monkeypatch):
-    # a family may hold equal members (single chaoses of one sign); they share
-    # their memo entries, as when each was looked up after the other
-    from gausscalc import besov, harness
+def test_totals_give_equal_members_equal_bits():
+    # a family may hold equal members (single chaoses of one sign); each is
+    # evaluated in the family call, with the bits of a call for it alone
+    from gausscalc import harness
     from gausscalc.besov import SUP_POINTS
     from gausscalc.timequad import DEFAULT_STEP
 
     f, g = gen_family(5, 1, 2, 6)
-    sizes = []
-    terms = besov._besov_terms
-    monkeypatch.setattr(besov, "_besov_terms", lambda fs, *rest: sizes.append(len(fs)) or terms(fs, *rest))
     harness._TOTALS.cache_clear()
     rest = (0.5, (2.0, 3.0), 2.0, DEFAULT_STEP, SUP_POINTS, 2)
     totals = harness._besov_totals([f, g, 1.0 * f], *rest)
-    assert sizes == [2]
     assert totals[2] == totals[0] != totals[1]
     harness._TOTALS.cache_clear()
     assert totals == [harness._besov_totals([h], *rest)[0] for h in (f, g, f)]
@@ -518,7 +512,6 @@ def test_row_shares_p2_tables_at_q_inf(monkeypatch):
 
     cfg = ExperimentConfig(qs=(math.inf,))
     family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
-    distinct = len({json.dumps(f.to_dict()) for f in family})
     calls, chunks = [], []
 
     def count(name):
@@ -536,12 +529,13 @@ def test_row_shares_p2_tables_at_q_inf(monkeypatch):
     harness._TOTALS.cache_clear()
     assert run_experiment("riesz-potential-bounded", cfg).passed
     assert min(chunks) > 1
-    assert sum(chunks) == 2 * distinct  # images and sources, equal members once each
+    assert sum(chunks) == 2 * len(family)  # images and sources
     assert (calls.count("_lp_norms"), calls.count("norm_curve")) == (2 * len(chunks) + 4, 2)
 
 
-def test_row_evaluates_equal_images_once(monkeypatch):
-    # members 1 and 36 of the default family are equal, so are their images
+def test_row_gives_equal_images_equal_ratios(monkeypatch):
+    # members 1 and 36 of the default family are equal, so are their images;
+    # each member is evaluated in the family calls, and the two get equal ratios
     from gausscalc import besov, harness
 
     cfg = ExperimentConfig()
@@ -552,7 +546,7 @@ def test_row_evaluates_equal_images_once(monkeypatch):
     monkeypatch.setattr(besov, "_besov_terms", lambda fs, *rest: sizes.append(len(fs)) or terms(fs, *rest))
     harness._TOTALS.cache_clear()
     report = run_experiment("riesz-potential-bounded", cfg)
-    assert sorted(sizes) == [1, 1, 1, 1, 49, 49, 49, 49]  # per q: images and sources, the scaled pair
+    assert sorted(sizes) == [1, 1, 1, 1, 50, 50, 50, 50]  # per q: images and sources, the scaled pair
     ratios = {r["label"]: r["ratio"] for r in report.ratios}
     for q in ("2", "inf"):
         assert ratios[f"f001[alpha=0.5,p=2,q={q}]"] == ratios[f"f036[alpha=0.5,p=2,q={q}]"]
@@ -624,6 +618,20 @@ def test_cli_failing_invariant_exits_one(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("tol_inversion = 0\nfamily_size = 4\n")
     assert cli_main(["run", "inversion", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize(
+    "experiment,beta,message",
+    [
+        ("oracles", "200", "beta must be <= 50 in the integral forms, got beta = 200"),
+        ("inversion", "1e300", "beta = 1e+300 takes a spectral multiplier of f past the float range"),
+    ],
+)
+def test_cli_beta_out_of_range_is_usage_error(tmp_path, capsys, experiment, beta, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"betas = {beta}\nfamily_size = 2\nmax_degree = 4\n")
+    assert cli_main(["run", experiment, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"gausscalc: {message}\n"
 
 
 def test_cli_verify_all_hypothesis_violation_is_usage_error(tmp_path, capsys):
@@ -706,6 +714,8 @@ def test_cli_rejects_a_t_step_that_is_not_finite(tmp_path, capsys, value):
         ("max_degree = -1", "max_degree >= 0"),
         ("sup_points = 1", "sup_points >= 16"),
         ("t_step = 0", "t_step > 0"),
+        ("tol_ratio_stability = nan", "tol_ratio_stability >= 0"),
+        ("tol_inversion = -1", "tol_inversion >= 0"),
     ],
 )
 def test_config_validation(tmp_path, capsys, line, requirement):
