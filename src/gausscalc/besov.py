@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hermite import HermiteExpansion, _abs_moment_exact_1d, _check_p, _lp_norms, default_grid, lp_norm
-from .timequad import DEFAULT_STEP, X_KNEE, X_TAIL, TimeQuadrature, _split_steps, log_time_rule
+from .timequad import DEFAULT_STEP, X_TAIL, TimeQuadrature, _split_steps, log_time_rule
 
 __all__ = [
     "BesovParams",
@@ -54,6 +54,15 @@ __all__ = [
 ]
 
 MAX_P = 8.0
+# The largest finite q.  A q-th power scaled by a power of two from its
+# curve's maximum (_power_mean) keeps its peak term above 2^-q, a normal
+# float up to q = 1022, and the seminorm's peak in log t, about 1/sqrt(hq)
+# wide at h = k - alpha, spans 2.9 steps of 0.02 at hq = 300 (alpha = 0.7),
+# where the trapezoid's error e^(-2 pi^2 / (hq step^2)) is 1e-71.
+MAX_Q = 1000.0
+# The largest log of an orbit factor sqrt(n)^k (_check_orbit_range): e^9.8
+# below the float maximum, room for a coefficient and the norms' sums.
+MAX_LOG_FACTOR = 700.0
 
 
 def smallest_k(alpha: float) -> int:
@@ -80,10 +89,41 @@ class BesovParams:
         if not isinstance(self.k, (int, np.integer)):
             raise ValueError(f"k must be an integer, got k = {self.k!r}")
         _check_p(self.p)
-        if self.q < 1:
-            raise ValueError("q must be >= 1 (or inf)")
+        _check_q(self.q)
         if self.k <= self.alpha:
             raise ValueError(f"need k > alpha (k = {self.k}, alpha = {self.alpha})")
+
+
+def _check_q(q: float):
+    """The one check on a summability exponent: q in [1, MAX_Q] or inf (NaN is refused too)."""
+    if not q >= 1:
+        raise ValueError(f"q must be >= 1 (or inf), got q = {q}")
+    if MAX_Q < q < math.inf:
+        raise ValueError(f"q = {q} beyond the supported range (q <= {MAX_Q:g}, or q = inf)")
+
+
+def _check_orbit_range(k: int, degree: int, alpha: float | None = None):
+    """Refuse a k whose orbit factors (-sqrt(n))^k, n <= degree, leave the float range; the message names alpha if given."""
+    if degree > 1 and 0.5 * k * math.log(degree) > MAX_LOG_FACTOR:
+        name = f"k = {k}" if alpha is None else f"alpha = {alpha} (k = {k})"
+        raise ValueError(
+            f"{name} takes the orbit factor sqrt(n)^k of degree n = {degree}"
+            f" to e^{0.5 * k * math.log(degree):.0f}, beyond the float range"
+        )
+
+
+def _power_mean(w: np.ndarray, weight: np.ndarray, c: np.ndarray, q: float) -> float:
+    """(w @ (weight c)^q)^(1/q), weight c >= 0 scaled by the power of two 2^-e that brings its maximum into [1/2, 1).
+
+    The scale is exact, so at q = 1 and 2 the value has the bits of the
+    unscaled sum (barring subnormals), and the q-th powers neither overflow
+    nor underflow at any q <= MAX_Q.
+    """
+    v = weight * c
+    e = math.frexp(v.max())[1]  # 0 for a zero or non-finite maximum
+    np.ldexp(v, -e, out=v)
+    v **= q
+    return math.ldexp(float(np.dot(w, v)) ** (1.0 / q), e)
 
 
 def besov_params(alpha: float, p: float, q: float, k: int | None = None) -> BesovParams:
@@ -170,15 +210,16 @@ def _orbit_norms(f: HermiteExpansion, items, k: int, ps, decay: np.ndarray) -> n
     own; they are passed through besov's bindings so that a spy on those
     sees the route of a curve.
     """
-    _check_orbit(k, ps)
+    _check_orbit(k, ps, f.degree)
     coef_t = _orbit_table(items, k, decay)
     return _lp_norms(f, [nu for nu, _ in items], coef_t, ps, grid=default_grid, moments=_abs_moment_exact_1d)
 
 
-def _check_orbit(k: int, ps):
-    """The checks on a norm curve's order k and exponents ps."""
+def _check_orbit(k: int, ps, degree: int):
+    """The checks on a norm curve's order k and exponents ps, for expansions up to this degree."""
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise ValueError(f"k must be an integer >= 0, got k = {k!r}")
+    _check_orbit_range(k, degree)
     for p in ps:
         _check_p(p)
         if p > MAX_P:
@@ -207,22 +248,38 @@ def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAU
 # covers degree 10^4; at a degree N past that the error grows like
 # (sqrt(N) / R)^(hq+1) 2^-53, so no degree is refused.  Every order n >= 1
 # decays like e^(-t sqrt(n)), so c^q decays at least like e^(-x) in x = q t:
-# the rule stops at x = X_TAIL + 2 hq, past which x^(hq) e^(-x) holds under
-# 1e-18 of Gamma(hq) at every hq <= 150.  The window depends on (alpha, k, q)
+# the rule stops at x = X_TAIL + 2 hq, past which the integral of x^(hq-1)
+# e^(-x) holds under 1e-18 of Gamma(hq) at every hq <= 3000.  The window depends on (alpha, k, q)
 # alone, never on a member, so each member keeps the bits of its own call.
-# The rule's knee sits at x = X_KNEE, log t = a = log(X_KNEE / (q R)); below
-# it the nodes thin out toward the head, where c^q hardly varies.  The map
-# log t = v(s) = s - e^(-(s - a)) stretches the log step by v'(s) = 1 +
-# e^(-(s - a)): on the strip |Im s| < pi/2 of the trapezoid's error bound it
-# turns t = e^v(s) by up to e^(-(s - a)) past the |arg t| < pi/2 of a plain
-# log rule, while |t| <= e^(Re s) holds.  At Re s >= a that turn gives
-# -Re t <= |t| e^(-(Re s - a)) <= e^a; at Re s <= a, |t| <= e^a.  Either way
-# an order of degree up to R^2, e^(-t sqrt(n)) with sqrt(n) <= R, grows by at
-# most e^(R e^a) = e^(X_KNEE / q) on the strip, and c^q by e^X_KNEE: 1.22 at
-# X_KNEE = 0.2, which costs no digit.  A larger knee thins more nodes; at
-# degree 8 every knee from 0.05 to 2 (719 to 543 nodes at alpha = 0.7, q = 2)
-# matched a step-0.005 plain log rule as closely as the plain rule at 0.02.
+# The rule's knee sits at x = SEMINORM_KNEE, log t = a = log(SEMINORM_KNEE /
+# (q R)); below it the nodes thin out toward the head.  The map log t = v(s)
+# = s - e^(-(s - a)) stretches the log step by v'(s) = 1 + e^(-(s - a)): on
+# the strip |Im s| < pi/2 of the trapezoid's error bound it turns t = e^v(s)
+# by up to e^(-(s - a)) past the |arg t| < pi/2 of a plain log rule, while
+# |t| <= e^(Re s) holds.  At Re s >= a that turn gives -Re t <= |t| e^(-(Re s
+# - a)) <= e^a; at Re s <= a, |t| <= e^a.  Either way an order of degree up
+# to R^2, e^(-t sqrt(n)) with sqrt(n) <= R, grows by at most e^(R e^a) =
+# e^(SEMINORM_KNEE / q) on the strip, and c^q by e^SEMINORM_KNEE: 4.9e8 at
+# 20, against a strip error e^(-pi^2 / step) of 1e-214 at step 0.02.  Where
+# c is analytic, at p = 2 and even p, the knee thus costs no digit up to far
+# larger x; it no longer bounds strip growth but the resolution of the kinks
+# of the odd-p curves (where real roots of u^(k)(., t) meet), which the
+# wider steps below it sample more coarsely.  Worst relative error against a
+# step-0.005 plain log rule (knee 0.2) over 8 members of each family, at
+# (alpha, q) = (0.7, 2), (0.5, 1), (1.6, 2) and (0.4, 4): the knee at 0.2,
+# its rule shifted by 0 to 3/4 of a step, against the knee at 20.
+#
+#   family         p = 1                p = 1.5              p = 3
+#   d = 1, N = 8   0.8-1.7e-7 | 2.0e-7  2.8-4.3e-8 | 3.8e-8  0.7-4.8e-13 | 3.5e-13
+#   d = 1, N = 16  0.8-1.8e-7 | 1.5e-7  2.2-2.4e-8 | 3.9e-8  1.2-3.7e-15 | 1.5e-15
+#   d = 2, N = 8   1.3-2.4e-7 | 3.2e-7  2.5-3.3e-9 | 6.1e-9  1.1-1.9e-13 | 5.5e-13
+#
+# p = 2 and 4 stay within 4.1e-16 either way.  At p = 1 and 1.5 the knees
+# 7, 10, 14 and 20 stay within twice the old rule's shift band; at 50, p = 3
+# reaches 1.1e-12 in d = 2.  At alpha = 0.7, q = 2 the rule has 434 nodes at
+# step 0.02 (653 at the knee 0.2, 484 at 7).
 RATE_BOUND = 100.0
+SEMINORM_KNEE = 20.0
 
 
 def seminorm_rule(alpha: float, k: int, q: float, step: float, refine: int) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +287,7 @@ def seminorm_rule(alpha: float, k: int, q: float, step: float, refine: int) -> t
     hq = (k - alpha) * q
     x0 = math.exp((math.lgamma(hq + 1.0) - 53.0 * math.log(2.0)) / (hq + 1.0))
     rate = q * RATE_BOUND
-    v_min, v_max, knee = math.log(x0 / rate), math.log((X_TAIL + 2.0 * hq) / q), math.log(X_KNEE / rate)
+    v_min, v_max, knee = math.log(x0 / rate), math.log((X_TAIL + 2.0 * hq) / q), math.log(SEMINORM_KNEE / rate)
     return log_time_rule(v_min, v_max, knee, step, hq, None, refine)
 
 
@@ -358,10 +415,11 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
     q < inf the long rules make shared tables slower, so no table is
     shared there.
     """
-    if not q >= 1:
-        raise ValueError(f"q must be >= 1 (or inf), got q = {q}")
+    _check_q(q)
     if not 0 <= alpha < k:
         raise ValueError(f"need 0 <= alpha < k, got alpha = {alpha}, k = {k}")
+    degree = max(f.degree for f in fs)
+    _check_orbit_range(k, degree, alpha)
     levels = (1, refine) if refine > 1 else (1,)
     if math.isinf(q):
         rules = [(sup_grid(points, r),) for r in levels]
@@ -378,12 +436,12 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
         if math.isinf(q):
             return _polished_sups(f, alpha, k, ps, grids, [w * c for w, c in level_curves])
         return [
-            [float(np.dot(w, (level_weight * c) ** q)) ** (1.0 / q) for c in level]
+            [_power_mean(w, level_weight, c, q) for c in level]
             for (_, w), (level_weight, level) in zip(rules, level_curves)
         ]
 
     if len(fs) > 1 and math.isinf(q) and all(p == 2 for p in ps):
-        _check_orbit(k, ps)
+        _check_orbit(k, ps, degree)
         indices = len({nu for items in supports for nu, _ in items})
         size = max(1, SHARED_TABLE_BYTES // (8 * ts.size * max(indices, 1)))
         strides = [refine // r for r in levels]

@@ -482,6 +482,23 @@ def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None, absolut
 # (nodes, T) table, 11 MB at T = 840, streams from memory.
 TIME_BLOCK = 32
 
+# Bytes of _quadrature_norms' two block buffers that a thread keeps between
+# calls.  The pair of the default and wide configs, d = 2 at degree 8, is
+# 1.6 MB (1600 nodes, 63 columns); a call that needs more than the cap, such
+# as 138 MB at MAX_NODES_PER_AXIS in d = 2, allocates its pair for itself.
+BLOCK_BUFFER_BYTES = 4 * 2**20
+_block_buffers = threading.local()
+
+
+def _buffer_pair(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two float buffers of at least size elements: this thread's pair, grown to size while it fits the cap."""
+    pair = getattr(_block_buffers, "pair", None)
+    if pair is None or pair[0].size < size:
+        pair = np.empty(size), np.empty(size)
+        if 2 * pair[0].nbytes <= BLOCK_BUFFER_BYTES:
+            _block_buffers.pair = pair
+    return pair
+
 
 def _quadrature_norms(phi: np.ndarray, bound: np.ndarray, coef: np.ndarray, ps, weights: np.ndarray) -> np.ndarray:
     """(weights @ |phi @ coef[:, t]|^p)^(1/p) for every p in ps and every column t of an (S, T) coefficient table.
@@ -494,8 +511,9 @@ def _quadrature_norms(phi: np.ndarray, bound: np.ndarray, coef: np.ndarray, ps, 
     its values into [1/2, 1) without rounding, and its norm is scaled back
     by 2^(e_t): every value is at most 1 in size, so neither the values nor
     their p-th powers overflow at high degree, and tiny columns do not
-    underflow.  The columns go in blocks of TIME_BLOCK, in two buffers
-    allocated once per call, so memory does not grow with T.  Each block
+    underflow.  The columns go in blocks of TIME_BLOCK, in two buffers that
+    the calling thread keeps up to BLOCK_BUFFER_BYTES (_buffer_pair), so
+    memory does not grow with T and repeated calls reuse one pair.  Each block
     forms its values V = phi @ coef once; the even p take their powers of V
     first, then one pass makes V = |V| for all the other p (_abs_pow).  Each
     p gets its own powers and weighted sum, with the bits of a call for that
@@ -509,8 +527,7 @@ def _quadrature_norms(phi: np.ndarray, bound: np.ndarray, coef: np.ndarray, ps, 
     cols = coef.shape[1]
     edges = [0, *range(TIME_BLOCK, cols - TIME_BLOCK + 1, TIME_BLOCK), cols]
     n = weights.size
-    size = n * max(np.diff(edges))
-    flat, scratch, out = np.empty(size), np.empty(size), np.empty((len(ps), cols))
+    (flat, scratch), out = _buffer_pair(n * max(np.diff(edges))), np.empty((len(ps), cols))
     order = sorted(range(len(ps)), key=lambda i: not _even_integer(ps[i]))  # even p first
     evens = sum(map(_even_integer, ps))
     for a, b in zip(edges, edges[1:]):

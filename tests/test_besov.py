@@ -284,13 +284,47 @@ def test_p2_q2_seminorms_are_exact_to_rounding_at_both_resolutions(d):
 
 def test_seminorm_rules_stay_short_as_alpha_nears_k():
     # the head edge moves with hq, h = k - alpha, so the window stays short however close alpha is to k,
-    # and below the knee the nodes thin out double-exponentially: at most 679 nodes here
+    # and below the knee the nodes thin out double-exponentially: at most 455 nodes here
     from gausscalc.besov import seminorm_rule
 
+    assert seminorm_rule(0.7, 1, 2.0, DEFAULT_STEP, 1)[0].size == 434
     for k in (1, 2, 3):
         for alpha in (*np.linspace(0.0, k - 1e-6, 101), k - 0.01, k - 1e-4):
             for q in np.linspace(1.0, 8.0, 29):
-                assert seminorm_rule(float(alpha), k, float(q), DEFAULT_STEP, 1)[0].size <= 700, (alpha, k, q)
+                assert seminorm_rule(float(alpha), k, float(q), DEFAULT_STEP, 1)[0].size <= 455, (alpha, k, q)
+
+
+@pytest.mark.parametrize("d,degree", [(1, 8), (1, 16), (2, 8)])
+def test_seminorm_knee_keeps_every_even_and_p3_route_accurate(monkeypatch, d, degree):
+    # the knee at x = SEMINORM_KNEE thins the nodes of the head; against a
+    # quarter-step rule with the knee at X_KNEE the even routes stay at
+    # rounding and the kinked p = 3 route within 1e-12
+    from gausscalc import besov
+    from gausscalc.timequad import X_KNEE
+
+    family = [f for f in gen_family(20260809, d, 8, degree) if f.degree == degree][:2]
+    ps = (2.0, 3.0, 4.0)
+    for alpha, q in ((0.7, 2.0), (0.4, 4.0), (1.6, 2.0)):
+        k = smallest_k(alpha)
+        got = np.array(besov._besov_terms(family, alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, 1))[:, 0]
+        with monkeypatch.context() as m:
+            m.setattr(besov, "SEMINORM_KNEE", X_KNEE)
+            want = np.array(besov._besov_terms(family, alpha, ps, q, k, DEFAULT_STEP / 4, SUP_POINTS, 1))[:, 0]
+        err = np.abs(got - want) / want
+        assert err[:, [0, 2]].max() <= 1e-15 and err[:, 1].max() <= 1e-12, (alpha, q, err)
+
+
+def test_q_beyond_max_q_is_refused_and_large_q_is_finite():
+    from gausscalc.besov import MAX_Q
+
+    f = gen_family(20260809, 1, 1, 8)[0]
+    for q in (MAX_Q * 1.001, 1e308, math.nan):
+        with pytest.raises(ValueError, match="q"):
+            besov_params(0.7, 2, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1.0, 2.0, 3.0):  # the q-th powers of values past 1 would overflow unscaled
+            assert 0 < besov_seminorm(f, besov_params(0.7, p, MAX_Q)) < math.inf
 
 
 def test_besov_norm_regression_member_is_finite():
@@ -422,6 +456,70 @@ def test_norm_curve_quadrature_memory_does_not_grow_with_t():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_quadrature_buffers_are_per_thread():
+    # each thread keeps its own pair of block buffers, so threads taking d = 2
+    # quadrature curves at once, more of them than cores and switching often,
+    # get the bits of sequential calls
+    import sys
+    import threading
+
+    members = [f for f in gen_family(20260809, 2, 8, 8) if f.degree == 8][:4]
+    ts = np.exp(np.linspace(math.log(1e-3), math.log(50.0), 1201))
+    want = [norm_curve(f, 1, 3.0, ts) for f in members]
+    got = [[] for _ in members]
+    start = threading.Barrier(len(members))
+
+    def run(i):
+        start.wait()
+        for _ in range(6):
+            got[i].append(norm_curve(members[i], 1, 3.0, ts))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(members))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for curves, curve in zip(got, want):
+        assert len(curves) == 6 and all(np.array_equal(c, curve) for c in curves)
+
+
+def test_quadrature_buffers_held_stay_under_the_cap():
+    # a thread keeps the pair of a call that fits BLOCK_BUFFER_BYTES, and a
+    # larger call's pair (1600 and 6000 nodes, 63 columns) is its own
+    import threading
+    import tracemalloc
+
+    from gausscalc.hermite import BLOCK_BUFFER_BYTES, _quadrature_norms
+
+    rng = np.random.default_rng(3)
+    calls = {n: (rng.standard_normal((n, 3)), np.ones(3), rng.standard_normal((3, 63)), (3.0,), np.full(n, 1.0 / n))
+             for n in (1600, 6000)}
+    held = {}
+
+    def run():
+        before = tracemalloc.get_traced_memory()[0]
+        for n in (1600, 6000, 1600):
+            _quadrature_norms(*calls[n])
+            held[n] = tracemalloc.get_traced_memory()[0] - before
+
+    tracemalloc.start()
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+    finally:
+        tracemalloc.stop()
+    pair = 2 * 8 * 1600 * 63
+    assert 2 * 8 * 6000 * 63 > BLOCK_BUFFER_BYTES >= pair
+    assert pair <= held[1600] < pair + 2**16 and held[6000] < pair + 2**16
 
 
 @pytest.mark.parametrize("ps", [(1.0, 3.0, 4.0), (4.0, 1.0, 3.0), (3.0, 4.0), (1.5, 3.0), (2.0,)])
@@ -595,6 +693,14 @@ def test_norm_curve_rejects_a_k_that_is_not_an_integer_at_least_0(k):
     # a fractional k used to give NaN with a RuntimeWarning, a negative one numbers
     with pytest.raises(ValueError, match="k must be an integer >= 0"):
         norm_curve(MIX, k, 2.0, [0.1, 1.0])
+
+
+def test_curves_reject_a_k_whose_orbit_factors_leave_the_float_range():
+    # sqrt(6)^k passes the float maximum near k = 792; at k = 1501 the curve was inf at p = 2 and NaN at p = 3
+    for p in (2.0, 3.0):
+        with pytest.raises(ValueError, match="k = 1501 takes the orbit factor sqrt"):
+            norm_curve(MIX, 1501, p, [0.5, 1.0])
+    assert np.all(np.isfinite(norm_curve(MIX, 600, 3.0, [0.5, 1.0])))
 
 
 def test_kdecay_report_rejects_a_fractional_k():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -632,6 +633,37 @@ def test_cli_beta_out_of_range_is_usage_error(tmp_path, capsys, experiment, beta
     cfg.write_text(f"betas = {beta}\nfamily_size = 2\nmax_degree = 4\n")
     assert cli_main(["run", experiment, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"gausscalc: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "experiment,lines,code",
+    [
+        # a q-th power of t^(k-alpha) ||u^(k)||_p is taken after a power-of-two
+        # scale, so q = 1000 stays finite; past MAX_Q = 1000 q is refused
+        ("riesz-derivative-bounded", "qs = 1000\nfamily_size = 2\n", 0),
+        ("riesz-derivative-bounded", "qs = 1e308\nfamily_size = 2\n", 2),
+        # orbit factors of 2^750 at degree 2, and their squares past the float range before the scale
+        ("riesz-potential-bounded", "alphas = 1500\nbetas = 0.5\nfamily_size = 2\nmax_degree = 3\n", 0),
+        ("riesz-potential-bounded", "alphas = 1000\nbetas = 0.5\nfamily_size = 2\nmax_degree = 3\n", 0),
+        # at degree 8 the factors sqrt(n)^k themselves leave the float range
+        ("riesz-potential-bounded", "alphas = 1500\nbetas = 0.5\nfamily_size = 2\n", 2),
+    ],
+    ids=["q-1000", "q-1e308", "alpha-1500-degree-3", "alpha-1000-degree-3", "alpha-1500-degree-8"],
+)
+def test_cli_large_q_and_alpha_give_finite_values_or_a_usage_error(tmp_path, capsys, experiment, lines, code):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["run", experiment, "--config", str(cfg)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        report = json.loads(out)
+        assert report["ratios"] and all(math.isfinite(r["ratio"]) for r in report["ratios"])
+    elif "qs" in lines:
+        assert err == "gausscalc: q = 1e+308 beyond the supported range (q <= 1000, or q = inf)\n"
+    else:
+        assert err.startswith("gausscalc: alpha = 150") and "(k = 1501)" in err and "beyond the float range" in err
 
 
 def test_cli_verify_all_hypothesis_violation_is_usage_error(tmp_path, capsys):

@@ -75,8 +75,9 @@ def test_seminorm_and_fractional_integrals_share_one_rule_factory(monkeypatch):
     monkeypatch.setattr(timequad, "log_time_rule", spy)
     monkeypatch.setattr(besov, "log_time_rule", spy)
     besov_seminorm(HermiteExpansion.basis((2,)), besov_params(0.7, 3, 2))
-    # the knee sits at x = X_KNEE in the seminorm's x = q RATE_BOUND t
-    knee = math.log(X_KNEE / (2.0 * besov.RATE_BOUND))
+    # the seminorm's knee sits at x = SEMINORM_KNEE in its x = q RATE_BOUND t, the integrals' at X_KNEE
+    assert besov.SEMINORM_KNEE == 20.0 and X_KNEE == 0.2
+    knee = math.log(besov.SEMINORM_KNEE / (2.0 * besov.RATE_BOUND))
     assert [c[2:] for c in calls] == [(knee, DEFAULT_STEP, (1.0 - 0.7) * 2.0, None, 1)]
     t, w = besov.seminorm_rule(0.7, 1, 2.0, DEFAULT_STEP, 1)
     assert t is factory(*calls[0])[0] and w is factory(*calls[0])[1]
