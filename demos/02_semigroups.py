@@ -36,7 +36,7 @@ subordinated = ph_subordination(f, t, x)
 print(f"subordinated semigroup:  spectral {spectral_p:.12f}, stable-average {subordinated:.12f}")
 
 # the subordination rule discretizes the one-sided stable measure of order
-# 1/2; its mass is 1 for every t (the far tail is kept in closed form)
+# 1/2; its mass is 1 for every t (the far tail is folded into the first atom)
 rule = SubordinationRule()
 for tt in (0.01, 0.5, 5.0):
     print(f"stable measure mass at t={tt}: {rule.mass(tt):.10f}")

@@ -112,6 +112,18 @@ def _check_orbit_range(k: int, degree: int, alpha: float | None = None):
         )
 
 
+def _check_time_range(alpha: float, k: int, q: float, t_end: float):
+    """Refuse a k whose weight t^h at the last time node t_end, or whose time factor K, passes e^MAX_LOG_FACTOR.
+
+    h = k - alpha.  K, (Gamma(hq) q^(-hq))^(1/q) or (h/e)^h at q = inf, is the
+    seminorm of a single chaos h_nu over ||h_nu||_p n^(alpha/2).
+    """
+    h = k - alpha
+    log_k = h * (math.log(h) - 1.0) if math.isinf(q) else (math.lgamma(h * q) - h * q * math.log(q)) / q
+    if (reach := max(h * math.log(t_end), log_k)) > MAX_LOG_FACTOR:
+        raise ValueError(f"k = {k} takes t^(k - alpha) or the seminorm to e^{reach:.0f}, beyond the float range")
+
+
 def _power_mean(w: np.ndarray, weight: np.ndarray, c: np.ndarray, q: float) -> float:
     """(w @ (weight c)^q)^(1/q), weight c >= 0 scaled by the power of two 2^-e that brings its maximum into [1/2, 1).
 
@@ -323,21 +335,21 @@ def _polish_nodes(ts, vals) -> np.ndarray:
     return np.exp(np.linspace(math.log(lo), math.log(hi), 19))
 
 
-def _polished_sups(f: HermiteExpansion, alpha: float, k: int, ps, grids, sups):
-    """A_k of f for every p on every grid: each grid sup in sups, (len(ps), n) per grid, polished at its argmax.
+def _polished_sups(curves, alpha: float, k: int, grids, weight, strides, grid_curves) -> list:
+    """A_k of each row of grid_curves on every grid, its grid sup polished at its argmax: a list per row, a value per grid.
 
-    The larger of the grid max and the max on the argmax's _polish_nodes is
-    kept.  One norm_curve call per p takes the polish nodes of all grids; a
-    column's norm does not depend on the others, so each value keeps the
-    bits of a one-grid polish.
+    grid_curves has a curve per row on the finest grid, grids[-1], where the
+    weight is t^(k-alpha); grids[g] is its every strides[g]-th node.  Each
+    grid keeps the larger of its max and the max on its argmax's
+    _polish_nodes, where curves(nodes) gives each row's curve at its row of
+    nodes, all grids in one call: a column's norm does not depend on the
+    others, so each value keeps the bits of a one-grid polish.
     """
-    out = [[] for _ in grids]
-    for j, p in enumerate(ps):
-        nodes = np.concatenate([_polish_nodes(ts, sup[j]) for ts, sup in zip(grids, sups)])
-        local = (nodes ** (k - alpha) * norm_curve(f, k, p, nodes)).reshape(len(grids), -1)
-        for terms, sup, polish in zip(out, sups, local):
-            terms.append(float(max(sup[j].max(), polish.max())))
-    return out
+    sups = [weight[::s] * grid_curves[:, ::s] for s in strides]
+    rows = range(len(grid_curves))
+    nodes = np.array([np.concatenate([_polish_nodes(ts, sup[i]) for ts, sup in zip(grids, sups)]) for i in rows])
+    polish = (nodes ** (k - alpha) * curves(nodes)).reshape(len(rows), len(grids), -1)
+    return [[float(max(sup[i].max(), local.max())) for sup, local in zip(sups, polish[i])] for i in rows]
 
 
 def _shared_sups(f: HermiteExpansion, supports, alpha: float, k: int, ps, grids, weight, strides):
@@ -345,11 +357,9 @@ def _shared_sups(f: HermiteExpansion, supports, alpha: float, k: int, ps, grids,
 
     The tables run over the union of the supports, with a zero row where a
     member lacks an index: one _lp_norms call gives every member's curve on
-    the finest grid, and one more its _polish_nodes on every grid.  At p = 2
+    the finest grid, and one more its polish nodes on every grid.  At p = 2
     a column's norm is the row-order sum of its scaled squares, and a zero
-    row adds an exact zero, so each value is the bits of the member's own
-    _polished_sups.  weight is t^(k-alpha) on the finest grid, grids[-1],
-    and strides[g] the step of grids[g] in it.
+    row adds an exact zero, so each value has the bits of its own call.
     """
     union = sorted({nu for items in supports for nu, _ in items})
     row = {nu: i for i, nu in enumerate(union)}
@@ -363,10 +373,8 @@ def _shared_sups(f: HermiteExpansion, supports, alpha: float, k: int, ps, grids,
         decay = _decay_rows([nu.order for nu in union], ts.ravel()).reshape(len(union), *ts.shape)
         return _lp_norms(f, union, (decay * factors).reshape(len(union), -1), (2.0,)).reshape(len(supports), -1)
 
-    sups = [[weight[::s] * curve[::s] for s in strides] for curve in curves(grids[-1][None])]
-    nodes = np.array([np.concatenate([_polish_nodes(ts, sup) for ts, sup in zip(grids, member)]) for member in sups])
-    polish = (nodes ** (k - alpha) * curves(nodes)).reshape(len(supports), len(grids), -1)
-    return [[[float(max(sup.max(), local.max()))] * len(ps) for sup, local in zip(*member)] for member in zip(sups, polish)]
+    sups = _polished_sups(curves, alpha, k, grids, weight, strides, curves(grids[-1][None]))
+    return [[[value] * len(ps) for value in member] for member in sups]
 
 
 def ak_constant(f: HermiteExpansion, alpha: float, p: float, k: int, points: int = SUP_POINTS) -> float:
@@ -427,24 +435,26 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
         rules = [seminorm_rule(alpha, k, q, step, r) for r in levels]
     grids = [rule[0] for rule in rules]
     ts = grids[-1]
+    _check_time_range(alpha, k, q, ts[-1])
     weight = ts ** (k - alpha)  # every refine-th is the coarse grid's weight, bit for bit
     supports = [sorted(f.coeffs.items()) for f in fs]
+    strides = [refine // r for r in levels]
 
     def terms(f, curves):
         """f's terms, one list per resolution, from its curves on the finest grid."""
-        level_curves = [(weight[:: refine // r], curves[:, :: refine // r]) for r in levels]
         if math.isinf(q):
-            return _polished_sups(f, alpha, k, ps, grids, [w * c for w, c in level_curves])
-        return [
-            [_power_mean(w, level_weight, c, q) for c in level]
-            for (_, w), (level_weight, level) in zip(rules, level_curves)
-        ]
+
+            def polish(nodes):
+                """f's curve at each row of nodes, one norm_curve call per p."""
+                return np.array([norm_curve(f, k, p, row) for p, row in zip(ps, nodes)])
+
+            return [list(level) for level in zip(*_polished_sups(polish, alpha, k, grids, weight, strides, curves))]
+        return [[_power_mean(w, weight[::s], c, q) for c in curves[:, ::s]] for (_, w), s in zip(rules, strides)]
 
     if len(fs) > 1 and math.isinf(q) and all(p == 2 for p in ps):
         _check_orbit(k, ps, degree)
         indices = len({nu for items in supports for nu, _ in items})
         size = max(1, SHARED_TABLE_BYTES // (8 * ts.size * max(indices, 1)))
-        strides = [refine // r for r in levels]
         out = []
         # each chunk's curves are reduced before the next chunk's are made
         for a in range(0, len(fs), size):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .besov import smallest_k
 from .hermite import HermiteExpansion, pi0
-from .timequad import X_TAIL, end_summed_integral
+from .timequad import end_summed_integral
 
 __all__ = [
     "c_beta",
@@ -138,8 +138,7 @@ def _order_multiplier(derivative: bool, damping: float, beta: float, n: int) -> 
     """
     root = damping + math.sqrt(n)
     if not derivative:
-        # x^beta e^(-x) past x = X_TAIL + 2 beta holds under 1e-18 of Gamma(beta), at every beta <= BETA_MAX
-        integral = end_summed_integral(lambda t: t**beta * np.exp(-t * root), root, beta, x_tail=X_TAIL + 2.0 * beta)
+        integral = end_summed_integral(lambda t: t**beta * np.exp(-t * root), root, beta)
         return integral / math.gamma(beta)
     k = smallest_k(beta)
     return _derivative_integral(beta, k, root) / c_beta_k(beta, k)

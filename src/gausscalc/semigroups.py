@@ -87,17 +87,17 @@ def ou_mehler(f: HermiteExpansion, t: float, x, grid: GaussHermiteGrid) -> float
 def ph_subordination(f: HermiteExpansion, t: float, x) -> float:
     """P_t f(x) through the stable-measure average of T_s f(x).
 
-    Computes sum_j m_j T_{s_j} f(x) + tail * mean(f) over the discretized
-    measure; the far tail is exact, because there every e^(-s n), n >= 1, is 0.
-    T_s is evaluated spectrally, through the chaos values of f at x.  Oracle
-    for ph_spectral.
+    Computes sum_j m_j T_{s_j} f(x) over the discretized measure; at the
+    first atom, which carries the folded far tail, every e^(-s n), n >= 1,
+    is 0, so its value is mean(f), exactly.  T_s is evaluated spectrally,
+    through the chaos values of f at x.  Oracle for ph_spectral.
     """
-    s, masses, tail = SubordinationRule().stable_measure(t)
+    s, masses = SubordinationRule().stable_measure(t)
     g = f.chaos_values(x)
     rates = np.outer(s, np.arange(g.size))
     # masking the rates r >= EXP_ZERO, where exp(-r) is +0.0, skips numpy's slow underflow path
     values = np.exp(-rates, out=np.zeros_like(rates), where=rates < EXP_ZERO) @ g
-    return float(np.dot(masses, values) + tail * f.mean)
+    return float(np.dot(masses, values))
 
 
 def _mehler_density(s: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -117,17 +117,16 @@ def ph_kernel(t: float, x, y):
     is the kernel's r-form integral over r in (0, 1) after the double-log
     substitution r = exp(-t^2 / 4u), u = e^v, which resolves both endpoint
     singularities: r -> 1 becomes the (double-exponentially damped) small-s
-    end, r -> 0 the heavy s^(-3/2) tail.  Beyond the grid e^(-s) is 0, so
-    the Mehler density there is the gamma_d density, bit for bit.
+    end, r -> 0 the heavy s^(-3/2) tail, folded into the first atom: there
+    e^(-s) is 0, so the Mehler density is the gamma_d density, bit for bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     pts = y if y.ndim == 2 else np.atleast_1d(y)[None, :]
     if pts.shape[1] != x.size:
         raise ValueError("x and y must have the same dimension")
-    s, masses, tail = SubordinationRule().stable_measure(t)
+    s, masses = SubordinationRule().stable_measure(t)
     values = masses @ _mehler_density(s, x, pts)
-    values += tail * np.exp(-np.sum(pts * pts, axis=1)) / math.pi ** (x.size / 2.0)
     return values if y.ndim == 2 else float(values[0])
 
 

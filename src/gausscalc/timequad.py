@@ -4,10 +4,10 @@ All the singular integrals in this package (subordination, fractional operator
 representations, smoothness seminorms) are computed after the substitution
 t = e^v, which turns dt/t into dv, tames integrable endpoint singularities and
 makes the trapezoid rule geometrically convergent for the analytic integrands
-that arise here.  The seminorm and the fractional integrals take their rules
-from one factory, log_time_rule, and the stable measure has its own
-(SubordinationRule); both continue the trapezoid to the infinities in closed
-form and are exact to rounding.  log_time_rule goes one substitution further,
+that arise here.  The seminorm, the fractional integrals and the stable
+measure (SubordinationRule) take their rules from one factory,
+log_time_rule, which continues the trapezoid to the infinities in closed
+form and is exact to rounding.  It goes one substitution further,
 log t = s - e^(-(s - knee)) (Takahasi and Mori's double-exponential idea, on
 one end): above the knee its nodes are those of the log-trapezoid, and below
 it, where the integrand is nearly a power of t, they thin out
@@ -174,66 +174,56 @@ EXP_ZERO = 746.0  # exp(-x) is exactly +0.0 for x >= EXP_ZERO (it underflows pas
 X_HEAD, X_TAIL, X_KNEE, END_STEP = 1e-17, 48.0, 0.2, 0.1
 
 
-def end_summed_integral(fn, root: float, head: float, tail: float | None = None, x_tail: float = X_TAIL) -> float:
+def end_summed_integral(fn, root: float, head: float, tail: float | None = None) -> float:
     """int_0^inf fn(t) dt/t, exact to rounding, for fn ~ t^head at 0 and ~ t^(-tail) at inf (tail None: fn ~ 0).
 
-    The log_time_rule of x = root t in [X_HEAD, x_tail] at step END_STEP, past whose ends fn is a pure power.
+    The log_time_rule of x = root t in [X_HEAD, x_tail] at step END_STEP, past whose ends fn is a pure
+    power: x_tail = X_TAIL with a tail, and X_TAIL + 2 head without one, where fn decays like x^head
+    e^(-x) and the rest is below 1e-18 of Gamma(head) (as in besov.seminorm_rule).
     """
+    x_tail = X_TAIL if tail is not None else X_TAIL + 2.0 * head
     x, w = log_time_rule(math.log(X_HEAD), math.log(x_tail), math.log(X_KNEE), END_STEP, head, tail)
     return float(np.dot(w, fn(x / root)))
 
 
-@lru_cache(maxsize=8)
-def _stable_atoms(rule: "SubordinationRule") -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodes u, t-independent masses e^(-u) u^(1/2) step / sqrt(pi) (read-only) and the dropped nodes' mass.
+# The stable measure's rule in v = log u: below STABLE_V_MIN e^(-u) is 1 to rounding, so the density is
+# the pure power u^(1/2); past v = 6 it is below e^(-400).
+STABLE_V_MIN = -37.1
 
-    The masses at u0 e^(-j step), u0 = e^v_min, j >= 1, summed over j term by term in e^(-u)'s
-    series: step / sqrt(pi) sum_m (-1)^m / m! u0^(m+1/2) / (e^((m+1/2) step) - 1).
-    """
-    step = (rule.v_max - rule.v_min) / (rule.n_points - 1)
-    u = np.exp(np.linspace(rule.v_min, rule.v_max, rule.n_points))
-    masses = np.exp(-u) * np.sqrt(u) * (step / math.sqrt(math.pi))
-    u.setflags(write=False)
+
+@lru_cache(maxsize=1)
+def _stable_masses() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u and t-independent masses, read-only, of the stable-measure rule (SubordinationRule)."""
+    u, w = log_time_rule(STABLE_V_MIN, 6.0, STABLE_V_MIN, 0.1, 0.5)
+    masses = w * np.exp(-u) * np.sqrt(u) / math.sqrt(math.pi)
     masses.setflags(write=False)
-    u0 = math.exp(rule.v_min)
-    rest, m, coef, term = 0.0, 0, math.sqrt(u0), math.inf
-    while abs(term) > 1e-17 * abs(rest):
-        term = coef / math.expm1((m + 0.5) * step)
-        rest, m, coef = rest + term, m + 1, coef * -u0 / (m + 1)
-    return u, masses, rest * step / math.sqrt(math.pi)
+    return u, masses
 
 
-@dataclass(frozen=True)
-class SubordinationRule(TimeQuadrature):
+class SubordinationRule:
     """Discretization of the one-sided stable measure of order 1/2.
 
     The measure mu_t(ds) = t/(2 sqrt(pi)) exp(-t^2/4s) s^(-3/2) ds turns the
     heat-type semigroup into its half-order subordinate.  In u = t^2/4s it is
-    the t-independent weight exp(-u) u^(-1/2) du / sqrt(pi): the trapezoid in
-    v = log u with full weights (431 nodes at step 0.1), continued to -inf in
-    closed form (_stable_atoms).  From t = t_min() on, the dropped nodes -- the
-    heavy s^(-3/2) far tail -- have s >= EXP_ZERO, where e^(-s n) = 0 for
-    n >= 1, so their mass times a semigroup's s = inf limit is exact.
+    the t-independent density e^(-u) u^(1/2) / sqrt(pi) in du/u, on 427 nodes
+    of log_time_rule, the nodes below the first (the heavy s^(-3/2) far
+    tail) folded into its weight.  From t = t_min() on, the first node has s
+    >= EXP_ZERO, where e^(-s n) = 0 for n >= 1, so the fold is exact.
     """
 
-    v_min: float = -37.0
-    v_max: float = 6.0
-    n_points: int = 431
-
     def t_min(self) -> float:
-        """The smallest t at which the dropped nodes have s = t^2/4u >= EXP_ZERO (4.8e-7 at the default rule)."""
-        return 2.0 * math.sqrt(EXP_ZERO * math.exp(self.v_min - (self.v_max - self.v_min) / (self.n_points - 1)))
+        """The t from which the first node, u <= e^STABLE_V_MIN, has s = t^2/4u >= EXP_ZERO (4.8e-7)."""
+        return 2.0 * math.sqrt(EXP_ZERO * math.exp(STABLE_V_MIN))
 
-    def stable_measure(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Atoms (s_j, m_j) of the discretized mu_t and the far-tail mass, for t >= t_min(); they sum to 1.
+    def stable_measure(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Atoms (s_j, m_j) of the discretized mu_t, for t >= t_min(); the masses sum to 1.
 
         The masses do not depend on t: they are cached with the rule and shared, so read-only.
         """
         if not t >= self.t_min():
             raise ValueError(f"t must be >= {self.t_min():.3g}, where the stable-measure rule is exact; got t = {t}")
-        u, masses, tail = _stable_atoms(self)
-        return t * t / (4.0 * u), masses, tail
+        u, masses = _stable_masses()
+        return t * t / (4.0 * u), masses
 
     def mass(self, t: float) -> float:
-        _, masses, tail = self.stable_measure(t)
-        return float(masses.sum() + tail)
+        return float(self.stable_measure(t)[1].sum())

@@ -703,6 +703,19 @@ def test_curves_reject_a_k_whose_orbit_factors_leave_the_float_range():
     assert np.all(np.isfinite(norm_curve(MIX, 600, 3.0, [0.5, 1.0])))
 
 
+def test_seminorms_reject_an_explicit_k_whose_time_factor_leaves_the_float_range():
+    # at k = 200 t^(k - alpha) over the time grid and the value itself, about
+    # (Gamma(2h) 2^(-2h))^(1/2) = e^857 at h = 199.5, overflowed to inf with
+    # RuntimeWarnings; k = 100 is in range and keeps its bits
+    f = gen_family(20260809, 1, 3, 8)[2]
+    with pytest.raises(ValueError, match="k = 200 takes t"):
+        besov_seminorm(f, besov_params(0.5, 2, 2, 200))
+    with pytest.raises(ValueError, match="k = 200 takes t"):
+        ak_constant(f, 0.5, 2.0, 200)
+    assert besov_seminorm(f, besov_params(0.5, 2, 2, 100)) == 1.964888872776305e155
+    assert ak_constant(f, 0.5, 2.0, 100) == 3.7178219999398473e155
+
+
 def test_kdecay_report_rejects_a_fractional_k():
     with pytest.raises(ValueError, match="k must be an integer >= 0"):
         kdecay_report(MIX, 2.0, 2.5)

@@ -5,6 +5,7 @@ import pytest
 
 from gausscalc import SubordinationRule, TimeQuadrature, log_time_rule
 from gausscalc.besov import decay_grid, seminorm_rule, smallest_k, sup_grid
+from gausscalc.fractional import BETA_MAX
 from gausscalc.harness import BOUNDEDNESS
 from gausscalc.timequad import DEFAULT_STEP, EXP_ZERO, X_KNEE, X_TAIL, end_summed_integral
 
@@ -14,8 +15,6 @@ def test_validation():
         TimeQuadrature(2.0, 1.0, 100)
     with pytest.raises(ValueError):
         TimeQuadrature(-1.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        SubordinationRule(2.0, 1.0, 100)
 
 
 @pytest.mark.parametrize("kind,n", [("log_uniform", 2048)])
@@ -30,7 +29,6 @@ def test_rules_are_cached_and_read_only():
     t, w = TimeQuadrature(-16.0, 7.0, 1151).nodes_weights()
     again = TimeQuadrature(-16.0, 7.0, 1151).nodes_weights()
     assert again[0] is t and again[1] is w
-    assert SubordinationRule(-16.0, 7.0, 1151).nodes_weights()[0] is t  # keyed by the window, not the class
     with pytest.raises(ValueError):
         t[0] = 1.0
     with pytest.raises(ValueError):
@@ -136,17 +134,24 @@ def test_rule_weights_are_finite_without_warnings(refine):
 
 
 def test_end_summed_rules_stay_short():
-    # the fractional integrals' window [1e-17, 48 + 2 beta] in x = root t thins out below the knee:
-    # 92 nodes at x_tail = 48 and 111 at beta = 150, the largest the potentials' tail edge covers
-    sizes = []
+    # the fractional integrals' window [1e-17, x_tail] in x = root t thins out below the knee: x_tail is
+    # X_TAIL with a tail and X_TAIL + 2 head without one, 92 nodes at head 1 and 103 at BETA_MAX
+    ends, sizes = [], []
 
-    def fn(t):
-        sizes.append(t.size)
-        return t * np.exp(-2.0 * t)  # int_0^inf e^(-2t) dt = 1/2
+    def fn(head):
+        def at(t):
+            ends.append(2.0 * t[-1])
+            sizes.append(t.size)
+            return t**head * np.exp(-2.0 * t)  # int_0^inf t^(head-1) e^(-2t) dt = Gamma(head) / 2^head
 
-    for x_tail in (X_TAIL, X_TAIL + 2.0 * 150.0):
-        assert abs(end_summed_integral(fn, 2.0, 1.0, x_tail=x_tail) - 0.5) <= 1e-15
-    assert max(sizes) <= 120, sizes
+        return at
+
+    for head in (1.0, BETA_MAX):
+        want = math.gamma(head) / 2.0**head
+        assert abs(end_summed_integral(fn(head), 2.0, head) - want) <= 1e-14 * want
+    assert abs(end_summed_integral(fn(1.0), 2.0, 1.0, 1.0) - 0.5) <= 1e-15
+    assert X_TAIL + 2.0 <= ends[0] and X_TAIL + 2.0 * BETA_MAX <= ends[1] and X_TAIL <= ends[2] <= ends[0]
+    assert max(sizes) <= 110, sizes
 
 
 def _seminorm_windows():
@@ -214,7 +219,8 @@ def test_rules_reject_a_step_that_is_not_finite_and_positive(step):
 @pytest.mark.parametrize("t", [1e-2, 0.1, 1.0, 10.0])
 def test_stable_measure_mass_is_one(t):
     rule = SubordinationRule()
-    assert abs(rule.mass(t) - 1.0) < 1e-8
+    assert abs(rule.mass(t) - 1.0) <= 1e-15
+    assert abs(math.fsum(rule.stable_measure(t)[1]) - 1.0) <= 1e-15
 
 
 def test_stable_measure_median_scaling():
@@ -222,8 +228,8 @@ def test_stable_measure_median_scaling():
     # doubles t at fixed quantile, so mass below s0 at t equals mass below
     # 4 s0 at 2t
     rule = SubordinationRule()
-    s1, m1, _ = rule.stable_measure(1.0)
-    s2, m2, _ = rule.stable_measure(2.0)
+    s1, m1 = rule.stable_measure(1.0)
+    s2, m2 = rule.stable_measure(2.0)
     below1 = m1[s1 <= 0.7].sum()
     below2 = m2[s2 <= 2.8].sum()
     assert abs(below1 - below2) < 1e-9
@@ -234,31 +240,23 @@ def test_stable_measure_rejects_nonpositive_time():
         SubordinationRule().stable_measure(0.0)
 
 
-@pytest.mark.parametrize("t", [1e-2, 0.05, 0.5, 5.0])
+@pytest.mark.parametrize("t", [SubordinationRule().t_min(), 1e-4, 1e-2, 0.05, 0.5, 5.0])
 def test_stable_measure_matches_its_laplace_transform(t):
-    # int e^(-n s) mu_t(ds) = e^(-t sqrt(n)); the dropped far tail carries mass only (n = 0)
-    s, masses, tail = SubordinationRule().stable_measure(t)
-    assert abs(masses.sum() + tail - 1.0) <= 1e-14
-    for n in (1, 4, 8):
+    # int e^(-n s) mu_t(ds) = e^(-t sqrt(n)); the folded far tail carries mass only (n = 0)
+    s, masses = SubordinationRule().stable_measure(t)
+    assert abs(masses.sum() - 1.0) <= 1e-14
+    for n in (1, 4, 8, 16):
         want = math.exp(-t * math.sqrt(n))
         assert abs(float(np.dot(masses, np.exp(-n * s))) - want) <= 1e-14 * want, n
 
 
-@pytest.mark.parametrize("v_min", (-37.0, -12.0))
-def test_stable_tail_mass_is_the_sum_of_the_dropped_nodes(v_min):
-    rule = SubordinationRule(v_min, 6.0, int(round((6.0 - v_min) / 0.1)) + 1)
-    u = np.exp(v_min - 0.1 * np.arange(1, 3000))
-    direct = math.fsum(np.exp(-u) * np.sqrt(u) * 0.1 / math.sqrt(math.pi))
-    assert abs(rule.stable_measure(1.0)[2] - direct) <= 1e-15 * direct
-
-
 def test_stable_measure_is_exact_from_t_min():
-    # at t_min every dropped node u < e^v_min has s = t^2 / 4u >= EXP_ZERO; below it the rule refuses
+    # at t_min the first node, which carries the folded far tail, has s = t^2 / 4u >= EXP_ZERO, so
+    # e^(-s n) is 0 there for every n >= 1; below it the rule refuses
     rule = SubordinationRule()
     t = rule.t_min()
-    assert 4e-7 < t < 5e-7
-    dropped = t * t / (4.0 * np.exp(rule.v_min - 0.1 * np.arange(1, 100)))
-    assert dropped.min() >= EXP_ZERO * (1.0 - 1e-15) and not np.exp(-dropped).any()
-    rule.stable_measure(t)
+    assert t == 4.799950626044176e-07
+    s, masses = rule.stable_measure(t)
+    assert s.size == 427 and s[0] == s.max() >= EXP_ZERO and np.exp(-s[0]) == 0.0
     with pytest.raises(ValueError, match="where the stable-measure rule is exact"):
         rule.stable_measure(0.99 * t)
