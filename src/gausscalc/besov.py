@@ -60,7 +60,7 @@ MAX_P = 8.0
 # wide at h = k - alpha, spans 2.9 steps of 0.02 at hq = 300 (alpha = 0.7),
 # where the trapezoid's error e^(-2 pi^2 / (hq step^2)) is 1e-71.
 MAX_Q = 1000.0
-# The largest log of an orbit factor sqrt(n)^k (_check_orbit_range): e^9.8
+# The largest log of an orbit factor sqrt(n)^k (_check_orbit): e^9.8
 # below the float maximum, room for a coefficient and the norms' sums.
 MAX_LOG_FACTOR = 700.0
 
@@ -102,24 +102,21 @@ def _check_q(q: float):
         raise ValueError(f"q = {q} beyond the supported range (q <= {MAX_Q:g}, or q = inf)")
 
 
-def _check_orbit_range(k: int, degree: int, alpha: float | None = None):
-    """Refuse a k whose orbit factors (-sqrt(n))^k, n <= degree, leave the float range; the message names alpha if given."""
-    if degree > 1 and 0.5 * k * math.log(degree) > MAX_LOG_FACTOR:
-        name = f"k = {k}" if alpha is None else f"alpha = {alpha} (k = {k})"
-        raise ValueError(
-            f"{name} takes the orbit factor sqrt(n)^k of degree n = {degree}"
-            f" to e^{0.5 * k * math.log(degree):.0f}, beyond the float range"
-        )
+def _log_chaos_norm(degree: int, p: float) -> float:
+    """A bound on log ||h_nu||_p, |nu| <= degree: (degree/2) log(p - 1) by hypercontractivity, 0 at p <= 2."""
+    return 0.5 * degree * math.log(max(p, 2.0) - 1.0)
 
 
-def _check_time_range(alpha: float, k: int, q: float, t_end: float):
-    """Refuse a k whose weight t^h at the last time node t_end, or whose time factor K, passes e^MAX_LOG_FACTOR.
+def _check_time_range(alpha: float, k: int, q: float, t_end: float, degree: int, p: float):
+    """Refuse a k whose weight t^h at the last time node t_end, or whose single-chaos term, passes e^MAX_LOG_FACTOR.
 
-    h = k - alpha.  K, (Gamma(hq) q^(-hq))^(1/q) or (h/e)^h at q = inf, is the
-    seminorm of a single chaos h_nu over ||h_nu||_p n^(alpha/2).
+    h = k - alpha.  The term of h_nu, |nu| = n <= degree, is
+    ||h_nu||_p n^(alpha/2) K, where K is (Gamma(hq) q^(-hq))^(1/q), or
+    (h/e)^h at q = inf; ||h_nu||_p is bounded by _log_chaos_norm.
     """
     h = k - alpha
     log_k = h * (math.log(h) - 1.0) if math.isinf(q) else (math.lgamma(h * q) - h * q * math.log(q)) / q
+    log_k += _log_chaos_norm(degree, p) + 0.5 * alpha * math.log(max(degree, 1))
     if (reach := max(h * math.log(t_end), log_k)) > MAX_LOG_FACTOR:
         raise ValueError(f"k = {k} takes t^(k - alpha) or the seminorm to e^{reach:.0f}, beyond the float range")
 
@@ -227,15 +224,25 @@ def _orbit_norms(f: HermiteExpansion, items, k: int, ps, decay: np.ndarray) -> n
     return _lp_norms(f, [nu for nu, _ in items], coef_t, ps, grid=default_grid, moments=_abs_moment_exact_1d)
 
 
-def _check_orbit(k: int, ps, degree: int):
-    """The checks on a norm curve's order k and exponents ps, for expansions up to this degree."""
+def _check_orbit(k: int, ps, degree: int, alpha: float | None = None):
+    """The checks on a norm curve's order k and exponents ps, for expansions up to this degree.
+
+    A k whose orbit factors (-sqrt(n))^k ||h_nu||_p, |nu| = n <= degree,
+    leave the float range is refused; the message names alpha if given.
+    """
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise ValueError(f"k must be an integer >= 0, got k = {k!r}")
-    _check_orbit_range(k, degree)
     for p in ps:
         _check_p(p)
         if p > MAX_P:
             raise ValueError(f"p = {p} beyond the supported range (p <= {MAX_P})")
+    reach = 0.5 * k * math.log(degree) + _log_chaos_norm(degree, max(ps)) if degree > 1 else 0.0
+    if reach > MAX_LOG_FACTOR:
+        name = f"k = {k}" if alpha is None else f"alpha = {alpha} (k = {k})"
+        raise ValueError(
+            f"{name} takes the orbit factor sqrt(n)^k ||h_n||_p of degree n = {degree}"
+            f" to e^{reach:.0f}, beyond the float range"
+        )
 
 
 def besov_seminorm(f: HermiteExpansion, params: BesovParams, step: float = DEFAULT_STEP) -> float:
@@ -427,7 +434,7 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
     if not 0 <= alpha < k:
         raise ValueError(f"need 0 <= alpha < k, got alpha = {alpha}, k = {k}")
     degree = max(f.degree for f in fs)
-    _check_orbit_range(k, degree, alpha)
+    _check_orbit(k, ps, degree, alpha)
     levels = (1, refine) if refine > 1 else (1,)
     if math.isinf(q):
         rules = [(sup_grid(points, r),) for r in levels]
@@ -435,7 +442,7 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
         rules = [seminorm_rule(alpha, k, q, step, r) for r in levels]
     grids = [rule[0] for rule in rules]
     ts = grids[-1]
-    _check_time_range(alpha, k, q, ts[-1])
+    _check_time_range(alpha, k, q, ts[-1], degree, max(ps))
     weight = ts ** (k - alpha)  # every refine-th is the coarse grid's weight, bit for bit
     supports = [sorted(f.coeffs.items()) for f in fs]
     strides = [refine // r for r in levels]
@@ -452,7 +459,6 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
         return [[_power_mean(w, weight[::s], c, q) for c in curves[:, ::s]] for (_, w), s in zip(rules, strides)]
 
     if len(fs) > 1 and math.isinf(q) and all(p == 2 for p in ps):
-        _check_orbit(k, ps, degree)
         indices = len({nu for items in supports for nu, _ in items})
         size = max(1, SHARED_TABLE_BYTES // (8 * ts.size * max(indices, 1)))
         out = []
@@ -593,9 +599,10 @@ def _hardy_sides(f, pairs, kind: str) -> list:
         # once the inner integral saturates, so the truncated end is added in
         # closed form
         s, end = (-r, -1) if head else (r, 0)
-        lhs = float(np.dot(wy, running**p * y ** (s - 1.0)))
+        weight = y ** (s - 1.0)
+        lhs = float(np.dot(wy, running**p * weight))
         lhs += running[end] ** p * y[end] ** s / r
-        rhs = (p / r) ** p * float(np.dot(wy, (y * fv) ** p * y ** (s - 1.0)))
+        rhs = (p / r) ** p * float(np.dot(wy, (y * fv) ** p * weight))
         out.append((lhs, rhs))
     return out
 

@@ -550,30 +550,54 @@ def lp_norm_gamma(f: HermiteExpansion, p: float, grid: GaussHermiteGrid) -> floa
     return float(_quadrature_norms(*_basis_table(tuple(f.coeffs), grid), coef, (p,), grid.weights)[0, 0])
 
 
-def _real_roots_rows(c: np.ndarray, bound: float) -> np.ndarray:
-    """Real roots in [-bound, bound] of each row's Hermite series sum_n c[t, n] h_n, ascending.
+# Bytes of row tables whose real eigenvalues _real_eigenvalues keeps, keys
+# counted: a 434-node seminorm rule at degree 8 takes a 31 kB key and at most
+# 28 kB of eigenvalues.
+ROOT_CACHE_BYTES = 128 * 2**10
+
+
+@partial(_LRUCache, ROOT_CACHE_BYTES, lambda value: len(value[0]) + value[1].nbytes)
+def _real_eigenvalues(shape: tuple, raw: bytes) -> tuple[bytes, np.ndarray]:
+    """The real roots of each row's Hermite series sum_n c[t, n] h_n, c the float table of this shape in raw.
 
     Roots are the eigenvalues of the colleague matrix: the Jacobi matrix of
     x h_n = sqrt((n+1)/2) h_(n+1) + sqrt(n/2) h_(n-1), last row corrected by
     -sqrt(N/2) c_j / c_N, one batched eigvals call per effective degree
     (trailing coefficients <= 1e-14 of the row maximum dropped).  A root is
-    kept when |Im| <= 1e-9 (1 + |Re|); missing ones are padded with bound.
-    An eigenvalue is off by about eps |c_(N-1) / c_N|, large when c_N only
-    just passes the trim, so each root takes one Newton step (h_j' =
-    sqrt(2j) h_(j-1)) unless the step is 1 or more or g' vanishes.
+    kept when |Im| <= 1e-9 (1 + |Re|).  Returns raw, so that the cache's
+    budget counts its key, and a read-only table of each row's real roots,
+    ascending and padded with inf, as wide as the most any row has.
     """
+    c = np.frombuffer(raw).reshape(shape)
     big = np.abs(c) > 1e-14 * np.max(np.abs(c), axis=1, keepdims=True)
     big[:, 0] = True  # a zero row has degree 0
     deg = c.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1)
-    roots = np.full(c.shape, float(bound))
+    roots = np.full(c.shape, np.inf)
     for n in set(deg.tolist()) - {0}:
         rows = np.flatnonzero(deg == n)
         off = np.sqrt(np.arange(1, n) / 2.0)
         mat = np.repeat((np.diag(off, 1) + np.diag(off, -1))[None], rows.size, axis=0)
         mat[:, n - 1, :] -= math.sqrt(n / 2.0) * c[rows, :n] / c[rows, n : n + 1]
         z = np.linalg.eigvals(mat)
-        real = (np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real))) & (np.abs(z.real) < bound)
-        roots[rows, :n] = np.sort(np.where(real, z.real, bound), axis=1)
+        real = np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real))
+        roots[rows, :n] = np.sort(np.where(real, z.real, np.inf), axis=1)
+    roots = roots[:, : int(np.max(np.sum(roots < np.inf, axis=1), initial=0))].copy()
+    roots.setflags(write=False)
+    return raw, roots
+
+
+def _real_roots_rows(c: np.ndarray, bound: float) -> np.ndarray:
+    """Real roots in [-bound, bound] of each row's Hermite series sum_n c[t, n] h_n, ascending.
+
+    The eigenvalues do not depend on bound: _real_eigenvalues keeps them per
+    row table, keyed by c's shape and bytes, within ROOT_CACHE_BYTES.  Those
+    inside (-bound, bound) are kept; missing ones are padded with bound.
+    An eigenvalue is off by about eps |c_(N-1) / c_N|, large when c_N only
+    just passes the trim, so each root takes one Newton step (h_j' =
+    sqrt(2j) h_(j-1)) unless the step is 1 or more or g' vanishes.
+    """
+    real = _real_eigenvalues(c.shape, c.tobytes())[1]
+    roots = np.sort(np.where(np.abs(real) < bound, real, float(bound)), axis=1)
     roots = roots[:, : int(np.max(np.sum(roots < bound, axis=1), initial=0))]
     tab = hermite_values_1d(roots, c.shape[1] - 1)
     g = np.einsum("trj,tj->tr", tab, c)
@@ -656,8 +680,9 @@ def _abs_moment_exact_1d(coeffs, p: int) -> tuple[np.ndarray, np.ndarray]:
     Every weight is positive.  One shared table (_unit_pieces) gives the
     signed integrals of g^p over the unit pieces of [-L, L] for all rows in
     one contraction; their suffix sums are F(k) = int_k^L g^p dgamma_1.  Each
-    real root r (_real_roots_rows) adds a Gauss-Legendre piece [r, ceil(r)]
-    of its own to complete F(r).  g has one sign between consecutive cuts
+    real root r (_real_roots_rows, solved once per row table for every p
+    within ROOT_CACHE_BYTES) adds a Gauss-Legendre piece [r, ceil(r)] of its
+    own to complete F(r).  g has one sign between consecutive cuts
     -L <= r_1 <= ... <= r_R <= L, so int |g|^p dgamma_1 is the sum of
     |F(cut_i) - F(cut_(i+1))|: no sign is read, an extra cut changes
     nothing, and no sum cancels beyond a few roundings per piece.  The
@@ -705,7 +730,8 @@ def _lp_norms(f: HermiteExpansion, indices, coef: np.ndarray, ps, grid=None, mom
       or degree: a search for the worst input of degree <= 8 found at most
       1.6e-15 relative for p = 1, 3, 5, 7, and degrees 16 to 40 stay within
       1e-14.  A column's value depends on f.degree, which sizes the pieces,
-      and not on the other columns.
+      and not on the other columns.  Every odd p of one table, in one call
+      or in consecutive ones, shares one root solve (ROOT_CACHE_BYTES).
     * Every other p: Gauss-Hermite quadrature (_quadrature_norms) on the
       grid of _grid_size(f.degree, p): exact for |g|^p = g^p at even p
       (m = p*degree/2 + 1 nodes per axis, ValueError beyond

@@ -491,6 +491,43 @@ def test_quadrature_buffers_are_per_thread():
         assert len(curves) == 6 and all(np.array_equal(c, curve) for c in curves)
 
 
+def test_odd_p_curves_share_the_root_cache_across_threads():
+    # threads taking odd-p curves of the same members at once, each at its own
+    # p, read and fill one root cache; every curve keeps its sequential bits
+    import sys
+    import threading
+
+    from gausscalc.hermite import _real_eigenvalues
+
+    members = [f for f in gen_family(20260809, 1, 8, 8) if f.degree == 8][:2]
+    ts = np.exp(np.linspace(math.log(1e-3), math.log(50.0), 400))
+    ps = (1.0, 3.0, 5.0, 7.0)
+    want = [[norm_curve(f, 1, p, ts) for f in members] for p in ps]
+    _real_eigenvalues.cache_clear()
+    got = [[] for _ in ps]
+    start = threading.Barrier(len(ps))
+
+    def run(i):
+        start.wait()
+        for _ in range(3):
+            got[i].append([norm_curve(f, 1, ps[i], ts) for f in members])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(ps))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert _real_eigenvalues.hits > 0
+    for runs, curves in zip(got, want):
+        assert len(runs) == 3 and all(np.array_equal(a, b) for run in runs for a, b in zip(run, curves))
+
+
 def test_quadrature_buffers_held_stay_under_the_cap():
     # a thread keeps the pair of a call that fits BLOCK_BUFFER_BYTES, and a
     # larger call's pair (1600 and 6000 nodes, 63 columns) is its own
@@ -714,6 +751,24 @@ def test_seminorms_reject_an_explicit_k_whose_time_factor_leaves_the_float_range
         ak_constant(f, 0.5, 2.0, 200)
     assert besov_seminorm(f, besov_params(0.5, 2, 2, 100)) == 1.964888872776305e155
     assert ak_constant(f, 0.5, 2.0, 100) == 3.7178219999398473e155
+
+
+def test_range_checks_count_the_chaos_norm():
+    # ||h_nu||_p <= (p - 1)^(|nu|/2) is what takes these past the float range:
+    # A_k of h_30 at p = 8, k = 169 overflowed in a multiply, and the curve
+    # at k = 410 in a matmul, while p = 2 stays finite at the same k
+    h30, h300 = HermiteExpansion.basis((30,)), HermiteExpansion.basis((300,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="k = 169 takes t"):
+            ak_constant(h30, 0.5, 8.0, 169)
+        assert ak_constant(h30, 0.5, 8.0, 160) == 3.9286926128212357e294
+        with pytest.raises(ValueError, match="k = 125 takes t"):
+            besov_seminorm(h300, besov_params(0.5, 7, 2, 125))
+        assert math.isfinite(besov_seminorm(h300, besov_params(0.5, 2, 2, 125)))
+        with pytest.raises(ValueError, match="k = 410 takes the orbit factor"):
+            norm_curve(h30, 410, 8.0, [0.0, 1.0])
+        assert np.all(np.isfinite(norm_curve(h30, 410, 2.0, [0.0, 1.0])))
 
 
 def test_kdecay_report_rejects_a_fractional_k():

@@ -12,6 +12,8 @@ from gausscalc import (
     HermiteExpansion,
     MultiIndex,
     basis_matrix,
+    besov_norm,
+    besov_params,
     chaos_project,
     gauss_hermite_grid,
     gen_family,
@@ -25,6 +27,7 @@ from gausscalc import (
 )
 from gausscalc.hermite import (
     MAX_NODES_PER_AXIS,
+    ROOT_CACHE_BYTES,
     TABLE_CACHE_BYTES,
     _abs_moment_exact_1d,
     _abs_pow,
@@ -33,6 +36,7 @@ from gausscalc.hermite import (
     _LRUCache,
     _lp_norms,
     _nbytes,
+    _real_eigenvalues,
     _unit_pieces,
 )
 
@@ -481,6 +485,58 @@ def test_odd_p_rows_do_not_depend_on_each_other():
         for i in range(rows.shape[0]):
             mi, ei = _abs_moment_exact_1d(rows[i], p)
             assert (mi[0], ei[0]) == (m[i], e[i])
+
+
+@pytest.mark.parametrize("degree", (1, 2, 3, 4, 5, 6, 7, 8, 16))
+def test_odd_p_roots_from_the_cache_keep_the_bits_of_a_cold_call(degree):
+    # the real roots of a row table are solved once for every odd p; each p,
+    # whichever ran first, gets the bits of a call made with the cache empty
+    rng = np.random.Generator(np.random.Philox(degree))
+    f = HermiteExpansion(1, {(n,): rng.normal() for n in range(degree + 1)})
+    rows = rng.normal(size=(30, degree + 1)) * np.exp2(rng.integers(-300, 300, size=(30, 1)))
+    ts = np.exp(np.linspace(math.log(1e-3), math.log(50.0), 60))
+    calls = {
+        "moments": lambda p: _abs_moment_exact_1d(rows, p),
+        "curve": lambda p: (norm_curve(f, 1, p, ts),),
+        "besov": lambda p: tuple(besov_norm(f, besov_params(0.7, p, q)).total for q in (2.0, math.inf)),
+    }
+    ps = (1, 3, 5, 7)
+    for name, call in calls.items():
+        cold = {}
+        for p in ps:
+            _real_eigenvalues.cache_clear()
+            cold[p] = call(p)
+        for order in (ps, ps[::-1]):
+            _real_eigenvalues.cache_clear()
+            for p in order:
+                assert all(np.array_equal(a, b) for a, b in zip(call(p), cold[p])), (name, p)
+            assert _real_eigenvalues.hits > 0
+
+
+def test_odd_p_norms_of_one_table_share_one_root_solve():
+    f = HermiteExpansion(1, {(1,): 0.4, (2,): -1.1, (5,): 0.8, (8,): 0.3})
+    coef = np.array(list(f.coeffs.values()))[:, None] * np.linspace(1.0, 2.0, 50)
+    _real_eigenvalues.cache_clear()
+    norms = _lp_norms(f, tuple(f.coeffs), coef, (1.0, 3.0, 5.0))
+    assert (_real_eigenvalues.misses, _real_eigenvalues.hits) == (1, 2)
+    assert np.array_equal(norms[1], _lp_norms(f, tuple(f.coeffs), coef, (3.0,))[0])
+
+
+def test_root_cache_is_bounded_by_its_budget():
+    rng = np.random.Generator(np.random.Philox(3))
+    _real_eigenvalues.cache_clear()
+    for rows in (50, 400, 900, 300, 700):  # 3.6 kB to 65 kB of key each, at degree 8
+        c = rng.normal(size=(rows, 9))
+        _abs_moment_exact_1d(c, 3)
+        sizes = [len(raw) + real.nbytes for raw, real in _real_eigenvalues._store.values()]
+        assert _real_eigenvalues.held == sum(sizes) <= ROOT_CACHE_BYTES
+    # a table whose key alone passes the budget is solved for its call and not kept
+    big = rng.normal(size=(ROOT_CACHE_BYTES // 72 + 1, 9))
+    kept = list(_real_eigenvalues._store)
+    m, e = _abs_moment_exact_1d(big, 1)
+    assert list(_real_eigenvalues._store) == kept
+    head = _abs_moment_exact_1d(big[:5], 1)
+    assert np.array_equal(m[:5], head[0]) and np.array_equal(e[:5], head[1])
 
 
 # lp_norm at p = 1, 3, 5, 7 as it was when it took the p-th root of its one
