@@ -168,17 +168,53 @@ def basis_matrix(indices, points) -> np.ndarray:
     """phi[i, j] = h_{indices[j]}(points[i]) for an (npoints, d) array of points.
 
     One hermite_values_1d table per axis serves every column; each column
-    starts from ones and takes its per-axis factors in axis order.
+    starts from ones and takes its per-axis factors in axis order, one
+    fancy-indexed product per axis.
     """
     pts = np.asarray(points, dtype=float)
     indices = list(indices)
     degree = max((max(nu) for nu in indices), default=0)
-    tables = [hermite_values_1d(pts[:, i], degree) for i in range(pts.shape[1])]
     phi = np.ones((pts.shape[0], len(indices)))
-    for col, nu in enumerate(indices):
-        for i, ni in enumerate(nu):
-            phi[:, col] *= tables[i][:, ni]
+    for i in range(pts.shape[1]):
+        phi *= hermite_values_1d(pts[:, i], degree)[:, [nu[i] for nu in indices]]
     return phi
+
+
+def _evaluate_rows(terms, points) -> np.ndarray:
+    """(K, P) values: row k is the expansion with coefficient map terms[k] at points[k] of (K, P, d).
+
+    One basis_matrix over the union of the supports serves every row.  Each
+    row adds its terms one after another in its own order, the bits of that
+    expansion alone; a term of coefficient 0 (the padding of a shorter row)
+    is skipped, so an inf basis value never becomes NaN.
+    """
+    pts = np.asarray(points, dtype=float)
+    columns: dict = {}
+    rows = [[columns.setdefault(nu, len(columns)) for nu in term] for term in terms]
+    cols = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=np.intp)
+    coef = np.zeros(cols.shape)
+    for k, term in enumerate(terms):
+        cols[k, : len(term)], coef[k, : len(term)] = rows[k], list(term.values())
+    phi = basis_matrix(columns, pts.reshape(-1, pts.shape[-1])).reshape(*pts.shape[:2], len(columns))
+    out = np.zeros(pts.shape[:2])
+    for j in range(coef.shape[1]):
+        ks = np.flatnonzero(coef[:, j])
+        out[ks] += coef[ks, j, None] * phi[ks, :, cols[ks, j]]
+    return out
+
+
+def _chaos_rows(fs, points) -> np.ndarray:
+    """(K, N + 1): out[k, n] is the order-n part of fs[k] at points[k] of (K, d), N the top degree.
+
+    Each order part is one row of _evaluate_rows, its terms in fs[k]'s order.
+    """
+    width = max(f.degree for f in fs) + 1
+    parts = [{} for _ in range(len(fs) * width)]
+    for k, f in enumerate(fs):
+        for nu, c in f.coeffs.items():
+            parts[k * width + nu.order][nu] = c
+    pts = np.repeat(np.asarray(points, dtype=float), width, axis=0)[:, None, :]
+    return _evaluate_rows(parts, pts).reshape(len(fs), width)
 
 
 @_table_cache
@@ -301,32 +337,27 @@ class HermiteExpansion:
     # -- evaluation ----------------------------------------------------------------
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Values at an (npoints, d) array, sharing per-axis recurrence tables."""
+        """Values at an (npoints, d) array, sharing per-axis recurrence tables: the one-expansion _evaluate_rows."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
-            pts = pts.reshape(-1, self.dimension) if self.dimension > 1 else pts.reshape(-1, 1)
+            pts = pts.reshape(-1, self.dimension)
         if pts.shape[1] != self.dimension:
             raise ValueError(f"points have dimension {pts.shape[1]}, expansion has {self.dimension}")
-        out = np.zeros(pts.shape[0])
-        phi = basis_matrix(self._coeffs, pts)
-        for j, c in enumerate(self._coeffs.values()):
-            out += c * phi[:, j]
-        return out
+        return _evaluate_rows([self._coeffs], pts[None])[0]
 
-    def __call__(self, x) -> float:
+    def _point(self, x) -> np.ndarray:
+        """x as a (1, d) array; ValueError unless it has d entries."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.size != self.dimension:
             raise ValueError(f"point has dimension {x.size}, expansion has {self.dimension}")
-        return float(self.evaluate_many(x.reshape(1, -1))[0])
+        return x.reshape(1, -1)
+
+    def __call__(self, x) -> float:
+        return float(self.evaluate_many(self._point(x))[0])
 
     def chaos_values(self, x) -> np.ndarray:
-        """Array g with g[n] = value at x of the order-n part, n = 0..degree."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        phi = basis_matrix(self._coeffs, x.reshape(1, -1))
-        out = np.zeros(self.degree + 1)
-        for j, (nu, c) in enumerate(self._coeffs.items()):
-            out[nu.order] += c * phi[0, j]
-        return out
+        """Array g with g[n] = value at x of the order-n part, n = 0..degree: the one-expansion _chaos_rows."""
+        return _chaos_rows([self], self._point(x))[0]
 
     # -- serialization ----------------------------------------------------------------
 

@@ -14,9 +14,15 @@ spectral path:
   * ph_kernel evaluates the Poisson-Hermite kernel p(t, x, y) itself, as the
     stable-measure average of Mehler kernel densities.
 
+Both oracles and their spectral sides are batched over samples (f, t, x) on
+one basis table (the _rows functions, the latter with the multipliers of
+ou_spectral and ph_spectral); ou_mehler and ph_subordination are the
+one-sample calls, with the same bits.
+
 t = 0 is allowed in the spectral paths (identity) but rejected in the kernel
 paths, where the Gaussian degenerates; the stable-measure paths take
-t >= SubordinationRule().t_min() = 4.8e-7, where their rule is exact.
+t >= SubordinationRule().t_min() = 4.8e-7, where their rule is exact.  Every
+time and step must be finite, and every order k an integer.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import math
 
 import numpy as np
 
-from .hermite import GaussHermiteGrid, HermiteExpansion
+from .hermite import GaussHermiteGrid, HermiteExpansion, _chaos_rows, _evaluate_rows
 from .timequad import EXP_ZERO, SubordinationRule
 
 __all__ = [
@@ -40,12 +46,35 @@ __all__ = [
 ]
 
 
+def _time(t, name: str = "t", positive: bool = False) -> float:
+    """t as a float: finite and >= 0, or > 0 if positive (NaN is refused too)."""
+    if not (0 < t < math.inf if positive else 0 <= t < math.inf):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {name} = {t}")
+    return float(t)
+
+
+def _order(k, least: int = 0) -> int:
+    """k as an int: an integer >= least (2.0 is refused, as by norm_curve)."""
+    if not (isinstance(k, (int, np.integer)) and k >= least):
+        raise ValueError(f"k must be an integer >= {least}, got k = {k!r}")
+    return int(k)
+
+
+def _ou_multiplier(t: float):
+    """The order-n factor exp(-t n) of T_t."""
+    t = _time(t)
+    return lambda n: math.exp(-t * n)
+
+
+def _orbit_multiplier(t: float, k: int = 0):
+    """The order-n factor (-sqrt(n))^k exp(-t sqrt(n)) of d^k/dt^k P_t."""
+    t, k = _time(t), _order(k)
+    return lambda n: (-math.sqrt(n)) ** k * math.exp(-t * math.sqrt(n))
+
+
 def ou_spectral(f: HermiteExpansion, t: float) -> HermiteExpansion:
     """T_t f: order-n coefficients scaled by exp(-t n)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    t = float(t)
-    return f.apply_order_multiplier(lambda n: math.exp(-t * n))
+    return f.apply_order_multiplier(_ou_multiplier(t))
 
 
 def ph_spectral(f: HermiteExpansion, t: float) -> HermiteExpansion:
@@ -59,12 +88,22 @@ def time_derivative(f: HermiteExpansion, t: float, k: int) -> HermiteExpansion:
     Term-wise: multiplier (-sqrt(n))^k exp(-t sqrt(n)); the constant term dies
     for k >= 1.  t = 0 is fine on polynomial data.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    t, k = float(t), int(k)
-    return f.apply_order_multiplier(lambda n: (-math.sqrt(n)) ** k * math.exp(-t * math.sqrt(n)))
+    return f.apply_order_multiplier(_orbit_multiplier(t, k))
+
+
+def _points(fs, xs) -> np.ndarray:
+    """xs as a (K, d) array, one point per expansion of fs; ValueError unless each has its expansion's d."""
+    xs = np.asarray(xs, dtype=float).reshape(len(fs), -1)
+    for f in fs:
+        if f.dimension != xs.shape[1]:
+            raise ValueError(f"point has dimension {xs.shape[1]}, expansion has {f.dimension}")
+    return xs
+
+
+def _spectral_rows(fs, multipliers, xs) -> np.ndarray:
+    """f.apply_order_multiplier(m)(x) for each sample (f, m, x), without building the expansions."""
+    terms = [{nu: c * m(nu.order) for nu, c in f.coeffs.items()} for f, m in zip(fs, multipliers)]
+    return _evaluate_rows(terms, _points(fs, xs)[:, None, :])[:, 0]
 
 
 def ou_mehler(f: HermiteExpansion, t: float, x, grid: GaussHermiteGrid) -> float:
@@ -72,16 +111,22 @@ def ou_mehler(f: HermiteExpansion, t: float, x, grid: GaussHermiteGrid) -> float
 
     Integrates f(c u + e^(-t) x) gamma_d(du) with c = sqrt(1 - e^(-2t)) over
     the supplied grid; exact for polynomial f once the grid degree suffices.
-    Oracle for ou_spectral.
+    Oracle for ou_spectral; the one-sample call of _ou_mehler_rows.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0 (kernel degenerates at t = 0)")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != f.dimension or grid.dimension != f.dimension:
-        raise ValueError("dimension mismatch")
-    c = math.sqrt(-math.expm1(-2.0 * t))
-    pts = c * grid.nodes + math.exp(-t) * x
-    return float(np.dot(grid.weights, f.evaluate_many(pts)))
+    return float(_ou_mehler_rows([f], [t], [x], grid)[0])
+
+
+def _ou_mehler_rows(fs, ts, xs, grid: GaussHermiteGrid) -> np.ndarray:
+    """ou_mehler for each sample (f, t, x): all their quadrature points in one evaluation, one weights dot each."""
+    xs = _points(fs, xs)
+    if grid.dimension != xs.shape[1]:
+        raise ValueError(f"grid has dimension {grid.dimension}, points have {xs.shape[1]}")
+    pts = np.empty((len(fs),) + grid.nodes.shape)
+    for k, t in enumerate(ts):
+        t = _time(t, positive=True)  # the kernel degenerates at t = 0
+        pts[k] = math.sqrt(-math.expm1(-2.0 * t)) * grid.nodes + math.exp(-t) * xs[k]
+    values = _evaluate_rows([f.coeffs for f in fs], pts)
+    return np.array(list(map(grid.weights.dot, values)))
 
 
 def ph_subordination(f: HermiteExpansion, t: float, x) -> float:
@@ -90,14 +135,24 @@ def ph_subordination(f: HermiteExpansion, t: float, x) -> float:
     Computes sum_j m_j T_{s_j} f(x) over the discretized measure; at the
     first atom, which carries the folded far tail, every e^(-s n), n >= 1,
     is 0, so its value is mean(f), exactly.  T_s is evaluated spectrally,
-    through the chaos values of f at x.  Oracle for ph_spectral.
+    through the chaos values of f at x.  Oracle for ph_spectral; the
+    one-sample call of _ph_subordination_rows.
     """
-    s, masses = SubordinationRule().stable_measure(t)
-    g = f.chaos_values(x)
-    rates = np.outer(s, np.arange(g.size))
-    # masking the rates r >= EXP_ZERO, where exp(-r) is +0.0, skips numpy's slow underflow path
-    values = np.exp(-rates, out=np.zeros_like(rates), where=rates < EXP_ZERO) @ g
-    return float(np.dot(masses, values))
+    return float(_ph_subordination_rows([f], [t], [x])[0])
+
+
+def _ph_subordination_rows(fs, ts, xs) -> np.ndarray:
+    """ph_subordination for each sample (f, t, x): all their chaos values at once, a stable-measure sum each."""
+    chaos = _chaos_rows(fs, _points(fs, xs))
+    out = np.empty(len(fs))
+    for k, (f, t) in enumerate(zip(fs, ts)):
+        s, masses = SubordinationRule().stable_measure(t)
+        g = chaos[k, : f.degree + 1]
+        rates = np.outer(s, np.arange(g.size))
+        # masking the rates r >= EXP_ZERO, where exp(-r) is +0.0, skips numpy's slow underflow path
+        values = np.exp(-rates, out=np.zeros_like(rates), where=rates < EXP_ZERO) @ g
+        out[k] = np.dot(masses, values)
+    return out
 
 
 def _mehler_density(s: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -138,8 +193,7 @@ def forward_difference(g, s, k: int, t=0.0):
     Works elementwise when g is vectorized and s (or t) is an array, and on
     any g whose values support scalar multiplication and addition.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _order(k, 1)
     total = None
     for j in range(k + 1):
         term = math.comb(k, j) * (-1.0) ** j * g(t + (k - j) * s)
@@ -155,9 +209,5 @@ def orbit_difference(f: HermiteExpansion, s: float, k: int, t: float = 0.0, n: i
     coefficients pick up (e^(-s sqrt(m)) - 1)^k, an expm1 power, which keeps
     every digit at small s where the alternating sum cancels.
     """
-    if s <= 0:
-        raise ValueError("s must be > 0")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    s, k = float(s), int(k)
+    s, k = _time(s, "s", positive=True), _order(k, 1)
     return time_derivative(f, t, n).apply_order_multiplier(lambda m: math.expm1(-s * math.sqrt(m)) ** k)

@@ -220,8 +220,10 @@ class SubordinationRule:
 
         The masses do not depend on t: they are cached with the rule and shared, so read-only.
         """
-        if not t >= self.t_min():
-            raise ValueError(f"t must be >= {self.t_min():.3g}, where the stable-measure rule is exact; got t = {t}")
+        if not self.t_min() <= t < math.inf:
+            raise ValueError(
+                f"t must be finite and >= {self.t_min():.3g}, where the stable-measure rule is exact; got t = {t}"
+            )
         u, masses = _stable_masses()
         return t * t / (4.0 * u), masses
 

@@ -10,14 +10,19 @@ from gausscalc import (
     ExperimentConfig,
     HermiteExpansion,
     emit_report,
+    gauss_hermite_grid,
     gen_family,
     l2_norm_coeffs,
     list_experiments,
     lp_norm_gamma,
+    ou_mehler,
+    ou_spectral,
+    ph_spectral,
+    ph_subordination,
     run_experiment,
 )
 from gausscalc.cli import main as cli_main
-from gausscalc.harness import besov_total, load_config, parse_config_file
+from gausscalc.harness import _seeded_rng, besov_total, load_config, parse_config_file
 
 CFG_SMALL = ExperimentConfig(family_size=8, max_degree=6)
 
@@ -142,6 +147,27 @@ def test_inversion_experiment_passes():
     assert rep.passed
     for check in rep.checks:
         assert check["value"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "cfg", [ExperimentConfig(), ExperimentConfig(dimension=2, family_size=10, max_degree=3)], ids=["default", "d2"]
+)
+def test_oracle_checks_equal_a_loop_of_one_sample_calls(cfg):
+    # the experiment evaluates its samples in chunks; a loop through the
+    # public one-sample functions, in the same draw order, gives its bits
+    family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
+    rng = _seeded_rng(cfg.seed, 1)
+    grid = gauss_hermite_grid(cfg.dimension, 4 * cfg.max_degree + 8)
+    worst_mehler = worst_sub = 0.0
+    for i in range(100):
+        f = family[i % len(family)]
+        t = float(rng.uniform(0.05, 5.0))
+        x = rng.uniform(-2.0, 2.0, cfg.dimension)
+        worst_mehler = max(worst_mehler, abs(ou_mehler(f, t, x, grid) - ou_spectral(f, t)(x)))
+        worst_sub = max(worst_sub, abs(ph_subordination(f, t, x) - ph_spectral(f, t)(x)))
+    values = {c["name"]: c["value"] for c in run_experiment("oracles", cfg).checks}
+    got = [values["mehler-vs-spectral"].hex(), values["subordination-vs-spectral"].hex()]
+    assert got == [worst_mehler.hex(), worst_sub.hex()]
 
 
 def test_riesz_potential_experiment(tiny_cfg=None):

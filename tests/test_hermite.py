@@ -32,6 +32,8 @@ from gausscalc.hermite import (
     _abs_moment_exact_1d,
     _abs_pow,
     _basis_table,
+    _chaos_rows,
+    _evaluate_rows,
     _gauss_legendre,
     _LRUCache,
     _lp_norms,
@@ -253,6 +255,64 @@ def test_chaos_values_split_f_by_order():
             want = chaos_project(f, n)(x)
             assert abs(g[n] - want) <= 1e-12 * (1 + abs(want))
         assert abs(g.sum() - f(x)) <= 1e-12 * (1 + abs(f(x)))
+
+
+def test_chaos_values_check_the_point_dimension():
+    f = HermiteExpansion(2, {(1, 0): 1.0, (0, 2): 0.5})
+    for x in ([0.1, 0.2, 0.3], [0.1]):
+        for call in (f, f.chaos_values):
+            with pytest.raises(ValueError, match=f"point has dimension {len(x)}, expansion has 2"):
+                call(x)
+
+
+def _term_loop(f, pts):
+    """f at an (npoints, d) array, its terms added one after another in coefficient order."""
+    out = np.zeros(len(pts))
+    phi = basis_matrix(f.coeffs, pts)
+    for j, c in enumerate(f.coeffs.values()):
+        out += c * phi[:, j]
+    return out
+
+
+def _chaos_loop(f, x):
+    """f's chaos values at the point x, each term added to its order in coefficient order."""
+    out = np.zeros(f.degree + 1)
+    phi = basis_matrix(f.coeffs, x.reshape(1, -1))
+    for j, (nu, c) in enumerate(f.coeffs.items()):
+        out[nu.order] += c * phi[0, j]
+    return out
+
+
+@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("npoints", (1, 40))
+def test_batched_rows_have_the_bits_of_one_expansion_calls(d, npoints):
+    # supports of different sizes and orders, the zero expansion and a
+    # constant among them, share one basis table and keep their own bits
+    fs = [
+        HermiteExpansion.zero(d),
+        HermiteExpansion.constant(d, -0.7),
+        *gen_family(20260809, d, 3, 8 if d == 1 else 5),
+        HermiteExpansion.basis((3,) + (1,) * (d - 1)),
+    ]
+    pts = np.random.default_rng(d + npoints).uniform(-3.0, 3.0, (len(fs), npoints, d))
+    rows = _evaluate_rows([f.coeffs for f in fs], pts)
+    chaos = _chaos_rows(fs, pts[:, 0])
+    for k, f in enumerate(fs):
+        assert rows[k].tobytes() == _term_loop(f, pts[k]).tobytes() == f.evaluate_many(pts[k]).tobytes()
+        assert rows[k, :1].tobytes() == np.array([f(pts[k, 0])]).tobytes()
+        want = _chaos_loop(f, pts[k, 0]).tobytes()
+        assert chaos[k, : f.degree + 1].tobytes() == want == f.chaos_values(pts[k, 0]).tobytes()
+        assert not chaos[k, f.degree + 1 :].any()
+
+
+def test_padded_terms_add_nothing_next_to_an_inf_basis_value():
+    # the constant's row is padded with the column of h_3, which is inf at
+    # x = 1e200: skipped rather than multiplied by 0, it adds no NaN
+    supports = [{(3,): 1.0, (1,): 1.0}, {(0,): 2.0}]
+    pts = np.array([[[0.5]], [[1e200]]])
+    with np.errstate(over="ignore", invalid="raise"):
+        rows = _evaluate_rows(supports, pts)
+    assert rows[:, 0].tolist() == [HermiteExpansion(1, supports[0])(0.5), 2.0]
 
 
 # -- inner products and norms ----------------------------------------------------------

@@ -10,7 +10,8 @@ interpreter that imports the command line and runs the odd-p norm, the
 averaging inequality and the oracles experiment never loads a scipy module
 (the tests' references use scipy).  The harness reaches into
 besov's private names only for the Besov terms, the norm curves and the
-decay report.
+decay report, and into semigroups' and hermite's only for the batched oracle
+samples, the L^p routes and the memo cache.
 """
 
 import ast
@@ -137,3 +138,39 @@ def test_harness_uses_only_the_besov_term_internals():
     }
     assert used
     assert used <= HARNESS_BESOV_INTERNALS, sorted(used - HARNESS_BESOV_INTERNALS)
+
+
+HARNESS_SEMIGROUPS_INTERNALS = {
+    "_ou_mehler_rows",
+    "_ph_subordination_rows",
+    "_spectral_rows",
+    "_ou_multiplier",
+    "_orbit_multiplier",
+}
+HARNESS_HERMITE_INTERNALS = {"_LRUCache", "_lp_norms"}
+
+
+def _private_names(tree, module: str, alias: str | None) -> set[str]:
+    """Private names of gausscalc.<module> in tree: imported from it, or attributes of its module alias."""
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == module
+        for alias in node.names
+    }
+    attributes = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == alias
+    }
+    return {name for name in imported | attributes if name.startswith("_")}
+
+
+def test_harness_uses_only_the_batched_oracles_of_semigroups_and_hermite():
+    # the oracles experiment calls semigroups' batched forms, whose one-sample
+    # calls are the public oracles, with the multipliers of the spectral
+    # forms; hermite's evaluation rows stay behind them, and harness takes
+    # from hermite only the L^p routes and the cache
+    tree = ast.parse((ROOT / "src" / "gausscalc" / "harness.py").read_text())
+    assert _private_names(tree, "semigroups", "sg") == HARNESS_SEMIGROUPS_INTERNALS
+    assert _private_names(tree, "hermite", None) == HARNESS_HERMITE_INTERNALS

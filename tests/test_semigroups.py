@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from gausscalc import (
     HermiteExpansion,
     forward_difference,
+    gauss_hermite_grid,
     gen_family,
     l2_norm_coeffs,
     orbit_difference,
@@ -19,6 +20,7 @@ from gausscalc import (
     ph_subordination,
     time_derivative,
 )
+from gausscalc import semigroups as sg
 from gausscalc.harness import _kernel_mass
 from gausscalc.timequad import SubordinationRule
 
@@ -171,6 +173,40 @@ def test_subordination_rejects_t_zero():
         ph_subordination(H1, 0.0, [0.0])
 
 
+def test_subordination_checks_the_point_dimension(mixed1d, family2d):
+    with pytest.raises(ValueError, match="point has dimension 2, expansion has 1"):
+        ph_subordination(mixed1d, 0.5, [0.1, 0.2])
+    with pytest.raises(ValueError, match="point has dimension 1, expansion has 2"):
+        ph_subordination(family2d[0], 0.5, [0.1])
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_batched_oracles_have_the_bits_of_one_sample_calls(d):
+    # supports of different sizes and orders, the zero expansion and a
+    # constant among them, each sample with its own t and x
+    fs = 2 * [
+        HermiteExpansion.zero(d),
+        HermiteExpansion.constant(d, 1.3),
+        *gen_family(20260809, d, 4, 8 if d == 1 else 5),
+        HermiteExpansion.basis((2,) + (0,) * (d - 1)),
+    ]
+    rng = np.random.default_rng(d)
+    ts = rng.uniform(0.05, 5.0, len(fs)).tolist()
+    xs = rng.uniform(-2.0, 2.0, (len(fs), d))
+    grid = gauss_hermite_grid(d, 40 if d == 1 else 28)
+    rows = [
+        sg._ou_mehler_rows(fs, ts, xs, grid),
+        sg._spectral_rows(fs, map(sg._ou_multiplier, ts), xs),
+        sg._ph_subordination_rows(fs, ts, xs),
+        sg._spectral_rows(fs, map(sg._orbit_multiplier, ts), xs),
+    ]
+    loop = [
+        [ou_mehler(f, t, x, grid), ou_spectral(f, t)(x), ph_subordination(f, t, x), ph_spectral(f, t)(x)]
+        for f, t, x in zip(fs, ts, xs)
+    ]
+    assert np.array(rows).T.tobytes() == np.array(loop).tobytes()
+
+
 # -- pointwise kernel -------------------------------------------------------------------
 
 
@@ -300,3 +336,35 @@ def test_orbit_difference_validation(mixed1d):
         orbit_difference(mixed1d, -0.1, 1)
     with pytest.raises(ValueError):
         orbit_difference(mixed1d, 0.1, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, grid: ou_spectral(f, math.nan),
+        lambda f, grid: ou_spectral(f, math.inf),
+        lambda f, grid: ou_mehler(f, math.nan, [0.3], grid),
+        lambda f, grid: time_derivative(f, math.inf, 1),
+        lambda f, grid: time_derivative(f, 0.3, 1.5),
+        lambda f, grid: orbit_difference(f, math.nan, 1),
+        lambda f, grid: orbit_difference(f, 0.3, 2.7),
+        lambda f, grid: forward_difference(math.exp, 0.1, 1.5),
+        lambda f, grid: ph_subordination(f, math.inf, [0.3]),
+    ],
+    ids=[
+        "ou_spectral-nan",
+        "ou_spectral-inf",
+        "ou_mehler-nan",
+        "time_derivative-inf",
+        "time_derivative-k1.5",
+        "orbit_difference-nan",
+        "orbit_difference-k2.7",
+        "forward_difference-k1.5",
+        "ph_subordination-inf",
+    ],
+)
+def test_semigroups_refuse_nonfinite_times_and_fractional_orders(call, mixed1d, grid1d):
+    # each of these returned NaN, truncated k or raised a TypeError; mixed1d
+    # has a constant term, on which t = inf made e^(-inf * 0) NaN
+    with pytest.raises(ValueError, match=r"must be (finite|an integer)"):
+        call(mixed1d, grid1d)
