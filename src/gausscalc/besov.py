@@ -12,20 +12,21 @@ On finite expansions the time derivative of the Poisson orbit is exact, so the
 only approximations are the t-integral (a trapezoid in a variable that is
 log t above a knee and thins the nodes out below it, continued to t = 0 in
 closed form, seminorm_rule, or a grid sup) and, for p not 2, the spatial
-norm.  Every curve comes from _orbit_norms, which takes any number of p: it
-builds the orbit table of a time grid once and hands it to hermite._lp_norms,
-whose docstring lists the spatial routes; each p keeps the bits of its one-p
-call, norm_curve.
+norm.  Every curve comes from _orbit_curves, which takes any number of p
+and of members: it builds one orbit table over the union of the members'
+supports and hands it to hermite._lp_norms, whose docstring lists the
+spatial routes; each p keeps the bits of its one-p call, norm_curve.
 _besov_terms alone evaluates the second term of the norm, the seminorm or
 A_k by q, for a family of expansions, at one time resolution or at two, the
 finer of which nests the coarser so that one curve per member serves both.
 The grids, their weights and, for a family with more members than orders,
 the Poisson factors e^(-t sqrt(n)) are made once per call and shared by the
 members.  For A_k at p = 2 alone, members also share orbit tables, a
-chunk of them per table within SHARED_TABLE_BYTES, and one hermite._lp_norms
-call per chunk gives their curves and one more their polish.  Every member's
-terms keep the bits of a one-member call; besov_seminorm and ak_constant are
-its one-member, one-p, one-resolution calls.
+chunk of them per table within SHARED_TABLE_BYTES, one member a chunk of
+one, and one _orbit_curves call per chunk gives their curves and one more
+their polish.  Every member's terms keep the bits of a one-member call;
+besov_seminorm and ak_constant are its one-member, one-p, one-resolution
+calls.
 """
 
 from __future__ import annotations
@@ -175,16 +176,37 @@ def _decay_rows(orders, ts) -> np.ndarray:
     return np.exp(np.negative(rows, out=rows), out=rows)
 
 
-def _orbit_table(items, k: int, decay: np.ndarray) -> np.ndarray:
-    """(S, T) coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)) of u^(k)(., t), one row per item.
+def _orbit_curves(f: HermiteExpansion, supports, k: int, ps, ts: np.ndarray, decay=None) -> np.ndarray:
+    """(len(ps), m, n) norms of u^(k)(., t) of m members with these sorted supports, at n times each.
 
-    decay, the items' rows e^(-t sqrt(n)) in their order (_decay_rows), is
-    scaled in place into the table, so a curve holds one (S, T) buffer.
+    ts is (m, n), a row of times per member, or (1, n) shared by them.  The
+    one orbit table, coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)), runs
+    over the sorted union of the supports, with a zero row wherever a member
+    lacks an index, and has a column per (member, time).  decay, when given,
+    holds the union's rows e^(-t sqrt(n)) at ts (_decay_rows).  Where ts has
+    a row per member, as for one member, those rows are scaled in place into
+    the table (a given decay is consumed), so a curve holds one table.
+    hermite._lp_norms takes the norms of all columns at once, on the route
+    of each p, with f's dimension and degree: several members share a table
+    at p = 2 only, where a column's norm is the row-order sum of its scaled
+    squares and a zero row adds an exact zero, so each keeps the bits of its
+    own call.  The default_grid and _abs_moment_exact_1d handed in are
+    hermite's own, passed through besov's bindings so that a spy on those
+    sees a curve's route.
     """
-    orders = np.array([nu.order for nu, _ in items], dtype=float)
-    base = np.array([c for _, c in items])
-    decay *= (base * (-np.sqrt(orders)) ** k)[:, None]
-    return decay
+    union = sorted({nu for items in supports for nu, _ in items})
+    row = {nu: i for i, nu in enumerate(union)}
+    m, n = len(supports), ts.shape[1]
+    factors = np.zeros((len(union), m, 1))
+    for j, items in enumerate(supports):
+        orders = np.array([nu.order for nu, _ in items], dtype=float)
+        factors[[row[nu] for nu, _ in items], j, 0] = np.array([c for _, c in items]) * (-np.sqrt(orders)) ** k
+    if decay is None:
+        decay = _decay_rows([nu.order for nu in union], ts.ravel())
+    decay = decay.reshape(len(union), ts.shape[0], n)
+    table = np.multiply(decay, factors, out=decay if ts.shape[0] == m else None).reshape(len(union), m * n)
+    norms = _lp_norms(f, union, table, ps, grid=default_grid, moments=_abs_moment_exact_1d)
+    return norms.reshape(len(ps), m, n)
 
 
 def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
@@ -203,25 +225,10 @@ def norm_curve(f: HermiteExpansion, k: int, p: float, ts) -> np.ndarray:
 
 
 def _norm_curves(f: HermiteExpansion, k: int, ps, ts) -> np.ndarray:
-    """norm_curve for every p in ps, stacked: an array shaped (len(ps),) + ts.shape, from f's own decay rows."""
+    """norm_curve for every p in ps, stacked: an array shaped (len(ps),) + ts.shape, the one-member _orbit_curves."""
     ts = np.asarray(ts, dtype=float)
-    items = sorted(f.coeffs.items())
-    decay = _decay_rows([nu.order for nu, _ in items], ts.ravel())
-    return _orbit_norms(f, items, k, ps, decay).reshape((len(ps),) + ts.shape)
-
-
-def _orbit_norms(f: HermiteExpansion, items, k: int, ps, decay: np.ndarray) -> np.ndarray:
-    """(len(ps), T) norms of u^(k)(., t) at the T time nodes of decay, f's rows e^(-t sqrt(n)).
-
-    items is f's support in sorted order, decay has one row per item.  The
-    orbit table goes to hermite._lp_norms as one table, a column per time
-    node.  The default_grid and _abs_moment_exact_1d handed in are hermite's
-    own; they are passed through besov's bindings so that a spy on those
-    sees the route of a curve.
-    """
     _check_orbit(k, ps, f.degree)
-    coef_t = _orbit_table(items, k, decay)
-    return _lp_norms(f, [nu for nu, _ in items], coef_t, ps, grid=default_grid, moments=_abs_moment_exact_1d)
+    return _orbit_curves(f, [sorted(f.coeffs.items())], k, ps, ts.reshape(1, -1)).reshape((len(ps),) + ts.shape)
 
 
 def _check_orbit(k: int, ps, degree: int, alpha: float | None = None):
@@ -313,7 +320,7 @@ def seminorm_rule(alpha: float, k: int, q: float, step: float, refine: int) -> t
 SUP_POINTS = 200
 
 # Bytes of one orbit table shared by a chunk of members, at q = inf and p = 2
-# (_besov_terms, _shared_sups).  It bounds the table of a large family; the
+# (_besov_terms, _orbit_curves).  It bounds the table of a large family; the
 # 399-node sup grid of the default rows over the 9 indices of degree <= 8 in
 # d = 1 holds 36 members.  On a 2-vCPU Xeon, A_k of 49 such members took
 # 5.4 ms one member at a time and 3.1, 2.8, 2.7 and 2.7 ms in chunks of 9,
@@ -359,31 +366,6 @@ def _polished_sups(curves, alpha: float, k: int, grids, weight, strides, grid_cu
     return [[float(max(sup[i].max(), local.max())) for sup, local in zip(sups, polish[i])] for i in rows]
 
 
-def _shared_sups(f: HermiteExpansion, supports, alpha: float, k: int, ps, grids, weight, strides):
-    """_polished_sups at p = 2 for members with these supports, from orbit tables they share; f names the dimension.
-
-    The tables run over the union of the supports, with a zero row where a
-    member lacks an index: one _lp_norms call gives every member's curve on
-    the finest grid, and one more its polish nodes on every grid.  At p = 2
-    a column's norm is the row-order sum of its scaled squares, and a zero
-    row adds an exact zero, so each value has the bits of its own call.
-    """
-    union = sorted({nu for items in supports for nu, _ in items})
-    row = {nu: i for i, nu in enumerate(union)}
-    factors = np.zeros((len(union), len(supports), 1))
-    for j, items in enumerate(supports):
-        # a one-node table of ones holds each row's factor c_nu (-sqrt(n))^k
-        factors[[row[nu] for nu, _ in items], j] = _orbit_table(items, k, np.ones((len(items), 1)))
-
-    def curves(ts):
-        """(m, n) curves of the members at n times, (1, n) shared by them or (m, n) each its own."""
-        decay = _decay_rows([nu.order for nu in union], ts.ravel()).reshape(len(union), *ts.shape)
-        return _lp_norms(f, union, (decay * factors).reshape(len(union), -1), (2.0,)).reshape(len(supports), -1)
-
-    sups = _polished_sups(curves, alpha, k, grids, weight, strides, curves(grids[-1][None]))
-    return [[[value] * len(ps) for value in member] for member in sups]
-
-
 def ak_constant(f: HermiteExpansion, alpha: float, p: float, k: int, points: int = SUP_POINTS) -> float:
     """Smallest A with ||u^(k)(., t)||_p <= A t^(alpha-k): sup of t^(k-alpha) ||u^(k)||_p.
 
@@ -420,15 +402,14 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
     d = 2 quadrature.
 
     At q = inf with every p 2, the members go in chunks of as many as fit
-    one table of SHARED_TABLE_BYTES, and a chunk's members share one orbit
-    table over the union of their supports (_shared_sups): one _lp_norms
-    call gives their curves and one more their polish.  Each member's terms
-    keep their bits.  A chunk of one, as when a member's grid alone fills
-    the budget, takes the one-member path.  At other p a column's norm
+    one table of SHARED_TABLE_BYTES, one member being a chunk of one, and a
+    chunk's members share one orbit table over the union of their supports:
+    one _orbit_curves call gives their curves and one more their polish.
+    Each member's terms keep their bits.  At other p a column's norm
     depends on the table's rows (the odd-p pieces are sized by degree, and
     a basis product's blocking over the support can move bits), and at
-    q < inf the long rules make shared tables slower, so no table is
-    shared there.
+    q < inf the long rules make shared tables slower, so there each member
+    has its own table, polished at q = inf by one norm_curve call per p.
     """
     _check_q(q)
     if not 0 <= alpha < k:
@@ -447,8 +428,29 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
     supports = [sorted(f.coeffs.items()) for f in fs]
     strides = [refine // r for r in levels]
 
-    def terms(f, curves):
-        """f's terms, one list per resolution, from its curves on the finest grid."""
+    if math.isinf(q) and all(p == 2 for p in ps):
+        indices = len({nu for items in supports for nu, _ in items})
+        size = max(1, SHARED_TABLE_BYTES // (8 * ts.size * max(indices, 1)))
+        out = []
+        # each chunk's curves are reduced before the next chunk's are made
+        for a in range(0, len(fs), size):
+            chunk = supports[a : a + size]
+
+            def curves(nodes):
+                """The chunk's curves at p = 2, (1, n) nodes shared or (m, n) a row each."""
+                return _orbit_curves(fs[a], chunk, k, (2.0,), nodes)[0]
+
+            sups = _polished_sups(curves, alpha, k, grids, weight, strides, curves(ts[None]))
+            out += [[[value] * len(ps) for value in member] for member in sups]
+        return out
+    orders = sorted({nu.order for items in supports for nu, _ in items})
+    table = _decay_rows(orders, ts) if len(fs) > len(orders) else None
+    row = {n: i for i, n in enumerate(orders)}
+
+    def terms(f, items):
+        """f's terms, one list per resolution, from its curves on the finest grid, its rows from table if made."""
+        decay = None if table is None else table[[row[nu.order] for nu, _ in items]]
+        curves = _orbit_curves(f, [items], k, ps, ts[None], decay)[:, 0]
         if math.isinf(q):
 
             def polish(nodes):
@@ -458,27 +460,7 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
             return [list(level) for level in zip(*_polished_sups(polish, alpha, k, grids, weight, strides, curves))]
         return [[_power_mean(w, weight[::s], c, q) for c in curves[:, ::s]] for (_, w), s in zip(rules, strides)]
 
-    if len(fs) > 1 and math.isinf(q) and all(p == 2 for p in ps):
-        indices = len({nu for items in supports for nu, _ in items})
-        size = max(1, SHARED_TABLE_BYTES // (8 * ts.size * max(indices, 1)))
-        out = []
-        # each chunk's curves are reduced before the next chunk's are made
-        for a in range(0, len(fs), size):
-            chunk = supports[a : a + size]
-            if len(chunk) > 1:
-                out += _shared_sups(fs[a], chunk, alpha, k, ps, grids, weight, strides)
-            else:
-                out.append(terms(fs[a], _norm_curves(fs[a], k, ps, ts)))
-        return out
-    orders = sorted({nu.order for items in supports for nu, _ in items})
-    if len(fs) > len(orders):
-        table, row = _decay_rows(orders, ts), {n: i for i, n in enumerate(orders)}
-        decays = (table[[row[nu.order] for nu, _ in items]] for items in supports)
-    else:
-        decays = (_decay_rows([nu.order for nu, _ in items], ts) for items in supports)
-    # each member's table is made once the last one's curves are reduced, and
-    # dropped with its own: a loop variable would keep it while the next is made
-    return [terms(f, _orbit_norms(f, items, k, ps, next(decays))) for f, items in zip(fs, supports)]
+    return [terms(f, items) for f, items in zip(fs, supports)]
 
 
 def besov_norm(f: HermiteExpansion, params: BesovParams) -> BesovResult:

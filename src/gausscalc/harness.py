@@ -255,7 +255,7 @@ def _fmt_float(x) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
-def emit_report(report: TheoremReport, fmt: str = "json", path: str | None = None) -> str:
+def emit_report(report: TheoremReport, fmt: str = "json") -> str:
     """Serialize a report (stable field order, lossless float formatting)."""
     if fmt == "json":
         doc = report.payload()
@@ -289,9 +289,6 @@ def emit_report(report: TheoremReport, fmt: str = "json", path: str | None = Non
         text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r} (expected json, csv or text)")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
     return text
 
 

@@ -481,8 +481,8 @@ def _check_p(p: float):
         raise ValueError(f"p must be finite and >= 1, got p = {p}")
 
 
-def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None, absolute: bool = False) -> np.ndarray:
-    """|v|^p in scratch (v's shape, allocated if not given), or in v at p = 1; returns the one that holds it.
+def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """|v|^p in scratch (v's shape), or in v at p = 1; returns the one that holds it.
 
     Unless p is an even integer, v, which the caller owns, is first made |v|
     in place; absolute=True says it already is, so several p of one v share
@@ -498,14 +498,13 @@ def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None, absolut
         np.abs(v, out=v)
     if p == 1:
         return v
-    power = np.empty_like(v) if scratch is None else scratch
     if float(p).is_integer():
-        np.square(v, out=power)
+        np.square(v, out=scratch)
         for _ in range(int(p) - 2):
-            power *= v
+            scratch *= v
     else:
-        np.power(v, p, out=power)
-    return power
+        np.power(v, p, out=scratch)
+    return scratch
 
 
 # Columns per block of _quadrature_norms: 400 KB of values at d = 2, degree 8

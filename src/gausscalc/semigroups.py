@@ -86,9 +86,13 @@ def time_derivative(f: HermiteExpansion, t: float, k: int) -> HermiteExpansion:
     """k-th time derivative of the Poisson orbit, u^(k)(., t) = d^k/dt^k P_t f.
 
     Term-wise: multiplier (-sqrt(n))^k exp(-t sqrt(n)); the constant term dies
-    for k >= 1.  t = 0 is fine on polynomial data.
+    for k >= 1.  t = 0 is fine on polynomial data.  A multiplier past the
+    float range is a ValueError.
     """
-    return f.apply_order_multiplier(_orbit_multiplier(t, k))
+    try:
+        return f.apply_order_multiplier(_orbit_multiplier(t, k))
+    except OverflowError:
+        raise ValueError(f"k = {k}, t = {t:g} take an orbit multiplier of f past the float range") from None
 
 
 def _points(fs, xs) -> np.ndarray:
@@ -191,9 +195,13 @@ def forward_difference(g, s, k: int, t=0.0):
         sum_{j=0}^{k} C(k, j) (-1)^j g(t + (k-j) s)
 
     Works elementwise when g is vectorized and s (or t) is an array, and on
-    any g whose values support scalar multiplication and addition.
+    any g whose values support scalar multiplication and addition.  A scalar
+    s or t must be finite.
     """
     k = _order(k, 1)
+    for name, v in (("s", s), ("t", t)):
+        if np.ndim(v) == 0 and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {name} = {v}")
     total = None
     for j in range(k + 1):
         term = math.comb(k, j) * (-1.0) ** j * g(t + (k - j) * s)

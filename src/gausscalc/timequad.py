@@ -52,10 +52,6 @@ class TimeQuadrature:
         """(t_j, w_j) with  int_0^inf g(t) dt  ~=  sum w_j g(t_j); cached and shared, so read-only."""
         return _log_uniform_rule(self.v_min, self.v_max, self.n_points)
 
-    def integrate(self, fn) -> float:
-        t, w = self.nodes_weights()
-        return float(np.dot(w, fn(t)))
-
 
 def _split_steps(v: np.ndarray, refine: int) -> np.ndarray:
     """The points v with each step split into refine equal ones: refine (v.size - 1) + 1 points.

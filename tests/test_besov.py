@@ -649,20 +649,22 @@ def test_shared_p2_tables_give_the_bits_of_one_member_calls(monkeypatch, d, q):
     # the union of their supports, and one more for the polish; a member's
     # zero rows add exact zeros, so its terms are the bits of its own call,
     # in chunks of any size, the last one a chunk of one; at q < inf every
-    # member takes the one-member path
+    # _orbit_curves call has one member
     from gausscalc import besov
 
     family = _shared_family(d)
     rows = len({nu for f in family for nu in f.coeffs})
     alpha, k = 0.7, 1
     chunks = []
-    shared_sups = besov._shared_sups
+    orbit_curves = besov._orbit_curves
 
     def spy(f, supports, *rest):
         chunks.append(len(supports))
-        return shared_sups(f, supports, *rest)
+        return orbit_curves(f, supports, *rest)
 
-    monkeypatch.setattr(besov, "_shared_sups", spy)
+    monkeypatch.setattr(besov, "_orbit_curves", spy)
+    # at q = inf each chunk takes one _orbit_curves call for its grid and one for its polish
+    calls = 2 if math.isinf(q) else 1
     for refine in (1, 2):
         if math.isinf(q):
             nodes = besov.sup_grid(SUP_POINTS, refine).size
@@ -670,19 +672,43 @@ def test_shared_p2_tables_give_the_bits_of_one_member_calls(monkeypatch, d, q):
             nodes = besov.seminorm_rule(alpha, k, q, DEFAULT_STEP, refine)[0].size
         chunks.clear()
         alone = [besov._besov_terms([f], alpha, (2.0,), q, k, DEFAULT_STEP, SUP_POINTS, refine)[0] for f in family]
-        assert chunks == []  # a one-member call takes the one-member path
+        assert chunks == [1] * (calls * len(family))  # a one-member p = 2, q = inf call is a chunk of one
         for size in (1, 2, 3, len(family)):  # 13 members: chunks of 2 or 3 leave a last chunk of one
             monkeypatch.setattr(besov, "SHARED_TABLE_BYTES", size * 8 * nodes * rows)
             chunks.clear()
             assert besov._besov_terms(family, alpha, (2.0,), q, k, DEFAULT_STEP, SUP_POINTS, refine) == alone
-            sizes = [size] * (len(family) // size) + [len(family) % size] if math.isinf(q) else []
-            # a chunk of one takes the one-member path
-            assert chunks == [m for m in sizes if m > 1]
+            if math.isinf(q):
+                sizes = [min(size, len(family) - a) for a in range(0, len(family), size)]
+            else:
+                sizes = [1] * len(family)
+            assert chunks == [m for m in sizes for _ in range(calls)]
         chunks.clear()
         ps = (4.0, 2.0)  # with any other p each member is a chunk of one, whatever the budget
         terms = besov._besov_terms(family, alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)
-        assert chunks == []
+        # a call per member for its curves and, at q = inf, one per p for its polish (norm_curve)
+        assert chunks == [1] * (len(family) * (1 + len(ps) if math.isinf(q) else 1))
         assert terms == [besov._besov_terms([f], alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)[0] for f in family]
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_orbit_curves_of_a_family_are_the_bits_of_one_member_calls(d):
+    # at p = 2 one table over the union of the supports, zero and constant
+    # members included, gives each member the bits of its own call, at
+    # times shared by the members or a row of times each
+    from gausscalc import besov
+
+    family = _shared_family(d)
+    supports = [sorted(f.coeffs.items()) for f in family]
+    ts = np.exp(np.linspace(math.log(1e-3), math.log(200.0), 101))
+    own = ts * np.arange(1, len(family) + 1)[:, None]
+    for k in (0, 1, 2):
+        for times in (ts[None], own):
+            shared = besov._orbit_curves(family[0], supports, k, (2.0,), times)
+            assert shared.shape == (1, len(family), ts.size)
+            for i, (f, items) in enumerate(zip(family, supports)):
+                row = times[i % len(times)][None]
+                assert np.array_equal(shared[0, i], besov._orbit_curves(f, [items], k, (2.0,), row)[0, 0])
+                assert np.array_equal(shared[0, i], norm_curve(f, k, 2.0, row[0]))
 
 
 @pytest.mark.parametrize("d", (1, 2))

@@ -199,11 +199,9 @@ def test_reports_are_deterministic():
     assert json.dumps(j1, sort_keys=True) == json.dumps(j2, sort_keys=True)
 
 
-def test_json_report_round_trips_floats(tmp_path):
+def test_json_report_round_trips_floats():
     rep = run_experiment("riesz-potential-bounded", CFG_SMALL)
-    path = tmp_path / "rep.json"
-    emit_report(rep, "json", str(path))
-    doc = json.loads(path.read_text())
+    doc = json.loads(emit_report(rep, "json"))
     stored = {row["label"]: row["ratio"] for row in doc["ratios"]}
     for row in rep.ratios:
         assert stored[row["label"]] == row["ratio"]  # bit-exact
@@ -532,32 +530,38 @@ def test_verify_all_builds_the_family_once(monkeypatch):
 
 
 def test_row_shares_p2_tables_at_q_inf(monkeypatch):
-    # in a default-config row the q = inf terms of each family call take one
-    # _lp_norms call per chunk for the sup grid and one for the polish; only
-    # the scaled source and its image, one-member calls, polish by norm_curve
+    # in a default-config row the q = inf terms of each family call go in
+    # chunks that share one orbit table for the sup grid and one for the
+    # polish; the scaled source and its image, one-member calls, are chunks
+    # of one, and nothing polishes by norm_curve
     from gausscalc import besov, harness
 
     cfg = ExperimentConfig(qs=(math.inf,))
     family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
-    calls, chunks = [], []
+    calls, members = [], []
 
     def count(name):
         fn = getattr(besov, name)
         monkeypatch.setattr(besov, name, lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs))
 
     def spy(f, supports, *rest):
-        chunks.append(len(supports))
-        return shared_sups(f, supports, *rest)
+        members.append(len(supports))
+        return orbit_curves(f, supports, *rest)
 
     count("_lp_norms")
     count("norm_curve")
-    shared_sups = besov._shared_sups
-    monkeypatch.setattr(besov, "_shared_sups", spy)
+    orbit_curves = besov._orbit_curves
+    monkeypatch.setattr(besov, "_orbit_curves", spy)
     harness._TOTALS.cache_clear()
     assert run_experiment("riesz-potential-bounded", cfg).passed
-    assert min(chunks) > 1
-    assert sum(chunks) == 2 * len(family)  # images and sources
-    assert (calls.count("_lp_norms"), calls.count("norm_curve")) == (2 * len(chunks) + 4, 2)
+    grid, polish = members[::2], members[1::2]
+    assert grid == polish  # each chunk: one _orbit_curves call for its grid, then one for its polish
+    assert sorted(grid)[:2] == [1, 1] and min(sorted(grid)[2:]) > 1
+    assert sum(grid) == 2 * len(family) + 2  # images and sources, the scaled pair
+    # each _orbit_curves call makes one _lp_norms call: two per chunk, over the
+    # image chunks, the source chunks and the scaled pair's two chunks of one;
+    # at p = 2 every polish runs in its chunk, so norm_curve is not called
+    assert (calls.count("_lp_norms"), calls.count("norm_curve")) == (len(members), 0)
 
 
 def test_row_gives_equal_images_equal_ratios(monkeypatch):

@@ -120,6 +120,27 @@ def test_besov_leaves_the_lp_route_to_hermite():
     assert uses == []
 
 
+def test_orbit_curves_is_the_one_lp_norms_caller_in_besov():
+    # besov builds its orbit tables in one place: _orbit_curves alone names
+    # _lp_norms, the one use of it outside the import, so a second table
+    # builder cannot come back unnoticed
+    tree = ast.parse((ROOT / "src" / "gausscalc" / "besov.py").read_text())
+    users = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = getattr(node, "name", "<lambda>")
+        if (isinstance(node, ast.Name) and node.id == "_lp_norms") or (
+            isinstance(node, ast.Attribute) and node.attr == "_lp_norms"
+        ):
+            users.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    assert users == ["_orbit_curves"]
+
+
 HARNESS_BESOV_INTERNALS = {"_besov_terms", "_norm_curves", "_decay_report", "_hardy_sides"}
 
 

@@ -331,6 +331,24 @@ def test_orbit_difference_keeps_its_digits_at_small_steps(k):
                 assert abs(got.coefficient(nu) - want) <= 1e-14 * abs(want)
 
 
+def test_time_derivative_refuses_a_multiplier_past_the_float_range():
+    # (-sqrt(n))^k raised a bare OverflowError at k = 1000 on degree 8; k =
+    # 400 stays in range and keeps the values of the multiplier
+    f = gen_family(20260809, 1, 3, 8)[0]
+    with pytest.raises(ValueError, match=r"k = 1000, t = 1e-300 .* past the float range"):
+        time_derivative(f, 1e-300, 1000)
+    got = time_derivative(f, 0.5, 400)
+    for nu, c in f.coeffs.items():
+        root = math.sqrt(nu.order)
+        assert got.coefficient(nu) == c * ((-root) ** 400 * math.exp(-0.5 * root))
+
+
+def test_forward_difference_stays_elementwise_on_arrays():
+    # only a scalar s or t is refused when not finite: an array keeps its NaN where it has one
+    got = forward_difference(np.exp, np.array([0.1, math.nan]), 2)
+    assert got[0] == forward_difference(np.exp, 0.1, 2) and math.isnan(got[1])
+
+
 def test_orbit_difference_validation(mixed1d):
     with pytest.raises(ValueError):
         orbit_difference(mixed1d, -0.1, 1)
@@ -349,6 +367,8 @@ def test_orbit_difference_validation(mixed1d):
         lambda f, grid: orbit_difference(f, math.nan, 1),
         lambda f, grid: orbit_difference(f, 0.3, 2.7),
         lambda f, grid: forward_difference(math.exp, 0.1, 1.5),
+        lambda f, grid: forward_difference(math.exp, math.nan, 1),
+        lambda f, grid: forward_difference(math.exp, 0.1, 1, math.inf),
         lambda f, grid: ph_subordination(f, math.inf, [0.3]),
     ],
     ids=[
@@ -360,6 +380,8 @@ def test_orbit_difference_validation(mixed1d):
         "orbit_difference-nan",
         "orbit_difference-k2.7",
         "forward_difference-k1.5",
+        "forward_difference-nan",
+        "forward_difference-t-inf",
         "ph_subordination-inf",
     ],
 )

@@ -21,8 +21,9 @@ def test_validation():
 def test_exponential_moments(kind, n):
     rule = TimeQuadrature(-24.0, 7.0, n)  # head truncation e^v_min must sit below tol
     assert rule.kind == kind
-    assert abs(rule.integrate(lambda t: np.exp(-t)) - 1.0) < 1e-9
-    assert abs(rule.integrate(lambda t: t**4 * np.exp(-t)) - 24.0) < 1e-7
+    t, w = rule.nodes_weights()
+    assert abs(np.dot(w, np.exp(-t)) - 1.0) < 1e-9
+    assert abs(np.dot(w, t**4 * np.exp(-t)) - 24.0) < 1e-7
 
 
 def test_rules_are_cached_and_read_only():
