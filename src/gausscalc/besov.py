@@ -13,18 +13,13 @@ only approximations are the t-integral (a trapezoid in a variable that is
 log t above a knee and thins the nodes out below it, continued to t = 0 in
 closed form, seminorm_rule, or a grid sup) and, for p not 2, the spatial
 norm.  Every curve comes from _orbit_curves, which takes any number of p
-and of members: it builds one orbit table over the union of the members'
-supports and hands it to hermite._lp_norms, whose docstring lists the
-spatial routes; each p keeps the bits of its one-p call, norm_curve.
-_besov_terms alone evaluates the second term of the norm, the seminorm or
-A_k by q, for a family of expansions, at one time resolution or at two, the
-finer of which nests the coarser so that one curve per member serves both.
-The grids, their weights and, for a family with more members than orders,
-the Poisson factors e^(-t sqrt(n)) are made once per call and shared by the
-members.  For A_k at p = 2 alone, members also share orbit tables, a
-chunk of them per table within SHARED_TABLE_BYTES, one member a chunk of
-one, and one _orbit_curves call per chunk gives their curves and one more
-their polish.  Every member's terms keep the bits of a one-member call;
+and of members and hands one orbit table to hermite._lp_norms, whose
+docstring lists the spatial routes; each p keeps the bits of its one-p
+call, norm_curve.  _besov_terms alone evaluates the second term of the
+norm, the seminorm or A_k by q, for a family of expansions, at one time
+resolution or at two, the finer of which nests the coarser so that one
+curve per member serves both; at p = 2 the members share orbit tables, a
+chunk at a time.  Every member's terms keep the bits of a one-member call;
 besov_seminorm and ak_constant are its one-member, one-p, one-resolution
 calls.
 """
@@ -56,7 +51,7 @@ __all__ = [
 
 MAX_P = 8.0
 # The largest finite q.  A q-th power scaled by a power of two from its
-# curve's maximum (_power_mean) keeps its peak term above 2^-q, a normal
+# curve's maximum (_power_means) keeps its peak term above 2^-q, a normal
 # float up to q = 1022, and the seminorm's peak in log t, about 1/sqrt(hq)
 # wide at h = k - alpha, spans 2.9 steps of 0.02 at hq = 300 (alpha = 0.7),
 # where the trapezoid's error e^(-2 pi^2 / (hq step^2)) is 1e-71.
@@ -122,18 +117,22 @@ def _check_time_range(alpha: float, k: int, q: float, t_end: float, degree: int,
         raise ValueError(f"k = {k} takes t^(k - alpha) or the seminorm to e^{reach:.0f}, beyond the float range")
 
 
-def _power_mean(w: np.ndarray, weight: np.ndarray, c: np.ndarray, q: float) -> float:
-    """(w @ (weight c)^q)^(1/q), weight c >= 0 scaled by the power of two 2^-e that brings its maximum into [1/2, 1).
+def _power_means(w: np.ndarray, weight: np.ndarray, curves: np.ndarray, q: float) -> list:
+    """(w @ (weight c)^q)^(1/q) for each row c of curves, weight c >= 0 scaled by the power of two 2^-e that brings its maximum into [1/2, 1).
 
-    The scale is exact, so at q = 1 and 2 the value has the bits of the
+    The scale is exact, so at q = 1 and 2 a value has the bits of the
     unscaled sum (barring subnormals), and the q-th powers neither overflow
-    nor underflow at any q <= MAX_Q.
+    nor underflow at any q <= MAX_Q.  A row at a time: each step once over
+    all rows was slower (8 rows of 867 nodes at q = 2: 59 against 44 us).
     """
-    v = weight * c
-    e = math.frexp(v.max())[1]  # 0 for a zero or non-finite maximum
-    np.ldexp(v, -e, out=v)
-    v **= q
-    return math.ldexp(float(np.dot(w, v)) ** (1.0 / q), e)
+    out = []
+    for c in curves:
+        v = weight * c
+        e = math.frexp(v.max())[1]  # 0 for a zero or non-finite maximum
+        np.ldexp(v, -e, out=v)
+        v **= q
+        out.append(math.ldexp(float(np.dot(w, v)) ** (1.0 / q), e))
+    return out
 
 
 def besov_params(alpha: float, p: float, q: float, k: int | None = None) -> BesovParams:
@@ -171,8 +170,8 @@ class BesovResult:
 
 
 def _decay_rows(orders, ts) -> np.ndarray:
-    """(len(orders), T) Poisson factors e^(-t sqrt(n)), a row per order n and a column per t in ts, in one buffer."""
-    rows = np.outer(np.sqrt(np.asarray(orders, dtype=float)), ts)
+    """Poisson factors e^(-t sqrt(n)) in one buffer: orders.shape + (T,), the times of each order broadcast from ts (..., T)."""
+    rows = np.multiply(np.sqrt(np.asarray(orders, dtype=float))[..., None], ts)
     return np.exp(np.negative(rows, out=rows), out=rows)
 
 
@@ -180,32 +179,26 @@ def _orbit_curves(f: HermiteExpansion, supports, k: int, ps, ts: np.ndarray, dec
     """(len(ps), m, n) norms of u^(k)(., t) of m members with these sorted supports, at n times each.
 
     ts is (m, n), a row of times per member, or (1, n) shared by them.  The
-    one orbit table, coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)), runs
-    over the sorted union of the supports, with a zero row wherever a member
-    lacks an index, and has a column per (member, time).  decay, when given,
-    holds the union's rows e^(-t sqrt(n)) at ts (_decay_rows).  Where ts has
-    a row per member, as for one member, those rows are scaled in place into
-    the table (a given decay is consumed), so a curve holds one table.
-    hermite._lp_norms takes the norms of all columns at once, on the route
-    of each p, with f's dimension and degree: several members share a table
-    at p = 2 only, where a column's norm is the row-order sum of its scaled
-    squares and a zero row adds an exact zero, so each keeps the bits of its
-    own call.  The default_grid and _abs_moment_exact_1d handed in are
-    hermite's own, passed through besov's bindings so that a spy on those
-    sees a curve's route.
+    orbit table, coefficients c_nu (-sqrt(n))^k e^(-t sqrt(n)), has a column
+    per (member, time) holding the member's own support, then zero rows up
+    to the longest.  decay, when given, is (orders, _decay_rows(orders, ts))
+    at shared ts; without it the table takes its own exps.  hermite._lp_norms
+    takes the norms of all columns on the route of each p, with f's
+    dimension and degree.  Members share a table at p = 2 only, whose route
+    reads the table alone: a column's norm is the row-order sum of its
+    scaled squares, and trailing zero rows add exact zeros, so each member
+    keeps the bits of its own call.  The default_grid and
+    _abs_moment_exact_1d handed in are hermite's own, passed through besov's
+    bindings so that a spy on those sees a curve's route.
     """
-    union = sorted({nu for items in supports for nu, _ in items})
-    row = {nu: i for i, nu in enumerate(union)}
-    m, n = len(supports), ts.shape[1]
-    factors = np.zeros((len(union), m, 1))
+    m, n, rows = len(supports), ts.shape[1], max(map(len, supports))
+    coef, orders = np.zeros((2, rows, m))  # a padding row is 0 at order 0
     for j, items in enumerate(supports):
-        orders = np.array([nu.order for nu, _ in items], dtype=float)
-        factors[[row[nu] for nu, _ in items], j, 0] = np.array([c for _, c in items]) * (-np.sqrt(orders)) ** k
-    if decay is None:
-        decay = _decay_rows([nu.order for nu in union], ts.ravel())
-    decay = decay.reshape(len(union), ts.shape[0], n)
-    table = np.multiply(decay, factors, out=decay if ts.shape[0] == m else None).reshape(len(union), m * n)
-    norms = _lp_norms(f, union, table, ps, grid=default_grid, moments=_abs_moment_exact_1d)
+        coef[: len(items), j], orders[: len(items), j] = [c for _, c in items], [nu.order for nu, _ in items]
+    table = _decay_rows(orders, ts) if decay is None else decay[1][np.searchsorted(decay[0], orders)]
+    table *= (coef * (-np.sqrt(orders)) ** k)[:, :, None]
+    indices = [nu for nu, _ in supports[0]] if m == 1 else None
+    norms = _lp_norms(f, indices, table.reshape(rows, m * n), ps, grid=default_grid, moments=_abs_moment_exact_1d)
     return norms.reshape(len(ps), m, n)
 
 
@@ -319,14 +312,14 @@ def seminorm_rule(alpha: float, k: int, q: float, step: float, refine: int) -> t
 
 SUP_POINTS = 200
 
-# Bytes of one orbit table shared by a chunk of members, at q = inf and p = 2
-# (_besov_terms, _orbit_curves).  It bounds the table of a large family; the
-# 399-node sup grid of the default rows over the 9 indices of degree <= 8 in
-# d = 1 holds 36 members.  On a 2-vCPU Xeon, A_k of 49 such members took
-# 5.4 ms one member at a time and 3.1, 2.8, 2.7 and 2.7 ms in chunks of 9,
-# 17, 25 and 49, and no budget from 0 to 2 MiB moved the traced allocation
-# peak of a verify-default benchmark pass.
-SHARED_TABLE_BYTES = 2**20
+# Bytes of one orbit table shared by a chunk of p = 2 members (_besov_terms,
+# _orbit_curves), rows up to the longest support: at most 9 at degree 8 in
+# d = 1, where the 399-node refined sup grid holds 18 members and the 867-node
+# refined seminorm rule (alpha = 0.7, q = 2) 8.  On a 2-vCPU Xeon, 50 such
+# members took 6.2 (q = inf) and 4.2 ms (q = 2) in chunks of one, and 1.9 and
+# 2.4, 1.6 and 2.3, 1.5 and 2.5 ms in chunks of 9, 17 and 50; a verify-all
+# pass was as fast at 2^19 bytes as at 2^20 and peaked 0.8-0.9 MiB lower.
+SHARED_TABLE_BYTES = 2**19
 
 
 @lru_cache(maxsize=8)  # the default verify-all pass uses 2 grids
@@ -342,28 +335,29 @@ def sup_grid(points: int, refine: int) -> np.ndarray:
     return ts
 
 
-def _polish_nodes(ts, vals) -> np.ndarray:
-    """19 log-spaced times between the two grid neighbours of the argmax of vals, the sup's values on ts."""
-    i = int(np.argmax(vals))
-    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
-    return np.exp(np.linspace(math.log(lo), math.log(hi), 19))
-
-
 def _polished_sups(curves, alpha: float, k: int, grids, weight, strides, grid_curves) -> list:
     """A_k of each row of grid_curves on every grid, its grid sup polished at its argmax: a list per row, a value per grid.
 
     grid_curves has a curve per row on the finest grid, grids[-1], where the
     weight is t^(k-alpha); grids[g] is its every strides[g]-th node.  Each
-    grid keeps the larger of its max and the max on its argmax's
-    _polish_nodes, where curves(nodes) gives each row's curve at its row of
-    nodes, all grids in one call: a column's norm does not depend on the
-    others, so each value keeps the bits of a one-grid polish.
+    grid keeps the larger of its max and the max on 19 log-spaced polish
+    nodes between the two grid neighbours of its argmax, where
+    curves(nodes) gives each row's curve at its row of nodes, all grids in
+    one call: a column's norm does not depend on the others.  One pass makes
+    every (row, grid)'s nodes by np.linspace's steps, whose array-end call
+    costs 12 us to a scalar one's 4, so each value keeps the bits of a
+    one-row, one-grid polish; a NaN on the polish nodes gives NaN.
     """
     sups = [weight[::s] * grid_curves[:, ::s] for s in strides]
-    rows = range(len(grid_curves))
-    nodes = np.array([np.concatenate([_polish_nodes(ts, sup[i]) for ts, sup in zip(grids, sups)]) for i in rows])
-    polish = (nodes ** (k - alpha) * curves(nodes)).reshape(len(rows), len(grids), -1)
-    return [[float(max(sup[i].max(), local.max())) for sup, local in zip(sups, polish[i])] for i in rows]
+    ends = [
+        [(math.log(ts[max(i - 1, 0)]), math.log(ts[min(i + 1, ts.size - 1)])) for i in sup.argmax(axis=1).tolist()]
+        for ts, sup in zip(grids, sups)
+    ]
+    lo, hi = np.array(ends).transpose(2, 1, 0).reshape(2, -1, 1)  # (row, grid) order
+    nodes = np.exp(np.concatenate([np.arange(18.0) * ((hi - lo) / 18) + lo, hi], axis=1)).reshape(len(grid_curves), -1)
+    local = (nodes ** (k - alpha) * curves(nodes)).reshape(len(grid_curves), len(grids), -1).max(axis=2)
+    tops = np.array([sup.max(axis=1) for sup in sups]).T
+    return np.maximum(tops, local).tolist()
 
 
 def ak_constant(f: HermiteExpansion, alpha: float, p: float, k: int, points: int = SUP_POINTS) -> float:
@@ -393,23 +387,17 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
     sup polished around its own argmax (_polished_sups).
 
     The grids, the weights t^(k-alpha) and, for a family with more members
-    than distinct orders, the decay rows e^(-t sqrt(n)) of every order in
-    its supports are made once per call; a member's orbit table takes its
-    rows from them, the same products, so each member's terms are the bits
-    of a call for it alone.  A smaller family, or one member, takes its own
-    rows: there the table would save few exps, and its bytes would add to
-    those of each member's curve, such as the Gauss-Hermite buffers of a
-    d = 2 quadrature.
+    than distinct orders, the decay rows e^(-t sqrt(n)) of its orders are
+    made once per call; the orbit tables take their rows from them, the same
+    products, so each member's terms are the bits of a call for it alone.
 
-    At q = inf with every p 2, the members go in chunks of as many as fit
-    one table of SHARED_TABLE_BYTES, one member being a chunk of one, and a
-    chunk's members share one orbit table over the union of their supports:
-    one _orbit_curves call gives their curves and one more their polish.
-    Each member's terms keep their bits.  At other p a column's norm
-    depends on the table's rows (the odd-p pieces are sized by degree, and
-    a basis product's blocking over the support can move bits), and at
-    q < inf the long rules make shared tables slower, so there each member
-    has its own table, polished at q = inf by one norm_curve call per p.
+    With every p 2 the members go in chunks of as many as fit one table of
+    SHARED_TABLE_BYTES, one member a chunk of one: one _orbit_curves call
+    gives a chunk's curves, reduced together (_power_means, _polished_sups),
+    and at q = inf one more its polish.  At other p a column's norm depends
+    on the table's rows (odd-p pieces are sized by degree, a basis product's
+    blocking by the support), so each member has its own table, polished at
+    q = inf by one norm_curve call per p.
     """
     _check_q(q)
     if not 0 <= alpha < k:
@@ -427,38 +415,36 @@ def _besov_terms(fs, alpha: float, ps, q: float, k: int, step: float, points: in
     weight = ts ** (k - alpha)  # every refine-th is the coarse grid's weight, bit for bit
     supports = [sorted(f.coeffs.items()) for f in fs]
     strides = [refine // r for r in levels]
+    orders = sorted({nu.order for items in supports for nu, _ in items})
+    decay = (orders, _decay_rows(orders, ts)) if len(fs) > len(orders) else None
 
-    if math.isinf(q) and all(p == 2 for p in ps):
-        indices = len({nu for items in supports for nu, _ in items})
-        size = max(1, SHARED_TABLE_BYTES // (8 * ts.size * max(indices, 1)))
+    def reduce(curves, polish):
+        """The terms of each row of curves, its curve on the finest grid: a list per row, a value per resolution."""
+        if math.isinf(q):
+            return _polished_sups(polish, alpha, k, grids, weight, strides, curves)
+        return list(zip(*[_power_means(w, weight[::s], curves[:, ::s], q) for (_, w), s in zip(rules, strides)]))
+
+    if all(p == 2 for p in ps):
+        size = max(1, SHARED_TABLE_BYTES // (8 * ts.size * max(max(map(len, supports)), 1)))
         out = []
-        # each chunk's curves are reduced before the next chunk's are made
-        for a in range(0, len(fs), size):
+        for a in range(0, len(fs), size):  # each chunk's curves are reduced before the next chunk's are made
             chunk = supports[a : a + size]
 
-            def curves(nodes):
+            def curves(nodes, decay=None):
                 """The chunk's curves at p = 2, (1, n) nodes shared or (m, n) a row each."""
-                return _orbit_curves(fs[a], chunk, k, (2.0,), nodes)[0]
+                return _orbit_curves(fs[a], chunk, k, (2.0,), nodes, decay)[0]
 
-            sups = _polished_sups(curves, alpha, k, grids, weight, strides, curves(ts[None]))
-            out += [[[value] * len(ps) for value in member] for member in sups]
+            out += [[[value] * len(ps) for value in member] for member in reduce(curves(ts[None], decay), curves)]
         return out
-    orders = sorted({nu.order for items in supports for nu, _ in items})
-    table = _decay_rows(orders, ts) if len(fs) > len(orders) else None
-    row = {n: i for i, n in enumerate(orders)}
 
     def terms(f, items):
-        """f's terms, one list per resolution, from its curves on the finest grid, its rows from table if made."""
-        decay = None if table is None else table[[row[nu.order] for nu, _ in items]]
-        curves = _orbit_curves(f, [items], k, ps, ts[None], decay)[:, 0]
-        if math.isinf(q):
+        """f's terms, one list per resolution, from its curves on the finest grid."""
 
-            def polish(nodes):
-                """f's curve at each row of nodes, one norm_curve call per p."""
-                return np.array([norm_curve(f, k, p, row) for p, row in zip(ps, nodes)])
+        def polish(nodes):
+            """f's curve at each row of nodes, one norm_curve call per p."""
+            return np.array([norm_curve(f, k, p, row) for p, row in zip(ps, nodes)])
 
-            return [list(level) for level in zip(*_polished_sups(polish, alpha, k, grids, weight, strides, curves))]
-        return [[_power_mean(w, weight[::s], c, q) for c in curves[:, ::s]] for (_, w), s in zip(rules, strides)]
+        return [list(level) for level in zip(*reduce(_orbit_curves(f, [items], k, ps, ts[None], decay)[:, 0], polish))]
 
     return [terms(f, items) for f, items in zip(fs, supports)]
 

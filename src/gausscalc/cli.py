@@ -90,7 +90,7 @@ def main(argv=None) -> int:
         text = emit_report(reports[0], cfg.fmt or "json")
     else:
         for rep in reports:
-            print(f"[{'PASS' if rep.passed else 'FAIL'}] {rep.experiment}  ({rep.runtime_s:.1f}s)")
+            print(f"[{'PASS' if rep.passed else 'FAIL'}] {rep.experiment}  ({rep.runtime_s * 1e3:.1f} ms)")
         text = "\n".join(emit_report(rep, cfg.fmt or "json") for rep in reports)
     if cfg.out:
         try:

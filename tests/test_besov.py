@@ -18,7 +18,7 @@ from gausscalc import (
     orbit_difference,
     smallest_k,
 )
-from gausscalc.besov import SUP_POINTS, _cumulative_simpson
+from gausscalc.besov import SUP_POINTS, _cumulative_simpson, seminorm_rule, sup_grid
 from gausscalc.hermite import TIME_BLOCK
 from gausscalc.timequad import DEFAULT_STEP, TimeQuadrature
 
@@ -642,18 +642,18 @@ def _shared_family(d):
     return family + [family[0], 1.0 * family[2]]
 
 
-@pytest.mark.parametrize("q", (1.0, 2.0, math.inf))
+@pytest.mark.parametrize("q", (1.0, 2.0, 4.0, math.inf))
 @pytest.mark.parametrize("d", (1, 2))
 def test_shared_p2_tables_give_the_bits_of_one_member_calls(monkeypatch, d, q):
-    # at p = 2 and q = inf a chunk of members shares one orbit table over
-    # the union of their supports, and one more for the polish; a member's
-    # zero rows add exact zeros, so its terms are the bits of its own call,
-    # in chunks of any size, the last one a chunk of one; at q < inf every
-    # _orbit_curves call has one member
+    # at p = 2 a chunk of members shares one orbit table, each member's
+    # support padded with zero rows to the longest, and at q = inf one more
+    # for the polish; a member's zero rows add exact zeros, so its terms are
+    # the bits of its own call, in chunks of any size, the last one a chunk
+    # of one, at every q
     from gausscalc import besov
 
     family = _shared_family(d)
-    rows = len({nu for f in family for nu in f.coeffs})
+    rows = max(len(f.coeffs) for f in family)
     alpha, k = 0.7, 1
     chunks = []
     orbit_curves = besov._orbit_curves
@@ -672,15 +672,12 @@ def test_shared_p2_tables_give_the_bits_of_one_member_calls(monkeypatch, d, q):
             nodes = besov.seminorm_rule(alpha, k, q, DEFAULT_STEP, refine)[0].size
         chunks.clear()
         alone = [besov._besov_terms([f], alpha, (2.0,), q, k, DEFAULT_STEP, SUP_POINTS, refine)[0] for f in family]
-        assert chunks == [1] * (calls * len(family))  # a one-member p = 2, q = inf call is a chunk of one
+        assert chunks == [1] * (calls * len(family))  # a one-member p = 2 call is a chunk of one
         for size in (1, 2, 3, len(family)):  # 13 members: chunks of 2 or 3 leave a last chunk of one
             monkeypatch.setattr(besov, "SHARED_TABLE_BYTES", size * 8 * nodes * rows)
             chunks.clear()
             assert besov._besov_terms(family, alpha, (2.0,), q, k, DEFAULT_STEP, SUP_POINTS, refine) == alone
-            if math.isinf(q):
-                sizes = [min(size, len(family) - a) for a in range(0, len(family), size)]
-            else:
-                sizes = [1] * len(family)
+            sizes = [min(size, len(family) - a) for a in range(0, len(family), size)]
             assert chunks == [m for m in sizes for _ in range(calls)]
         chunks.clear()
         ps = (4.0, 2.0)  # with any other p each member is a chunk of one, whatever the budget
@@ -690,20 +687,129 @@ def test_shared_p2_tables_give_the_bits_of_one_member_calls(monkeypatch, d, q):
         assert terms == [besov._besov_terms([f], alpha, ps, q, k, DEFAULT_STEP, SUP_POINTS, refine)[0] for f in family]
 
 
+def _power_mean(w, weight, c, q):
+    """One curve's (w @ (weight c)^q)^(1/q), scaled by the power of two that brings its maximum into [1/2, 1)."""
+    v = weight * c
+    e = math.frexp(v.max())[1]
+    np.ldexp(v, -e, out=v)
+    v **= q
+    return math.ldexp(float(np.dot(w, v)) ** (1.0 / q), e)
+
+
+def _seminorm_loop(f, alpha, k, q, refine):
+    """f's p = 2 seminorm at each resolution, from one public norm_curve on the finest rule and a one-curve reduction."""
+    levels = (1, refine) if refine > 1 else (1,)
+    rules = [seminorm_rule(alpha, k, q, DEFAULT_STEP, r) for r in levels]
+    ts = rules[-1][0]
+    weight, curve = ts ** (k - alpha), norm_curve(f, k, 2.0, ts)
+    return [[_power_mean(w, weight[::s], curve[::s], q)] for (_, w), s in zip(rules, (refine, 1))]
+
+
+@pytest.mark.parametrize("q", (1.0, 2.0, 4.0))
+@pytest.mark.parametrize("d", (1, 2))
+def test_p2_family_seminorms_equal_a_loop_of_public_curves(monkeypatch, d, q):
+    # the members of a p = 2 chunk share an orbit table and one reduction of
+    # its rows; in chunks of 1, 2, 3 and all 13 members, zero, constant and
+    # repeated ones included, each keeps the bits of its own norm_curve
+    # reduced one curve at a time
+    from gausscalc import besov
+
+    family = _shared_family(d)
+    rows = max(len(f.coeffs) for f in family)
+    alpha, k = 0.7, 1
+    for refine in (1, 2):
+        nodes = besov.seminorm_rule(alpha, k, q, DEFAULT_STEP, refine)[0].size
+        want = [_seminorm_loop(f, alpha, k, q, refine) for f in family]
+        for size in (1, 2, 3, len(family)):
+            monkeypatch.setattr(besov, "SHARED_TABLE_BYTES", size * 8 * nodes * rows)
+            assert besov._besov_terms(family, alpha, (2.0,), q, k, DEFAULT_STEP, SUP_POINTS, refine) == want
+
+
+def _polish_loop(fn, alpha, k, grids, weight, strides, grid_curve):
+    """One row's polished sups, a grid at a time, and its polish nodes: 19 from a scalar linspace between the argmax's neighbours."""
+    out, used = [], []
+    for ts, s in zip(grids, strides):
+        sup = weight[::s] * grid_curve[::s]
+        i = int(np.argmax(sup))
+        lo, hi = math.log(ts[max(i - 1, 0)]), math.log(ts[min(i + 1, ts.size - 1)])
+        used.append(np.exp(np.linspace(lo, hi, 19)))
+        out.append(float(max(sup.max(), (used[-1] ** (k - alpha) * fn(used[-1])).max())))
+    return out, np.concatenate(used)
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_polished_sups_of_many_rows_are_the_bits_of_one_row_calls(d):
+    # one pass makes every row's polish nodes; each row's nodes and values
+    # are the bits of a one-row call and of a loop over its grids, also where
+    # the argmax sits at the first node (zero and constant members) or the last
+    from gausscalc import besov
+
+    fns = [lambda t, f=f: norm_curve(f, 1, 2.0, t) for f in _shared_family(d)]
+    fns.append(lambda t: t**2)  # its weighted sup sits at the last node
+    alpha, k = 0.7, 1
+    for refine in (1, 2, 3):
+        levels = (1, refine) if refine > 1 else (1,)
+        grids = [besov.sup_grid(SUP_POINTS, r) for r in levels]
+        weight, strides = grids[-1] ** (k - alpha), [refine // r for r in levels]
+        grid_curves = np.array([fn(grids[-1]) for fn in fns])
+        assert np.argmax(weight * grid_curves[-1]) == weight.size - 1
+        seen = []
+
+        def curves(nodes, fns=fns, seen=seen):
+            seen.append(nodes.copy())
+            return np.array([fn(row) for fn, row in zip(fns, nodes)])
+
+        sups = besov._polished_sups(curves, alpha, k, grids, weight, strides, grid_curves)
+        assert len(sups) == len(fns)
+        for fn, row, got, nodes in zip(fns, grid_curves, sups, seen[0]):
+            one = besov._polished_sups(lambda nodes: fn(nodes), alpha, k, grids, weight, strides, row[None])
+            assert one == [got]
+            values, want = _polish_loop(fn, alpha, k, grids, weight, strides, row)
+            assert got == values and np.array_equal(nodes, want)
+
+
+@pytest.mark.parametrize("points,refine", ((SUP_POINTS, 1), (SUP_POINTS, 2), (50, 1)))
+def test_polish_nodes_are_the_bits_of_scalar_linspace_at_every_argmax(points, refine):
+    # the polish nodes of every row and grid come from one array pass of
+    # np.linspace's steps; with a row peaking at each node of the grid in
+    # turn, the first and last included, each row of nodes is the bits of
+    # the scalar linspace between the logs of that node's two neighbours,
+    # and a NaN polish gives NaN; on the 50-point grid two last
+    # steps lo + 18 (hi - lo) / 18 miss hi by an ulp that exp keeps
+    from gausscalc import besov
+
+    ts = sup_grid(points, refine)
+    seen = []
+
+    def curves(nodes):
+        seen.append(nodes.copy())
+        return np.full_like(nodes, np.nan)
+
+    sups = besov._polished_sups(curves, 0.5, 1, [ts], np.ones(ts.size), [1], np.eye(ts.size))
+    assert all(math.isnan(value) for (value,) in sups)  # a NaN on the polish nodes is reported, not hidden
+    for i, nodes in enumerate(seen[0]):
+        lo, hi = math.log(ts[max(i - 1, 0)]), math.log(ts[min(i + 1, ts.size - 1)])
+        assert np.array_equal(nodes, np.exp(np.linspace(lo, hi, 19)))
+
+
 @pytest.mark.parametrize("d", (1, 2))
 def test_orbit_curves_of_a_family_are_the_bits_of_one_member_calls(d):
-    # at p = 2 one table over the union of the supports, zero and constant
-    # members included, gives each member the bits of its own call, at
-    # times shared by the members or a row of times each
+    # at p = 2 one table of the members' own supports, each padded with
+    # zero rows to the longest, zero and constant members included, gives
+    # each member the bits of its own call, at times shared by the members
+    # or a row of times each, and with the decay rows of its orders given
+    # or made by the call
     from gausscalc import besov
 
     family = _shared_family(d)
     supports = [sorted(f.coeffs.items()) for f in family]
     ts = np.exp(np.linspace(math.log(1e-3), math.log(200.0), 101))
     own = ts * np.arange(1, len(family) + 1)[:, None]
+    orders = sorted({nu.order for f in family for nu in f.coeffs})
+    decay = (orders, besov._decay_rows(orders, ts))
     for k in (0, 1, 2):
-        for times in (ts[None], own):
-            shared = besov._orbit_curves(family[0], supports, k, (2.0,), times)
+        for times, rows in ((ts[None], None), (own, None), (ts[None], decay)):
+            shared = besov._orbit_curves(family[0], supports, k, (2.0,), times, rows)
             assert shared.shape == (1, len(family), ts.size)
             for i, (f, items) in enumerate(zip(family, supports)):
                 row = times[i % len(times)][None]
@@ -721,7 +827,7 @@ def test_default_budget_shares_sup_grid_tables(d):
     for ps in ((2.0,), (2.0, 2.0)):
         terms = besov._besov_terms(family, 0.5, ps, math.inf, 1, DEFAULT_STEP, SUP_POINTS, 2)
         assert terms == [besov._besov_terms([f], 0.5, ps, math.inf, 1, DEFAULT_STEP, SUP_POINTS, 2)[0] for f in family]
-    assert besov.SHARED_TABLE_BYTES // (8 * besov.sup_grid(SUP_POINTS, 2).size * 9) == 36  # d = 1, degree 8
+    assert besov.SHARED_TABLE_BYTES // (8 * besov.sup_grid(SUP_POINTS, 2).size * 9) == 18  # d = 1, degree 8
 
 
 @pytest.mark.parametrize(

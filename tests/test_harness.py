@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -168,6 +169,100 @@ def test_oracle_checks_equal_a_loop_of_one_sample_calls(cfg):
     values = {c["name"]: c["value"] for c in run_experiment("oracles", cfg).checks}
     got = [values["mehler-vs-spectral"].hex(), values["subordination-vs-spectral"].hex()]
     assert got == [worst_mehler.hex(), worst_sub.hex()]
+
+
+def _loop_inversion(family, beta):
+    """The inversion check's worst error as a loop of public calls, member by member."""
+    from gausscalc import pi0, riesz_derivative, riesz_potential
+
+    worst = 0.0
+    for f in family:
+        target, norm = pi0(f), l2_norm_coeffs(f)
+        e1 = l2_norm_coeffs(riesz_derivative(riesz_potential(f, beta), beta) - target)
+        e2 = l2_norm_coeffs(riesz_potential(riesz_derivative(f, beta), beta) - target)
+        worst = max(worst, e1 / norm, e2 / norm)
+    return worst
+
+
+def _loop_agreement(family, betas, op, integral_op):
+    """An operator agreement's worst relative coefficient error as a loop of public calls."""
+    worst = 0.0
+    for b in betas:
+        for f in family:
+            exact, approx = op(f, b), integral_op(f, b)
+            for nu, c in exact.coeffs.items():
+                if c != 0.0:
+                    worst = max(worst, abs(approx.coefficient(nu) - c) / abs(c))
+    return worst
+
+
+def _run_on(name, cfg, family):
+    """run_experiment(name, cfg) on this family instead of cfg's."""
+    from gausscalc import harness
+
+    token = harness._FAMILY_SOURCE.set(lambda cfg: (family, "0" * 40))
+    try:
+        return run_experiment(name, cfg)
+    finally:
+        harness._FAMILY_SOURCE.reset(token)
+
+
+def _odd_family(d):
+    """A seeded family with a constant member, a member with an order-0 term and a repeated member."""
+    family = gen_family(20260809, d, 8, 6)
+    one, two = (1,) + (0,) * (d - 1), (2,) + (0,) * (d - 1)
+    extra = {(0,) * d: 0.3, two: -0.7, one: 0.2}
+    return family + [HermiteExpansion.constant(d, 1.5), HermiteExpansion(d, extra), family[3]]
+
+
+def _dense_family(d):
+    """Four members on every index up to degree 24 (d = 1) or 6 (d = 2): 25 or 28 terms, summed past numpy's pairwise blocks."""
+    rng = _seeded_rng(7, 3)
+    indices = [nu for nu in product(range(25 if d == 1 else 7), repeat=d) if sum(nu) <= (24 if d == 1 else 6)]
+    return [HermiteExpansion(d, dict(zip(indices, rng.uniform(-1.0, 1.0, len(indices))))) for _ in range(4)]
+
+
+AGREEMENT_CONFIGS = [
+    (ExperimentConfig(), None),
+    (ExperimentConfig(dimension=2, family_size=12, max_degree=4), None),
+    (ExperimentConfig(family_size=11, max_degree=6), _odd_family(1)),
+    (ExperimentConfig(dimension=2, family_size=11, max_degree=6), _odd_family(2)),
+    (ExperimentConfig(family_size=4, max_degree=24), _dense_family(1)),
+    (ExperimentConfig(dimension=2, family_size=4, max_degree=6), _dense_family(2)),
+]
+AGREEMENT_IDS = ["default", "d2", "odd-d1", "odd-d2", "dense-d1", "dense-d2"]
+
+
+@pytest.mark.parametrize("cfg,family", AGREEMENT_CONFIGS, ids=AGREEMENT_IDS)
+def test_inversion_values_equal_a_loop_of_public_calls(cfg, family):
+    # one array pass per beta over the padded coefficient table gives each
+    # of the five values the bits of the member-by-member loop
+    if family is None:
+        family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
+    values = [c["value"].hex() for c in _run_on("inversion", cfg, family).checks]
+    assert values == [_loop_inversion(family, b).hex() for b in (0.3, 0.5, 0.9, 1.5, 2.5)]
+
+
+@pytest.mark.parametrize("cfg,family", AGREEMENT_CONFIGS, ids=AGREEMENT_IDS)
+def test_agreement_values_equal_a_loop_of_public_calls(cfg, family):
+    # the oracles' four integral-path values and the derivative rows'
+    # difference-path values have the bits of the member-by-member loop
+    from gausscalc import fractional as fr
+    from gausscalc import harness
+
+    if family is None:
+        family = gen_family(cfg.seed, cfg.dimension, cfg.family_size, cfg.max_degree)
+    values = {c["name"]: c["value"].hex() for c in _run_on("oracles", cfg, family).checks}
+    for label in ("riesz-potential", "bessel-potential", "riesz-derivative", "bessel-derivative"):
+        name = label.replace("-", "_")
+        want = _loop_agreement(family[:10], (0.3, 0.5, 0.9, 1.5, 2.5), getattr(fr, name), getattr(fr, name + "_integral"))
+        assert values[f"integral-path[{label}]"] == want.hex()
+    for row in ("riesz-derivative-bounded", "bessel-derivative-bounded-lt1"):
+        experiment = harness.EXPERIMENTS[row]
+        rep = _run_on(row, replace(cfg, qs=(2.0,)), family)
+        (got,) = [c["value"] for c in rep.checks if c["name"].startswith("difference-path-agreement")]
+        op, integral_op = getattr(fr, experiment.operator), getattr(fr, experiment.integral_operator)
+        assert got.hex() == _loop_agreement(family[:5], experiment.betas, op, integral_op).hex()
 
 
 def test_riesz_potential_experiment(tiny_cfg=None):
@@ -694,6 +789,22 @@ def test_cli_large_q_and_alpha_give_finite_values_or_a_usage_error(tmp_path, cap
         assert err == "gausscalc: q = 1e+308 beyond the supported range (q <= 1000, or q = inf)\n"
     else:
         assert err.startswith("gausscalc: alpha = 150") and "(k = 1501)" in err and "beyond the float range" in err
+
+
+def test_cli_verify_all_prints_each_runtime_in_milliseconds(tmp_path, capsys):
+    # one progress line per experiment, its runtime in ms to 0.1 ms: the
+    # report's meta.runtime_s, in seconds, is unchanged
+    out = tmp_path / "all.json"
+    assert cli_main(["verify-all", "--family-size", "2", "--max-degree", "3", "--out", str(out)]) == 0
+    text, decoder, docs = out.read_text(), json.JSONDecoder(), []
+    while text.strip():
+        doc, end = decoder.raw_decode(text.lstrip())
+        docs.append(doc)
+        text = text.lstrip()[end:]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(docs) == 9
+    for line, doc in zip(lines, docs):
+        assert line == f"[PASS] {doc['experiment']}  ({doc['meta']['runtime_s'] * 1e3:.1f} ms)"
 
 
 def test_cli_verify_all_hypothesis_violation_is_usage_error(tmp_path, capsys):

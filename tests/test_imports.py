@@ -11,7 +11,8 @@ averaging inequality and the oracles experiment never loads a scipy module
 (the tests' references use scipy).  The harness reaches into
 besov's private names only for the Besov terms, the norm curves and the
 decay report, and into semigroups' and hermite's only for the batched oracle
-samples, the L^p routes and the memo cache.
+samples, the L^p routes and the memo cache; it takes no private name of
+fractional, whose operator multipliers it reads from the public operators.
 """
 
 import ast
@@ -195,3 +196,17 @@ def test_harness_uses_only_the_batched_oracles_of_semigroups_and_hermite():
     tree = ast.parse((ROOT / "src" / "gausscalc" / "harness.py").read_text())
     assert _private_names(tree, "semigroups", "sg") == HARNESS_SEMIGROUPS_INTERNALS
     assert _private_names(tree, "hermite", None) == HARNESS_HERMITE_INTERNALS
+
+
+def test_harness_takes_the_operator_multipliers_from_the_public_operators():
+    # the inversion and agreement checks read each multiplier from a public
+    # operator of fractional on unit chaoses, so they exercise its code:
+    # harness names no private fractional name, imported or as an attribute
+    tree = ast.parse((ROOT / "src" / "gausscalc" / "harness.py").read_text())
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "fr"
+    }
+    assert {"riesz_potential", "riesz_derivative"} <= used  # fr is the fractional module's alias
+    assert _private_names(tree, "fractional", "fr") == set()
