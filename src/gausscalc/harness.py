@@ -7,7 +7,9 @@ so they are verified as bounded-ratio-with-grid-stability: every norm ratio
 must be finite, the max ratio must be stable under refinement of the time
 grid, and scaling f must leave ratios unchanged.  The refined time rule and
 sup grid nest the coarse ones, so one norm curve gives the terms of both
-resolutions.  Reported max ratios double as a regression baseline.
+resolutions.  Reported max ratios double as a regression baseline.  Every
+check value and worst-ratio record is the worst over its cases, floored at
+0 (_worst): a NaN anywhere makes it NaN, and so fails the check.
 
 Determinism contract: families come from a counter-based generator (Philox),
 so identical configs produce byte-identical reports; wall-clock metadata is
@@ -381,19 +383,23 @@ def _ratio_suites(report, cfg, family, operator, source_alpha, target_alpha, ps,
             _record_suite(report, cfg, f"alpha={source_alpha:g},p={p:g},q={_q_label(q)}", *suites[j, q])
 
 
+def _worst(values) -> float:
+    """The largest of values and 0.0, or NaN if any value is NaN: every check value and worst-ratio record."""
+    values = [0.0, *values]
+    return math.nan if any(v != v for v in values) else float(max(values))
+
+
 def _record_suite(report, cfg, label, ratios, ratios_fine, scaled):
     """The ratio rows and the three checks of one suite; scaled is the scaled source's ratio."""
     for i, r in enumerate(ratios):
         report.ratios.append({"label": f"f{i:03d}[{label}]", "ratio": r})
-    finite = all(math.isfinite(r) for r in ratios)
-    report.add_check(f"ratios-finite[{label}]", finite)
-    # np.max, unlike max, is NaN whenever a ratio is, so a NaN fails both gates below
-    mx, mx_fine = float(np.max(ratios)), float(np.max(ratios_fine))
+    report.add_check(f"ratios-finite[{label}]", all(map(math.isfinite, ratios)))
+    mx, mx_fine = _worst(ratios), _worst(ratios_fine)
     drift = abs(mx_fine - mx) / mx if mx != 0 else 0.0
     report.add_check(f"grid-stability[{label}]", drift < cfg.tol_ratio_stability, drift, cfg.tol_ratio_stability)
     dev = abs(scaled - ratios[0]) / ratios[0] if ratios[0] != 0 else 0.0
     report.add_check(f"scale-invariance[{label}]", dev <= 1e-12, dev, 1e-12)
-    report.max_ratio = mx if report.max_ratio is None else float(np.maximum(report.max_ratio, mx))
+    report.max_ratio = _worst(r["ratio"] for r in report.ratios)
 
 
 def _new_report(name, cfg) -> tuple[list[HermiteExpansion], TheoremReport]:
@@ -438,12 +444,12 @@ def _multipliers(op, beta, orders, dimension: int) -> np.ndarray:
 def _operator_agreement(family, betas, op, integral_op) -> float:
     """Worst relative coefficient error of integral_op against the spectral op, over betas, members and coefficients in order."""
     coef, orders = _coefficient_table(family)
-    errors = [0.0]
+    errors = []
     for b in betas:  # c m(n): the products each op forms for a member
         exact, approx = (coef * _multipliers(fn, b, orders, family[0].dimension) for fn in (op, integral_op))
         kept = exact != 0.0
         errors += (np.abs(approx[kept] - exact[kept]) / np.abs(exact[kept])).tolist()
-    return max(errors)
+    return _worst(errors)
 
 
 @dataclass(frozen=True)
@@ -545,7 +551,7 @@ def _exp_inversion(cfg: ExperimentConfig) -> TheoremReport:
     for b in betas:
         i, d = (_multipliers(op, b, orders, cfg.dimension) for op in (fr.riesz_potential, fr.riesz_derivative))
         e1, e2 = (np.sqrt(np.cumsum((c - target) ** 2, axis=1)[:, -1]) / norms for c in ((coef * i) * d, (coef * d) * i))
-        worst = max([0.0, *np.stack([e1, e2], axis=1).ravel().tolist()])
+        worst = _worst(np.stack([e1, e2], axis=1).ravel().tolist())
         rep.add_check(f"inversion[beta={b:g}]", worst <= cfg.tol_inversion, worst, cfg.tol_inversion)
     return rep
 
@@ -586,17 +592,16 @@ def _exp_oracles(cfg: ExperimentConfig) -> TheoremReport:
         ts.append(float(rng.uniform(0.05, 5.0)))
         xs.append(rng.uniform(-2.0, 2.0, cfg.dimension))
     size = max(1, ORACLE_CHUNK_POINTS // grid.weights.size)
-    worst_mehler = worst_sub = 0.0
+    mehler, sub = [], []
     for a in range(0, 100, size):
         f, t, x = fs[a : a + size], ts[a : a + size], xs[a : a + size]
-        mehler = sg._ou_mehler_rows(f, t, x, grid) - sg._spectral_rows(f, map(sg._ou_multiplier, t), x)
-        sub = sg._ph_subordination_rows(f, t, x) - sg._spectral_rows(f, map(sg._orbit_multiplier, t), x)
-        for m, s in zip(mehler.tolist(), sub.tolist()):
-            worst_mehler, worst_sub = max(worst_mehler, abs(m)), max(worst_sub, abs(s))
+        mehler += np.abs(sg._ou_mehler_rows(f, t, x, grid) - sg._spectral_rows(f, map(sg._ou_multiplier, t), x)).tolist()
+        sub += np.abs(sg._ph_subordination_rows(f, t, x) - sg._spectral_rows(f, map(sg._orbit_multiplier, t), x)).tolist()
+    worst_mehler, worst_sub = _worst(mehler), _worst(sub)
     rep.add_check("mehler-vs-spectral", worst_mehler <= cfg.tol_mehler, worst_mehler, cfg.tol_mehler)
     rep.add_check("subordination-vs-spectral", worst_sub <= cfg.tol_subordination, worst_sub, cfg.tol_subordination)
 
-    worst_mass = max(abs(_kernel_mass(t) - 1.0) for t in (0.5, 1.0, 2.0))
+    worst_mass = _worst(abs(_kernel_mass(t) - 1.0) for t in (0.5, 1.0, 2.0))
     rep.add_check("kernel-mass", worst_mass <= cfg.tol_kernel_mass, worst_mass, cfg.tol_kernel_mass)
 
     betas = cfg.betas or (0.3, 0.5, 0.9, 1.5, 2.5)
@@ -656,25 +661,24 @@ def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
     lps = [[bz.lp_norm(f, p) for p in ps] for f in sample]
     curves = [[bz._norm_curves(f, k, ps, ts119) for k in ks] for f in sample]
     all_monotone = True
-    worst_drift = 0.0
+    drifts = []
     for j, p in enumerate(ps):
         for m, k in enumerate(ks):
-            fitted = 0.0
+            fitted = []
             for f_lps, f_curves in zip(lps, curves):
-                curve = f_curves[m][j]
-                r60 = bz._decay_report(ts119[::2], curve[::2], k, f_lps[j])
-                r119 = bz._decay_report(ts119, curve, k, f_lps[j])
+                r60, r119 = (bz._decay_report(ts119[::s], f_curves[m][j][::s], k, f_lps[j]) for s in (2, 1))
                 all_monotone = all_monotone and r60.non_increasing and math.isfinite(r60.fitted_c)
-                fitted = max(fitted, r60.fitted_c)
-                if r60.fitted_c > 0:
-                    worst_drift = max(worst_drift, abs(r119.fitted_c - r60.fitted_c) / r60.fitted_c)
-            rep.ratios.append({"label": f"decay-constant[k={k},p={p:g}]", "ratio": fitted})
+                fitted.append(r60.fitted_c)
+                if r60.fitted_c != 0:
+                    drifts.append(abs(r119.fitted_c - r60.fitted_c) / r60.fitted_c)
+            rep.ratios.append({"label": f"decay-constant[k={k},p={p:g}]", "ratio": _worst(fitted)})
     rep.add_check("derivative-norm-decay-monotone", all_monotone)
+    worst_drift = _worst(drifts)
     rep.add_check("decay-constant-grid-stable", worst_drift < 0.01, worst_drift, 0.01)
 
     # ||Delta_s^k(u^(n), t)||_p <= s^k ||u^(k+n)(., t)||_p: per (member, t), the 18
     # differences and the 4 distinct derivatives go to _lp_norms as one table
-    worst_excess = 0.0
+    excess = []
     steps = (0.1, 0.5, 1.0)
     pairs = [(k, n) for k in (1, 2, 3) for n in (0, 1)]
     orders = sorted({k + n for k, n in pairs})
@@ -687,9 +691,8 @@ def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
             norms = _lp_norms(f, support, table, ps)
             derivatives = dict(zip(orders, norms[:, -len(orders) :].T))
             for col, ((k, n), s) in enumerate(product(pairs, steps)):
-                for lhs, rhs in zip(norms[:, col], s**k * derivatives[k + n]):
-                    if rhs > 0:
-                        worst_excess = max(worst_excess, lhs / rhs - 1.0)
+                excess += [lhs / rhs - 1.0 for lhs, rhs in zip(norms[:, col], s**k * derivatives[k + n]) if rhs != 0]
+    worst_excess = _worst(excess)
     rep.add_check("difference-bounded-by-derivative", worst_excess <= 1e-9, worst_excess, 1e-9)
 
     # d/ds Delta_s^k(g, t) = k Delta_s^(k-1)(g', t+s), checked by central differences
@@ -706,19 +709,18 @@ def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
                 ok = ok and errs[0] / max(errs[1], 1e-300) > 25.0  # second-order shrink
     rep.add_check("difference-derivative-identity", ok)
 
-    worst_rel = 0.0
-    eq_dev = 0.0
+    rel, eq_dev = [], []
     pairs = list(product((1.0, 2.0), (0.5, 1.0, 2.0)))  # (p, r)
     for _, fn in HARDY_BATTERY:
         for kind in ("head", "tail"):
             for (p, _), (lhs, rhs) in zip(pairs, bz._hardy_sides(fn, pairs, kind)):
-                if math.isinf(rhs):
-                    continue
-                worst_rel = max(worst_rel, lhs / rhs - 1.0)
-                if p == 1.0 and kind == "head":
-                    eq_dev = max(eq_dev, abs(lhs - rhs) / rhs)
+                if not math.isinf(rhs):
+                    rel.append(lhs / rhs - 1.0)
+                    if p == 1.0 and kind == "head":
+                        eq_dev.append(abs(lhs - rhs) / rhs)
+    worst_rel, worst_eq = _worst(rel), _worst(eq_dev)
     rep.add_check("averaging-inequalities", worst_rel <= 1e-6, worst_rel, 1e-6)
-    rep.add_check("averaging-equality-at-p1", eq_dev <= 1e-6, eq_dev, 1e-6)
+    rep.add_check("averaging-equality-at-p1", worst_eq <= 1e-6, worst_eq, 1e-6)
 
     # nested-space ratios: higher smoothness controls lower, and larger q is
     # weaker; one memo call per (alpha, q) gives the sample's coarse totals,
@@ -726,40 +728,30 @@ def _exp_lemmas(cfg: ExperimentConfig) -> TheoremReport:
     def totals(alpha, q):
         return [member[0][0] for member in _besov_totals(sample, alpha, (2.0,), q, cfg.t_step, cfg.sup_points, 1)]
 
-    recorded = []
+    inclusions = {}  # label -> (weaker totals, stronger totals)
     for (a1, a2) in ((0.9, 0.4), (1.5, 0.7)):
         for (q1, q2) in ((1.0, 4.0), (2.0, 2.0)):
-            mx = 0.0
-            for low, high in zip(totals(a2, q2), totals(a1, q1)):
-                mx = max(mx, low / high)
-            recorded.append(mx)
-            rep.ratios.append({"label": f"inclusion[{a1:g},q{q1:g}->{a2:g},q{q2:g}]", "ratio": mx})
+            inclusions[f"inclusion[{a1:g},q{q1:g}->{a2:g},q{q2:g}]"] = totals(a2, q2), totals(a1, q1)
     for q1, q2 in ((1.0, 2.0), (2.0, math.inf)):
-        mx = 0.0
-        for weak, strong in zip(totals(0.5, q2), totals(0.5, q1)):
-            mx = max(mx, weak / strong)
-        rep.ratios.append({"label": f"inclusion[q{_q_label(q1)}->q{_q_label(q2)}]", "ratio": mx})
-    rep.add_check("inclusion-ratios-finite", all(math.isfinite(r) for r in recorded))
+        inclusions[f"inclusion[q{_q_label(q1)}->q{_q_label(q2)}]"] = totals(0.5, q2), totals(0.5, q1)
+    recorded = [_worst(weak / strong for weak, strong in zip(*sides)) for sides in inclusions.values()]
+    rep.ratios += [{"label": label, "ratio": r} for label, r in zip(inclusions, recorded)]
+    rep.add_check("inclusion-ratios-finite", all(map(math.isfinite, recorded)))
 
     # the norm computed with k and with k+1 stays comparable across the family;
     # one _besov_terms call per (alpha, q, k) gives the sample's seminorms, the
-    # bits of besov_seminorm's
-    worst_spread = 0.0
+    # bits of besov_seminorm's; the record, the worst ratio or reciprocal, is max(max, 1/min) bit for bit
+    recorded = []
     for (a, p, q) in ((0.5, 2.0, 2.0), (0.5, 2.0, 1.0), (1.3, 2.0, 2.0)):
         k = bz.smallest_k(a)
         semis = [
             [member[0][0] for member in bz._besov_terms(sample, a, (p,), q, j, cfg.t_step, bz.SUP_POINTS, 1)]
             for j in (k, k + 1)
         ]
-        ratios = []
-        for f, semi_k, semi_k1 in zip(sample, *semis):
-            with_k = bz.lp_norm(f, p) + semi_k
-            with_k1 = bz.lp_norm(f, p) + semi_k1
-            ratios.append(with_k1 / with_k)
-        spread = max(ratios) / min(ratios)
-        worst_spread = max(worst_spread, spread)
-        rep.ratios.append({"label": f"k-independence[alpha={a:g},q={q:g}]", "ratio": max(max(ratios), 1.0 / min(ratios))})
-    rep.add_check("k-independence-ratios-finite", math.isfinite(worst_spread))
+        ratios = [(bz.lp_norm(f, p) + semi_k1) / (bz.lp_norm(f, p) + semi_k) for f, semi_k, semi_k1 in zip(sample, *semis)]
+        recorded.append(_worst([*ratios, *(1.0 / r for r in ratios)]))
+        rep.ratios.append({"label": f"k-independence[alpha={a:g},q={q:g}]", "ratio": recorded[-1]})
+    rep.add_check("k-independence-ratios-finite", all(map(math.isfinite, recorded)))
     return rep
 
 

@@ -349,6 +349,83 @@ def test_nan_ratios_fail_every_gate():
     assert math.isnan(rep.max_ratio)
 
 
+def test_worst_is_floored_at_zero_and_nan_anywhere():
+    from gausscalc.harness import _worst
+
+    assert _worst([]) == 0.0 and _worst([-1.0]) == 0.0
+    assert math.isnan(_worst([math.nan, 1.0])) and math.isnan(_worst([1.0, math.nan]))
+
+
+def _nan_times(fn):
+    return lambda *args: math.nan * fn(*args)
+
+
+def _nan_left_sides(fn):
+    return lambda *args: [(math.nan, rhs) for _, rhs in fn(*args)]
+
+
+def _nan_refined_decay(fn):
+    # decay_grid(119) is the refined grid; the coarse report, and so the monotone check, stay as they are
+    return lambda ts, *rest: replace(fn(ts, *rest), fitted_c=math.nan) if len(ts) == 119 else fn(ts, *rest)
+
+
+def _nan_qinf_totals_at_half(fn):
+    # patched above the memo (_TOTALS), so a hit cannot hide the injection
+    def totals(fs, alpha, ps, q, *rest):
+        out = fn(fs, alpha, ps, q, *rest)
+        return [[[math.nan] * len(level) for level in member] for member in out] if (alpha, q) == (0.5, math.inf) else out
+
+    return totals
+
+
+def _nan_mass_at_one(fn):
+    return lambda t: math.nan if t == 1.0 else fn(t)
+
+
+# (module, attribute, wrapper, experiment, check): before every worst value
+# came from _worst, each of these passed with value 0.0
+NAN_INJECTIONS = [
+    ("semigroups", "_ou_mehler_rows", _nan_times, "oracles", "mehler-vs-spectral"),
+    ("besov", "_hardy_sides", _nan_left_sides, "lemmas", "averaging-inequalities"),
+    ("besov", "_hardy_sides", _nan_left_sides, "lemmas", "averaging-equality-at-p1"),
+    ("fractional", "riesz_derivative_integral", _nan_times, "riesz-derivative-bounded-lt1", "difference-path-agreement[beta=0.4]"),
+    ("fractional", "riesz_derivative_integral", _nan_times, "oracles", "integral-path[riesz-derivative]"),
+    ("harness", "_lp_norms", _nan_times, "lemmas", "difference-bounded-by-derivative"),
+    ("besov", "_decay_report", _nan_refined_decay, "lemmas", "decay-constant-grid-stable"),
+    ("harness", "_besov_totals", _nan_qinf_totals_at_half, "lemmas", "inclusion-ratios-finite"),
+    ("harness", "_kernel_mass", _nan_mass_at_one, "oracles", "kernel-mass"),
+]
+
+
+@pytest.mark.parametrize(
+    "module,attr,wrap,experiment,check", NAN_INJECTIONS, ids=[f"{row[1]}-{row[4]}" for row in NAN_INJECTIONS]
+)
+def test_nan_injection_fails_its_check(monkeypatch, module, attr, wrap, experiment, check):
+    import importlib
+
+    mod = importlib.import_module(f"gausscalc.{module}")
+    monkeypatch.setattr(mod, attr, wrap(getattr(mod, attr)))
+    rep = run_experiment(experiment, CFG_SMALL)
+    (row,) = [c for c in rep.checks if c["name"] == check]
+    assert not row["passed"] and not rep.passed
+    if row["value"] is not None:
+        assert math.isnan(row["value"])
+    if check == "inclusion-ratios-finite":  # the q = 2 -> inf record is NaN, not 0.0
+        (record,) = [r["ratio"] for r in rep.ratios if r["label"] == "inclusion[q2->qinf]"]
+        assert math.isnan(record)
+
+
+def test_zero_member_fails_inversion_with_nan():
+    # gen_family normalises every member, so only an installed family has one:
+    # its relative error is 0/0, and the NaN fails every inversion check
+    family = gen_family(7, 1, 4, 6) + [HermiteExpansion(1, {})]
+    with pytest.warns(RuntimeWarning):
+        rep = _run_on("inversion", CFG_SMALL, family)
+    assert not rep.passed and rep.checks
+    for check in rep.checks:
+        assert check["name"].startswith("inversion[") and not check["passed"] and math.isnan(check["value"])
+
+
 def test_empty_report_is_valid():
     from gausscalc.harness import TheoremReport
 

@@ -13,6 +13,8 @@ besov's private names only for the Besov terms, the norm curves and the
 decay report, and into semigroups' and hermite's only for the batched oracle
 samples, the L^p routes and the memo cache; it takes no private name of
 fractional, whose operator multipliers it reads from the public operators.
+No assignment in the harness folds a value into its own running max or min:
+its worst values all come from one reduction, which keeps a NaN.
 """
 
 import ast
@@ -210,3 +212,30 @@ def test_harness_takes_the_operator_multipliers_from_the_public_operators():
     }
     assert {"riesz_potential", "riesz_derivative"} <= used  # fr is the fractional module's alias
     assert _private_names(tree, "fractional", "fr") == set()
+
+
+def running_reductions(tree) -> list[int]:
+    """Lines of assignments whose value is, or whose tuple holds, a builtin max/min call on one of its own targets."""
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        targets = {name.id for target in node.targets for name in ast.walk(target) if isinstance(name, ast.Name)}
+        calls = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+        if any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id in ("max", "min")
+            and any(isinstance(arg, ast.Name) and arg.id in targets for arg in call.args)
+            for call in calls
+        ):
+            hits.append(node.lineno)
+    return hits
+
+
+def test_harness_takes_every_worst_value_from_one_reduction():
+    # acc = max(acc, x) drops a NaN x without a sign (max(0.0, nan) is 0.0);
+    # harness takes its worst values from _worst alone, which keeps a NaN
+    assert running_reductions(ast.parse("acc = max(acc, x)\na, b = max(a, x), min(b, y)\nc = max(d, 1)")) == [1, 2]
+    tree = ast.parse((ROOT / "src" / "gausscalc" / "harness.py").read_text())
+    assert running_reductions(tree) == []
